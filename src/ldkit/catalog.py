@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import DIHSystem, oracle_simulate  # noqa: F401  (re-export)
+from .dynamics import DIHSystem
 from .errors import InputError, SpecFormatError
 from .fields import ConstraintField, LDField, ScalarField, TensorField
 from .subspaces import as_vector
@@ -37,7 +37,6 @@ __all__ = [
     "CatalogEntry",
     "build_system",
     "default_state",
-    "oracle_simulate",
 ]
 
 _PROBE_SEED = 20240817
@@ -182,6 +181,7 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
     force column is (0, 0, 0, y, 0, -1), making the reduced multiplier
     system (J G) = 1 + y^2 uniformly regular.
     """
+    mu = tuple(mu)
     entries = _as_friction_entries(mu)
     if len(entries) != 3:
         raise InputError("damped_particle needs exactly three friction entries")
@@ -189,8 +189,14 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
     def r_eval(q: np.ndarray) -> np.ndarray:
         return np.diag([float(e(q)) for e in entries])
 
+    # filling a copy of the fixed entries is cheaper than a nested list
+    a_fixed = np.array([[0.0], [0.0], [-1.0]])
+    jac_fixed = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0]])
+
     def a_eval(q: np.ndarray) -> np.ndarray:
-        return np.array([[q[1]], [0.0], [-1.0]])
+        a = a_fixed.copy()
+        a[0, 0] = q[1]
+        return a
 
     hamiltonian = ScalarField(
         6,
@@ -202,8 +208,15 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
 
     def constraint_jacobian(x: np.ndarray) -> np.ndarray:
         # c(x) = y p_x - p_z
-        return np.array([[0.0, x[3], 0.0, x[1], 0.0, -1.0]])
+        jac = jac_fixed.copy()
+        jac[0, 1] = x[3]
+        jac[0, 3] = x[1]
+        return jac
 
+    if not any(callable(item) for item in mu):
+        # constant friction makes Pi constant: build it once, not per call
+        pi = TensorField.constant(system.ld.pi.evaluate(np.zeros(6)))
+        system = replace(system, ld=LDField(pi, system.ld.forces))
     return replace(system, constraint_jacobian=constraint_jacobian)
 
 

@@ -20,7 +20,7 @@ from .errors import (ConsistencyError, DegenerateRepresentationError,
 from .io import (load_structure_spec, load_system_spec, read_trajectory,
                  write_trajectory_csv, write_trajectory_json)
 from .linear import classification_residuals, split_pairing
-from .subspaces import Tolerance
+from .subspaces import DEFAULT_TOLERANCE, Tolerance
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -44,20 +44,8 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
                     f"environment variable {_ENV_TOL_RANK} must be a number, "
                     f"got {env!r}")
     if rank_eps is None:
-        rank_eps = 1e-9
-    residual_eps = args.tol_residual if args.tol_residual is not None else 1e-8
-    return Tolerance(rank_eps=rank_eps, residual_eps=residual_eps)
-
-
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol-rank", type=float, default=None,
-        help="relative singular-value cutoff for rank decisions "
-             f"(default 1e-9; env {_ENV_TOL_RANK} overrides the default)")
-    parser.add_argument(
-        "--tol-residual", type=float, default=None,
-        help="residual bound for membership and equation checks "
-             "(default 1e-8)")
+        rank_eps = DEFAULT_TOLERANCE.rank_eps
+    return Tolerance(rank_eps=rank_eps, residual_eps=args.tol_residual)
 
 
 def _fmt(value: float) -> str:
@@ -133,7 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="classify a structure-spec file and print residuals")
     p_verify.add_argument("spec", help="structure-spec JSON file")
-    _add_tolerance_flags(p_verify)
+    p_verify.add_argument(
+        "--tol-rank", type=float, default=None,
+        help="relative singular-value cutoff for rank decisions (default "
+             f"{DEFAULT_TOLERANCE.rank_eps:g}; env {_ENV_TOL_RANK} "
+             "overrides the default)")
+    p_verify.add_argument(
+        "--tol-residual", type=float, default=DEFAULT_TOLERANCE.residual_eps,
+        help="residual bound for membership and equation checks "
+             "(default %(default)g)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser(
@@ -147,13 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trajectory output format (default csv)")
     p_sim.add_argument("--output", default=None,
                        help="output path (default trajectory.<format>)")
-    _add_tolerance_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_audit = sub.add_parser(
         "audit", help="energy audit of a stored trajectory (csv or json)")
     p_audit.add_argument("trajectory", help="trajectory file")
-    _add_tolerance_flags(p_audit)
     p_audit.set_defaults(func=cmd_audit)
     return parser
 

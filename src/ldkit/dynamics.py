@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
-from .fields import LDField, ScalarField
+from .fields import LDField, ScalarField, _checked
 from .numdiff import central_gradient, central_jacobian
-from .subspaces import DEFAULT_TOLERANCE, Tolerance, as_vector
+from .subspaces import (DEFAULT_TOLERANCE, Tolerance, as_vector,
+                        complement_columns)
 
 __all__ = [
     "DEFAULT_PROJECTION_TOL",
@@ -190,10 +191,15 @@ class _Compiled:
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "hval")
 
-    def __init__(self, sys: DIHSystem):
+    def __init__(self, sys: DIHSystem, x0: np.ndarray):
         self.n = sys.n
         self.k = sys.k
         ham = sys.hamiltonian
+        ham.grad(x0)
+        sys.ld.pi(x0)
+        if self.k and sys.constraint_jacobian is not None:
+            _checked(sys.constraint_jacobian(x0), (self.k, self.n),
+                     "constraint Jacobian", x0)
         self.hval = ham.value
         if ham.gradient is not None:
             self.grad = ham.gradient
@@ -234,9 +240,9 @@ def _lambda_at(c: _Compiled, x: np.ndarray, grad: np.ndarray,
                g: np.ndarray, pi_grad: np.ndarray,
                tol: float) -> tuple[np.ndarray, float]:
     jac = np.asarray(c.jac(x), dtype=float)
-    b = -(jac @ pi_grad)
-    lam, resid = _solve_constraint(jac @ g, b)
-    if resid > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+    b = -jac.dot(pi_grad)
+    lam, resid = _solve_constraint(jac.dot(g), b)
+    if resid and resid > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
         raise DegenerateMultiplierError(
             f"multiplier system is singular and inconsistent (least-squares "
             f"residual {resid:.3e})", ls_residual=resid)
@@ -277,28 +283,38 @@ def multipliers(sys: DIHSystem, x,
     point = _require_consistent(sys, x, projection_tol)
     if sys.k == 0:
         return np.zeros(0), 0.0
-    c = _Compiled(sys)
+    c = _Compiled(sys, point)
     grad = sys.hamiltonian.grad(point)
     g = sys.ld.forces(point)
     pi_grad = sys.ld.pi(point) @ grad
     return _lambda_at(c, point, grad, g, pi_grad, projection_tol)
 
 
+def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
+           tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pi, the multiplier and the right-hand side at x, given grad H and G.
+
+    The hot path uses ndarray.dot: on these tiny operands it costs about
+    half the call overhead of ``@``.
+    """
+    pi = np.asarray(c.pi(x), dtype=float)
+    pi_grad = pi.dot(grad)
+    if c.k == 0:
+        return pi, np.zeros(0), pi_grad
+    lam, _ = _lambda_at(c, x, grad, g, pi_grad, tol)
+    return pi, lam, pi_grad + g.dot(lam)
+
+
 def _rhs_raw(c: _Compiled, x: np.ndarray, tol: float) -> np.ndarray:
     grad = np.asarray(c.grad(x), dtype=float)
-    pi_grad = np.asarray(c.pi(x), dtype=float) @ grad
-    if c.k == 0:
-        return pi_grad
-    g = np.asarray(c.g(x), dtype=float)
-    lam, _ = _lambda_at(c, x, grad, g, pi_grad, tol)
-    return pi_grad + g @ lam
+    return _terms(c, x, grad, np.asarray(c.g(x), dtype=float), tol)[2]
 
 
 def rhs(sys: DIHSystem, x,
         projection_tol: float = DEFAULT_PROJECTION_TOL) -> np.ndarray:
     """Right-hand side Pi grad H + G lambda at a consistent state."""
     point = _require_consistent(sys, x, projection_tol)
-    return _rhs_raw(_Compiled(sys), point, projection_tol)
+    return _rhs_raw(_Compiled(sys, point), point, projection_tol)
 
 
 def kernel_form(sys: DIHSystem, x,
@@ -313,11 +329,7 @@ def kernel_form(sys: DIHSystem, x,
     pi = sys.ld.pi(point)
     g = sys.ld.forces(point, tol)
     n, k = sys.n, sys.k
-    if k == 0:
-        kmat = np.eye(n)
-    else:
-        u, _, _ = np.linalg.svd(g, full_matrices=True)
-        kmat = u[:, k:].T
+    kmat = complement_columns(g, k).T
     lhs = np.vstack([kmat, np.zeros((k, n))])
     rhs_vec = np.concatenate([kmat @ (pi @ grad), g.T @ grad])
     return KernelForm(kmat, lhs, rhs_vec)
@@ -332,32 +344,32 @@ def energy_rate(sys: DIHSystem, x) -> float:
     return float(grad @ (sym @ grad))
 
 
-def _project(c: _Compiled, x: np.ndarray, tol: float,
-             max_iters: int) -> np.ndarray:
-    """Newton iteration along span G(x) onto the constraint set."""
+def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Newton iteration along span G(x) onto the constraint set.
+
+    Returns the projected state with grad H, G and the max-norm constraint
+    residual there, so that the caller need not evaluate them again.
+    """
     if c.k == 0:
-        return x
-    for _ in range(max_iters):
+        return x, np.asarray(c.grad(x), dtype=float), c.g(x), 0.0
+    for i in range(config.max_projection_iters + 1):
         g = np.asarray(c.g(x), dtype=float)
-        cval = g.T @ np.asarray(c.grad(x), dtype=float)
+        grad = np.asarray(c.grad(x), dtype=float)
+        cval = g.T @ grad
         worst = float(np.abs(cval).max(initial=0.0))
-        if worst <= tol:
-            return x
+        if worst <= config.projection_tol:
+            return x, grad, g, worst
+        if i == config.max_projection_iters:
+            raise _ProjectionFailed(worst)
         a = np.asarray(c.jac(x), dtype=float) @ g
         delta, _ = _solve_constraint(a, -cval)
         x = x + g @ delta
-    g = np.asarray(c.g(x), dtype=float)
-    cval = g.T @ np.asarray(c.grad(x), dtype=float)
-    worst = float(np.abs(cval).max(initial=0.0))
-    if worst <= tol:
-        return x
-    raise _ProjectionFailed(worst)
 
 
 class _Recorder:
-    def __init__(self, c: _Compiled, tol: float):
+    def __init__(self, c: _Compiled):
         self.c = c
-        self.tol = tol
         self.times: list[float] = []
         self.states: list[np.ndarray] = []
         self.lams: list[np.ndarray] = []
@@ -365,24 +377,14 @@ class _Recorder:
         self.energies: list[float] = []
         self.rates: list[float] = []
 
-    def record(self, t: float, x: np.ndarray) -> None:
-        c = self.c
-        grad = np.asarray(c.grad(x), dtype=float)
-        pi = np.asarray(c.pi(x), dtype=float)
-        pi_grad = pi @ grad
-        if c.k:
-            g = np.asarray(c.g(x), dtype=float)
-            resid = float(np.abs(g.T @ grad).max(initial=0.0))
-            lam, _ = _lambda_at(c, x, grad, g, pi_grad, self.tol)
-        else:
-            resid = 0.0
-            lam = np.zeros(0)
+    def record(self, t: float, x: np.ndarray, grad: np.ndarray,
+               pi: np.ndarray, lam: np.ndarray, resid: float) -> None:
         sym = 0.5 * (pi + pi.T)
         self.times.append(t)
         self.states.append(x)
         self.lams.append(lam)
         self.residuals.append(resid)
-        self.energies.append(float(c.hval(x)))
+        self.energies.append(float(self.c.hval(x)))
         self.rates.append(float(grad @ (sym @ grad)))
 
     def build(self) -> Trajectory:
@@ -396,35 +398,39 @@ class _Recorder:
         )
 
 
-def _run(sys: DIHSystem, x0, dt: float, steps: int, projection_tol: float,
-         max_projection_iters: int,
-         stepper: Callable[[Callable, np.ndarray, float], np.ndarray],
+def _run(sys: DIHSystem, x0, config: IntegratorConfig,
+         stepper: Callable[..., np.ndarray],
          substeps: int) -> Trajectory:
     """Drive a one-step map over the time grid, projecting and recording.
 
     ``substeps`` macro applications of ``stepper`` with size dt/substeps
-    advance one grid interval; recording happens on the grid only.
+    advance one grid interval; recording happens on the grid only.  Each
+    accepted state is evaluated once: the projection's grad H and G, and
+    the right-hand side there, serve both the record and the next step.
     """
+    dt, projection_tol = config.dt, config.projection_tol
     x = _require_consistent(sys, x0, projection_tol)
-    c = _Compiled(sys)
-    rec = _Recorder(c, projection_tol)
+    c = _Compiled(sys, x)
+    rec = _Recorder(c)
 
     def f(y: np.ndarray) -> np.ndarray:
         return _rhs_raw(c, y, projection_tol)
 
-    rec.record(0.0, x)
+    x, grad, g, resid = _project(c, x, config)  # x0 is in chi_c: no move
+    pi, lam, fx = _terms(c, x, grad, g, projection_tol)
+    rec.record(0.0, x, grad, pi, lam, resid)
     h = dt / substeps
-    for i in range(1, steps + 1):
+    for i in range(1, config.steps + 1):
         t_prev = (i - 1) * dt
         try:
             for _ in range(substeps):
-                x_new = stepper(f, x, h)
-                if not np.all(np.isfinite(x_new)):
+                x_new = stepper(f, x, fx, h)
+                if not np.isfinite(x_new).all():
                     raise _ProjectionFailed(float("inf"))
-                x = _project(c, x_new, projection_tol, max_projection_iters)
-            rec.record(i * dt, x)
-        except (_ProjectionFailed, DegenerateMultiplierError, LDKitError,
-                FloatingPointError) as exc:
+                x, grad, g, resid = _project(c, x_new, config)
+                pi, lam, fx = _terms(c, x, grad, g, projection_tol)
+            rec.record(i * dt, x, grad, pi, lam, resid)
+        except (_ProjectionFailed, LDKitError, FloatingPointError) as exc:
             raise StepFailureError(
                 f"step to t = {i * dt:.6g} failed: {exc}",
                 time=t_prev, state=rec.states[-1],
@@ -432,8 +438,9 @@ def _run(sys: DIHSystem, x0, dt: float, steps: int, projection_tol: float,
     return rec.build()
 
 
-def _rk4_step(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
+def _rk4_step(f: Callable, x: np.ndarray, fx: np.ndarray,
+              dt: float) -> np.ndarray:
+    k1 = fx
     k2 = f(x + (0.5 * dt) * k1)
     k3 = f(x + (0.5 * dt) * k2)
     k4 = f(x + dt * k3)
@@ -447,8 +454,7 @@ def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
     stalled projection, singular multiplier system, or non-finite state
     raises StepFailureError carrying the partial trajectory.
     """
-    return _run(sys, x0, config.dt, config.steps, config.projection_tol,
-                config.max_projection_iters, _rk4_step, substeps=1)
+    return _run(sys, x0, config, _rk4_step, substeps=1)
 
 
 def _midpoint_chain(f: Callable, y0: np.ndarray, big_h: float, nsub: int,
@@ -461,14 +467,15 @@ def _midpoint_chain(f: Callable, y0: np.ndarray, big_h: float, nsub: int,
     return 0.5 * (z + z_prev + h * f(z))
 
 
-def _gbs_step(f: Callable, y: np.ndarray, h: float) -> np.ndarray:
+def _gbs_step(f: Callable, y: np.ndarray, f0: np.ndarray,
+              h: float) -> np.ndarray:
     """One extrapolated Gragg modified-midpoint step of size h.
 
     Two smoothed modified-midpoint passes with 2 and 4 substeps are
     Richardson-extrapolated in the even h^2 error expansion, giving a
-    4th-order one-step map built entirely from midpoint chains.
+    4th-order one-step map built entirely from midpoint chains; ``f0`` is
+    f(y).
     """
-    f0 = f(y)
     t1 = _midpoint_chain(f, y, h, 2, f0)
     t2 = _midpoint_chain(f, y, h, 4, f0)
     return t2 + (t2 - t1) / 3.0
@@ -486,8 +493,7 @@ def oracle_simulate(sys: DIHSystem, x0, dt: float, t_end: float,
     config = IntegratorConfig(dt=dt, t_end=t_end,
                               projection_tol=projection_tol,
                               max_projection_iters=max_projection_iters)
-    return _run(sys, x0, config.dt, config.steps, config.projection_tol,
-                config.max_projection_iters, _gbs_step, substeps=2)
+    return _run(sys, x0, config, _gbs_step, substeps=2)
 
 
 def audit_series(times, energies, rates) -> EnergyAudit:

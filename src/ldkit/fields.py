@@ -21,7 +21,9 @@ import numpy as np
 from .errors import AdmissibilityError, InputError, RegularityError
 from .linear import LinearLD, PairRep, from_pair
 from .numdiff import central_gradient
-from .subspaces import DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix, as_vector
+from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix,
+                        as_vector, complement_columns, numerical_rank,
+                        orthonormal_columns)
 
 __all__ = [
     "ScalarField",
@@ -36,6 +38,17 @@ __all__ = [
     "regularity_scan",
     "involutivity_probe",
 ]
+
+
+def _checked(value, shape: tuple, label: str, point) -> np.ndarray:
+    """A user callable's result as a float array of ``shape``, all finite."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise InputError(
+            f"{label} returned shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{label} has non-finite entries at {point}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -60,16 +73,10 @@ class ScalarField:
     def grad(self, x) -> np.ndarray:
         point = as_vector(x, self.dim, "point")
         if self.gradient is not None:
-            g = np.asarray(self.gradient(point), dtype=float)
-            if g.shape != (self.dim,):
-                raise InputError(
-                    f"analytic gradient has shape {g.shape}, expected "
-                    f"({self.dim},)")
+            g = self.gradient(point)
         else:
             g = central_gradient(lambda p: float(self.value(p)), point)
-        if not np.all(np.isfinite(g)):
-            raise InputError(f"gradient has non-finite entries at {point}")
-        return g
+        return _checked(g, (self.dim,), "gradient", point)
 
     def check_gradient(self, points: Sequence, rtol: float = 1e-4) -> None:
         """Validate the analytic gradient against central differences.
@@ -100,14 +107,8 @@ class TensorField:
 
     def __call__(self, x) -> np.ndarray:
         point = as_vector(x, self.dim, "point")
-        m = np.asarray(self.evaluate(point), dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise InputError(
-                f"tensor field returned shape {m.shape}, expected "
-                f"({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(m)):
-            raise InputError(f"tensor field has non-finite entries at {point}")
-        return m
+        return _checked(self.evaluate(point), (self.dim, self.dim),
+                        "tensor field", point)
 
     @classmethod
     def constant(cls, matrix) -> "TensorField":
@@ -132,8 +133,8 @@ class ConstraintField:
     evaluate: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.k < 0 or self.dim < 1:
-            raise InputError("constraint field needs dim >= 1 and k >= 0")
+        if self.k < 0 or self.dim < 1 or self.k > self.dim:
+            raise InputError("constraint field needs dim >= 1, 0 <= k <= dim")
         if self.k > 0 and self.evaluate is None:
             raise InputError("constraint field with k > 0 needs a callable")
 
@@ -141,21 +142,14 @@ class ConstraintField:
         point = as_vector(x, self.dim, "point")
         if self.k == 0:
             return np.zeros((self.dim, 0))
-        m = np.asarray(self.evaluate(point), dtype=float)
-        if m.shape != (self.dim, self.k):
-            raise InputError(
-                f"constraint field returned shape {m.shape}, expected "
-                f"({self.dim}, {self.k})")
-        if not np.all(np.isfinite(m)):
-            raise InputError(
-                f"constraint field has non-finite entries at {point}")
-        return m
+        return _checked(self.evaluate(point), (self.dim, self.k),
+                        "constraint field", point)
 
     def __call__(self, x, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
         m = self.matrix(x)
         if self.k:
             s = np.linalg.svd(m, compute_uv=False)
-            if s[0] <= 0.0 or s[-1] <= tol.rank_eps * s[0]:
+            if numerical_rank(s, tol.rank_eps) < self.k:
                 raise RegularityError(
                     f"constraint-force matrix drops rank at {np.asarray(x)}")
         return m
@@ -219,11 +213,7 @@ class RegularityReport:
 def carrier_at(field: LDField, x, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """The admissible codistribution F(x) = ker(G(x)^T) = ann(Im G(x))."""
     g = field.forces(x, tol)
-    n = field.n
-    if field.k == 0:
-        return Subspace.full(n)
-    u, _, _ = np.linalg.svd(g, full_matrices=True)
-    return Subspace(n, u[:, field.k:])
+    return Subspace(field.n, complement_columns(g, field.k))
 
 
 def pointwise(field: LDField, x, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
@@ -300,16 +290,8 @@ def regularity_scan(field: LDField, samples) -> RegularityReport:
         raise InputError("regularity_scan needs at least one sample")
     g_ranks = []
     for p in pts:
-        m = field.forces.matrix(p)
-        if m.shape[1] == 0:
-            g_ranks.append(0)
-            continue
-        s = np.linalg.svd(m, compute_uv=False)
-        if s.size == 0 or s[0] <= 0.0:
-            g_ranks.append(0)
-        else:
-            g_ranks.append(int(np.count_nonzero(
-                s > DEFAULT_TOLERANCE.rank_eps * s[0])))
+        s = np.linalg.svd(field.forces.matrix(p), compute_uv=False)
+        g_ranks.append(numerical_rank(s, DEFAULT_TOLERANCE.rank_eps))
     counts = {r: g_ranks.count(r) for r in set(g_ranks)}
     modal = max(counts, key=lambda r: (counts[r], -r))
     jumps = tuple(i for i, r in enumerate(g_ranks) if r != modal)
@@ -328,9 +310,7 @@ def involutivity_probe(field: LDField, x, step: float = 1e-4) -> float:
     if field.k <= 1:
         return 0.0
     g0 = field.forces(point)
-    u, s, _ = np.linalg.svd(g0, full_matrices=False)
-    r = int(np.count_nonzero(s > DEFAULT_TOLERANCE.rank_eps * s[0]))
-    qg = u[:, :r]
+    qg = orthonormal_columns(g0, DEFAULT_TOLERANCE.rank_eps)
 
     def directional(mat_col: int, direction: np.ndarray) -> np.ndarray:
         hi = field.forces.matrix(point + step * direction)[:, mat_col]

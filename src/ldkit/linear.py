@@ -152,6 +152,13 @@ def _halves(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return space.basis[:n, :], space.basis[n:, :]
 
 
+def _meet(range_half: np.ndarray, other_half: np.ndarray,
+          tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis of L ∩ V* from (qv, qeta) or L ∩ V from (qeta, qv)."""
+    _, ker = rank_kernel(range_half, tol)
+    return orthonormal_columns(other_half @ ker.basis, tol.rank_eps)
+
+
 def classification_residuals(space: Subspace,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
     """Numerical residuals of the characteristic equations and pairings.
@@ -170,13 +177,10 @@ def classification_residuals(space: Subspace,
                           other_half: np.ndarray) -> float:
         if space.dim == 0:
             return 0.0
-        _, ker = rank_kernel(range_half, tol) if range_half.size else (0, None)
-        if ker is None or ker.dim == 0:
+        w = _meet(range_half, other_half, tol)
+        if w.shape[1] == 0:
             # trivial intersection; the annihilator side must then be full
             # rank on range_half, which holds by dimension count.
-            return 0.0
-        w = orthonormal_columns(other_half @ ker.basis, tol.rank_eps)
-        if w.size == 0:
             return 0.0
         return float(np.abs(range_half.T @ w).max())
 
@@ -245,14 +249,14 @@ def from_ab(rep: ABRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     neither characteristic equation.
     """
     stacked = np.vstack([rep.a, rep.b])
-    rank, _ = rank_kernel(stacked, tol)
+    basis = orthonormal_columns(stacked, tol.rank_eps)
+    rank = basis.shape[1]
     if rank < rep.n:
         raise DegenerateRepresentationError(
             f"degenerate representation: ker A ∩ ker B has dimension "
             f"{rep.n - rank}; the pair spans only a {rank}-dimensional "
             f"subspace")
-    space = Subspace(2 * rep.n, orthonormal_columns(stacked, tol.rank_eps))
-    return from_subspace(space, tol)
+    return from_subspace(Subspace(2 * rep.n, basis), tol)
 
 
 def from_pair(rep: PairRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
@@ -382,16 +386,10 @@ def deform(l: LinearLD, form, direction: Orientation,
 def tangent_part(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """L ∩ V as a subspace of R^n (vectors paired with the zero covector)."""
     qv, qeta = _halves(l.space)
-    _, ker = rank_kernel(qeta, tol) if l.n else (0, None)
-    if ker is None or ker.dim == 0:
-        return Subspace.zero(l.n)
-    return Subspace(l.n, orthonormal_columns(qv @ ker.basis, tol.rank_eps))
+    return Subspace(l.n, _meet(qeta, qv, tol))
 
 
 def cotangent_part(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """L ∩ V* as a subspace of R^n (covectors paired with the zero vector)."""
     qv, qeta = _halves(l.space)
-    _, ker = rank_kernel(qv, tol) if l.n else (0, None)
-    if ker is None or ker.dim == 0:
-        return Subspace.zero(l.n)
-    return Subspace(l.n, orthonormal_columns(qeta @ ker.basis, tol.rank_eps))
+    return Subspace(l.n, _meet(qv, qeta, tol))

@@ -68,6 +68,20 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def numerical_rank(s: np.ndarray, rank_eps: float,
+                   scale: float | None = None) -> int:
+    """The package's rank rule: how many singular values exceed the cutoff.
+
+    ``s`` is in descending order, as numpy's SVD returns it; the cutoff is
+    ``rank_eps`` relative to ``scale``, by default the largest singular
+    value.  An empty or all-zero spectrum has rank 0.
+    """
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    cutoff = rank_eps * (s[0] if scale is None else scale)
+    return int(np.count_nonzero(s > cutoff))
+
+
 def orthonormal_columns(m: np.ndarray, rank_eps: float,
                         scale: float | None = None) -> np.ndarray:
     """Orthonormal basis for the column space of ``m``.
@@ -85,15 +99,25 @@ def orthonormal_columns(m: np.ndarray, rank_eps: float,
         (rows, r) matrix with orthonormal columns spanning col(m), where r is
         the numerical rank of m.
     """
-    rows = m.shape[0]
     if m.size == 0:
-        return np.zeros((rows, 0))
+        return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    return u[:, :numerical_rank(s, rank_eps, scale)]
+
+
+def complement_columns(m: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal (rows, rows - rank) basis of the complement of col(m).
+
+    ``rank`` is the numerical rank of ``m``, already decided by the caller;
+    rank 0 and full row rank are answered without an SVD.
+    """
+    rows = m.shape[0]
+    if rank == 0:
+        return np.eye(rows)
+    if rank == rows:
         return np.zeros((rows, 0))
-    cutoff = rank_eps * (s[0] if scale is None else scale)
-    r = int(np.count_nonzero(s > cutoff))
-    return u[:, :r]
+    u, _, _ = np.linalg.svd(m, full_matrices=True)
+    return u[:, rank:]
 
 
 @dataclass(frozen=True)
@@ -219,10 +243,7 @@ def rank_kernel(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, Subspace]:
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InputError("rank_kernel needs a nonempty matrix")
     _, s, vt = np.linalg.svd(arr)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_eps * s[0]))
+    rank = numerical_rank(s, tol.rank_eps)
     kernel = Subspace(arr.shape[1], vt[rank:].T)
     return rank, kernel
 
@@ -232,13 +253,7 @@ def annihilator(w: Subspace) -> Subspace:
 
     Returns the orthogonal complement; its dimension is ambient_dim - dim(w).
     """
-    k = w.dim
-    if k == 0:
-        return Subspace.full(w.ambient_dim)
-    if k == w.ambient_dim:
-        return Subspace.zero(w.ambient_dim)
-    u, _, _ = np.linalg.svd(w.basis, full_matrices=True)
-    return Subspace(w.ambient_dim, u[:, k:])
+    return Subspace(w.ambient_dim, complement_columns(w.basis, w.dim))
 
 
 def intersect(a: Subspace, b: Subspace,

@@ -27,6 +27,14 @@ def random_subspace(rng, ambient: int, dim: int) -> Subspace:
     return Subspace(ambient, random_orthonormal(rng, ambient, dim))
 
 
+def planted_rank(rng, rows: int, cols: int, rank: int) -> np.ndarray:
+    """A (rows, cols) matrix of exact rank ``rank`` whose nonzero singular
+    values lie in [0.5, 2], far from any rank cutoff."""
+    s = rng.uniform(0.5, 2.0, size=rank)
+    return (random_orthonormal(rng, rows, rank) @ np.diag(s)
+            @ random_orthonormal(rng, cols, rank).T)
+
+
 def random_map(rng, k: int, kind: str) -> np.ndarray:
     m = rng.standard_normal((k, k))
     if kind == "skew":

@@ -122,6 +122,16 @@ def test_verify_reads_rank_tolerance_from_environment(tmp_path, capsys,
     assert "LDKIT_TOL_RANK" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-residual"])
+def test_tolerance_flags_belong_to_verify_only(tmp_path, capsys, command,
+                                               flag):
+    with pytest.raises(SystemExit) as err:
+        main([command, str(tmp_path / "input"), flag, "1e-6"])
+    assert err.value.code == EXIT_SPEC
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # -- simulate ---------------------------------------------------------------
 
 

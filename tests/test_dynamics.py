@@ -315,6 +315,26 @@ def test_simulate_step_failure_carries_time_state_and_partial_run():
     assert "0.001" in str(err.value)
 
 
+def test_simulate_checks_the_tensor_field_shape_up_front():
+    h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    vector_pi = TensorField(2, evaluate=lambda x: np.array([x[1], -x[0]]))
+    sys = DIHSystem(2, LDField(vector_pi, ConstraintField.none(2)), h)
+    config = IntegratorConfig(dt=1e-3, t_end=0.01)
+    with pytest.raises(InputError, match="tensor field"):
+        simulate(sys, np.array([1.0, 0.0]), config)
+
+
+@pytest.mark.parametrize("jacobian", [lambda x: np.ones(6),
+                                      lambda x: np.full((1, 6), np.nan)],
+                         ids=["wrong-shape", "non-finite"])
+def test_simulate_checks_the_constraint_jacobian_up_front(jacobian):
+    sys = dataclasses.replace(damped_particle(), constraint_jacobian=jacobian)
+    with pytest.raises(InputError, match="constraint Jacobian"):
+        simulate(sys, np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+                 IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
 def test_simulate_multiplier_columns_track_the_hand_formula():
     mu = (1.0, 1.0, 1.0)
     sys = damped_particle(mu)

@@ -78,6 +78,14 @@ def test_constraint_field_rank_check_fires_at_rank_drop():
     assert g.matrix(np.array([0.0])) == np.zeros((1, 1))
 
 
+def test_constraint_field_rejects_more_columns_than_dimensions():
+    # a 2x3 G can never have full column rank
+    with pytest.raises(InputError):
+        ConstraintField(2, 3, evaluate=lambda x: np.ones((2, 3)))
+    with pytest.raises(InputError):
+        ConstraintField.constant(np.eye(2, 3))
+
+
 def test_constraint_field_none_has_no_columns():
     g = ConstraintField.none(3)
     assert g.k == 0

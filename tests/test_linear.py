@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import (random_dirac, random_map, random_orthonormal,
+from _gen import (planted_rank, random_dirac, random_map, random_orthonormal,
                   random_structure, random_subspace, subspace_residual,
                   sum_with_annihilator)
 from ldkit import (ABRep, DegenerateRepresentationError, InputError,
@@ -14,7 +14,7 @@ from ldkit import (ABRep, DegenerateRepresentationError, InputError,
                    PreconditionError, Subspace, Tolerance,
                    classification_residuals, classify, cotangent_part,
                    decompose_map, deform, from_ab, from_pair, from_subspace,
-                   split_pairing, tangent_part, to_pair)
+                   rank_kernel, split_pairing, tangent_part, to_pair)
 
 POISSON_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -373,3 +373,18 @@ def test_deformations_preserve_their_target_orientation(seed):
     psi = random_map(rng, n, "sym")
     assert deform(ld, psi, "forward").flags.forward
     assert deform(ld, psi, "backward").flags.backward
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+       rank=st.integers(0, 6))
+@settings(max_examples=60)
+def test_graph_parts_are_the_kernel_of_the_graph_map(seed, n, rank):
+    # L = {(v, B v)} meets V in ker B; L = {(A eta, eta)} meets V* in ker A
+    rank = min(rank, n)
+    m = planted_rank(np.random.default_rng(seed), n, n, rank)
+    kernel = rank_kernel(m)[1]
+    tangent = tangent_part(from_ab(ABRep(np.eye(n), m)))
+    cotangent = cotangent_part(from_ab(ABRep(m, np.eye(n))))
+    assert tangent.dim == cotangent.dim == n - rank
+    assert tangent.equals(kernel)
+    assert cotangent.equals(kernel)

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import random_orthonormal, random_subspace, subspace_residual
+from _gen import (planted_rank, random_orthonormal, random_subspace,
+                  subspace_residual)
 from ldkit import (InputError, Subspace, Tolerance, annihilator, intersect,
                    project_factor, rank_kernel)
+from ldkit.subspaces import (complement_columns, numerical_rank,
+                             orthonormal_columns)
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 E2_3 = np.array([0.0, 1.0, 0.0])
@@ -192,6 +195,24 @@ def test_project_factor_rejects_odd_ambient():
         project_factor(span(E1_3), "first")
 
 
+def test_numerical_rank_closed_forms():
+    assert numerical_rank(np.zeros(0), 1e-9) == 0
+    assert numerical_rank(np.zeros(3), 1e-9) == 0
+    # an explicit scale replaces the top singular value as the reference
+    assert numerical_rank(np.array([1e-3, 1e-11]), 1e-9) == 2
+    assert numerical_rank(np.array([1e-3, 1e-11]), 1e-9, scale=1.0) == 1
+    assert numerical_rank(np.array([1e-10]), 1e-9, scale=1.0) == 0
+
+
+def test_complement_columns_closed_forms_at_rank_zero_partial_and_full():
+    assert np.array_equal(complement_columns(np.zeros((3, 2)), 0), np.eye(3))
+    assert np.array_equal(complement_columns(np.zeros((3, 0)), 0), np.eye(3))
+    assert complement_columns(np.eye(3), 3).shape == (3, 0)
+    line = np.array([[1.0], [1.0], [0.0]])
+    perp = Subspace(3, complement_columns(line, 1))
+    assert perp.equals(span([1.0, -1.0, 0.0], E3_3))
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -256,3 +277,30 @@ def test_annihilator_dimension_and_orthogonality(seed):
     assert perp.dim == ambient - w.dim
     if w.dim and perp.dim:
         assert np.abs(w.basis.T @ perp.basis).max() <= 1e-10
+
+
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 6),
+       cols=st.integers(1, 6), rank=st.integers(0, 6),
+       factor=st.floats(1e-6, 1e6))
+def test_numerical_rank_is_scale_invariant_and_shared_by_rank_routines(
+        seed, rows, cols, rank, factor):
+    rank = min(rank, rows, cols)
+    m = planted_rank(np.random.default_rng(seed), rows, cols, rank)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert numerical_rank(s, 1e-9) == rank
+    assert numerical_rank(np.linalg.svd(factor * m, compute_uv=False),
+                          1e-9) == rank
+    assert orthonormal_columns(m, 1e-9).shape[1] == rank
+    assert rank_kernel(m)[0] == rank
+
+
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 7),
+       cols=st.integers(0, 7), rank=st.integers(0, 7))
+def test_complement_columns_is_an_orthonormal_complement(seed, rows, cols,
+                                                         rank):
+    rank = min(rank, rows, cols)
+    m = planted_rank(np.random.default_rng(seed), rows, cols, rank)
+    c = complement_columns(m, rank)
+    assert c.shape == (rows, rows - rank)
+    assert np.allclose(c.T @ c, np.eye(rows - rank), atol=1e-10)
+    assert float(np.abs(m.T @ c).max(initial=0.0)) <= 1e-10
