@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
 from .fields import LDField, ScalarField, _checked
-from .numdiff import central_gradient, central_jacobian
+from .numdiff import central_directional, central_gradient
 from .subspaces import (DEFAULT_TOLERANCE, Tolerance, as_vector,
                         complement_columns)
 
@@ -60,8 +60,12 @@ MONOTONE_TOL = 1e-10
 class DIHSystem:
     """A dissipative implicit Hamiltonian system on R^n.
 
-    ``constraint_jacobian``, when given, must return the k×n Jacobian of
-    x -> G(x)^T grad H(x); otherwise central differences are used.
+    ``constraint_jacobian``, when given, must return the k×n Jacobian J of
+    x -> G(x)^T grad H(x).  Without it, the integrator never forms J: it
+    takes the products J G and J Pi grad H that the multiplier solve needs
+    as k + 1 central directional differences of the constraint residual,
+    which costs 2(k + 1) evaluations of G and grad H per multiplier solve
+    (and 2k per Newton step of the projection).
     """
 
     n: int
@@ -189,7 +193,7 @@ class _Compiled:
     """Raw closures for the hot loop; shapes are validated once at the
     initial state through the checked field interfaces."""
 
-    __slots__ = ("n", "k", "grad", "pi", "g", "jac", "hval")
+    __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval")
 
     def __init__(self, sys: DIHSystem, x0: np.ndarray):
         self.n = sys.n
@@ -212,13 +216,12 @@ class _Compiled:
         else:
             zero_g = np.zeros((sys.n, 0))
             self.g = lambda x: zero_g
-        if sys.constraint_jacobian is not None:
-            self.jac = sys.constraint_jacobian
-        else:
-            g_eval = self.g
-            grad_eval = self.grad
-            self.jac = lambda x: central_jacobian(
-                lambda y: np.asarray(g_eval(y)).T @ grad_eval(y), x)
+        # without an analytic J, products J·V are directional differences
+        # of the constraint residual c(y) = G(y)^T grad H(y)
+        self.jac = sys.constraint_jacobian
+        g_eval = self.g
+        grad_eval = self.grad
+        self.residual = lambda y: np.asarray(g_eval(y)).T @ grad_eval(y)
 
 
 def _solve_constraint(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -239,9 +242,15 @@ def _solve_constraint(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def _lambda_at(c: _Compiled, x: np.ndarray, grad: np.ndarray,
                g: np.ndarray, pi_grad: np.ndarray,
                tol: float) -> tuple[np.ndarray, float]:
-    jac = np.asarray(c.jac(x), dtype=float)
-    b = -jac.dot(pi_grad)
-    lam, resid = _solve_constraint(jac.dot(g), b)
+    if c.jac is not None:
+        jac = np.asarray(c.jac(x), dtype=float)
+        b = -jac.dot(pi_grad)
+        lam, resid = _solve_constraint(jac.dot(g), b)
+    else:
+        jv = central_directional(c.residual, x,
+                                 np.column_stack([g, pi_grad]))
+        b = -jv[:, -1]
+        lam, resid = _solve_constraint(jv[:, :-1], b)
     if resid and resid > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
         raise DegenerateMultiplierError(
             f"multiplier system is singular and inconsistent (least-squares "
@@ -362,7 +371,10 @@ def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
             return x, grad, g, worst
         if i == config.max_projection_iters:
             raise _ProjectionFailed(worst)
-        a = np.asarray(c.jac(x), dtype=float) @ g
+        if c.jac is not None:
+            a = np.asarray(c.jac(x), dtype=float) @ g
+        else:
+            a = central_directional(c.residual, x, g)
         delta, _ = _solve_constraint(a, -cval)
         x = x + g @ delta
 
@@ -379,13 +391,16 @@ class _Recorder:
 
     def record(self, t: float, x: np.ndarray, grad: np.ndarray,
                pi: np.ndarray, lam: np.ndarray, resid: float) -> None:
+        # evaluate before appending: a failure leaves no half-written row
         sym = 0.5 * (pi + pi.T)
+        energy = float(self.c.hval(x))
+        rate = float(grad @ (sym @ grad))
         self.times.append(t)
         self.states.append(x)
         self.lams.append(lam)
         self.residuals.append(resid)
-        self.energies.append(float(self.c.hval(x)))
-        self.rates.append(float(grad @ (sym @ grad)))
+        self.energies.append(energy)
+        self.rates.append(rate)
 
     def build(self) -> Trajectory:
         return Trajectory(
@@ -430,7 +445,11 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 x, grad, g, resid = _project(c, x_new, config)
                 pi, lam, fx = _terms(c, x, grad, g, projection_tol)
             rec.record(i * dt, x, grad, pi, lam, resid)
-        except (_ProjectionFailed, LDKitError, FloatingPointError) as exc:
+        except (_ProjectionFailed, LDKitError, FloatingPointError,
+                ValueError, IndexError) as exc:
+            # a user callable that passed the up-front checks but returns a
+            # malformed result mid-run surfaces as numpy's ValueError
+            # (LinAlgError among them) or IndexError
             raise StepFailureError(
                 f"step to t = {i * dt:.6g} failed: {exc}",
                 time=t_prev, state=rec.states[-1],
@@ -451,8 +470,9 @@ def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
     """Integrate with fixed-step RK4 plus post-step constraint projection.
 
     The initial state must lie in chi_c (ConsistencyError otherwise); a
-    stalled projection, singular multiplier system, or non-finite state
-    raises StepFailureError carrying the partial trajectory.
+    stalled projection, singular multiplier system, non-finite state, or a
+    user callable that raises ValueError or IndexError mid-run (a malformed
+    result, say) raises StepFailureError carrying the partial trajectory.
     """
     return _run(sys, x0, config, _rk4_step, substeps=1)
 

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["gradient_step", "central_gradient", "central_jacobian"]
+__all__ = ["gradient_step", "central_gradient", "central_jacobian",
+           "central_directional"]
 
 
 def gradient_step(x: np.ndarray, scale: float = 1e-6) -> float:
     """Step size scale * max(1, |x|) used for all first derivatives."""
-    return scale * max(1.0, float(np.linalg.norm(x)))
+    return scale * max(1.0, math.sqrt(x.dot(x)))
 
 
 def central_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
@@ -49,3 +51,33 @@ def central_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         probe[i] = xi
         cols.append((hi - lo) / (2.0 * h))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
+
+
+def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                        v: np.ndarray) -> np.ndarray:
+    """Central-difference derivatives of a vector function along the
+    columns of ``v``: column j approximates J(x) v_j, J the Jacobian of fn.
+
+    Column j is (fn(x + s v_j) - fn(x - s v_j)) / 2s with
+    s = gradient_step(x) / |v_j|, so each probe lies as far from x as a
+    coordinate probe of :func:`central_jacobian` does.  A zero column is
+    exactly 0 and costs no evaluation; only when every column is zero is fn
+    evaluated once, at x, to size the result.  Returns a
+    (len(fn(x)), v.shape[1]) matrix.
+    """
+    h = gradient_step(x)
+    out = None
+    for j in range(v.shape[1]):
+        vj = v[:, j]
+        norm = math.sqrt(vj.dot(vj))
+        if norm == 0.0:
+            continue
+        s = h / norm
+        hi = np.asarray(fn(x + s * vj), dtype=float)
+        lo = np.asarray(fn(x - s * vj), dtype=float)
+        if out is None:
+            out = np.zeros((hi.shape[0], v.shape[1]))
+        out[:, j] = (hi - lo) / (2.0 * s)
+    if out is None:
+        out = np.zeros((np.asarray(fn(x)).shape[0], v.shape[1]))
+    return out

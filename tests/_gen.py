@@ -172,3 +172,11 @@ def particle_consistent_state(rng) -> np.ndarray:
     """A random state on the constraint surface pz = y * px."""
     x, y, z, px, py = rng.standard_normal(5)
     return np.array([x, y, z, px, py, y * px])
+
+
+def linear_constraint(rng, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant G (n×k) and symmetric positive definite Q: with
+    H = x^T Q x / 2 the constraint residual is c(x) = G^T Q x, whose
+    Jacobian is G^T Q exactly."""
+    m = rng.standard_normal((n, n))
+    return rng.standard_normal((n, k)), m @ m.T + np.eye(n)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import (particle_consistent_state, particle_multiplier,
-                  particle_rhs)
+from _gen import (linear_constraint, particle_consistent_state,
+                  particle_multiplier, particle_rhs)
 from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    DIHSystem, InputError, IntegratorConfig, LDField,
                    ScalarField, StepFailureError, Subspace, TensorField,
@@ -24,6 +24,34 @@ def harmonic_system() -> DIHSystem:
     field = LDField(TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
                     ConstraintField.none(2))
     return DIHSystem(2, field, h)
+
+
+def quadratic_system(rng, n: int, k: int):
+    """Constant G (n×k), H = x^T Q x / 2 and a random constant Pi, with the
+    analytic constraint Jacobian G^T Q; returns the system and a state on
+    its constraint set G^T Q x = 0."""
+    g, q = linear_constraint(rng, n, k)
+    h = ScalarField(n, value=lambda x: 0.5 * float(x @ (q @ x)),
+                    gradient=lambda x: q @ x)
+    field = LDField(TensorField.constant(rng.standard_normal((n, n))),
+                    ConstraintField.constant(g))
+    jac = g.T @ q
+    sys = DIHSystem(n, field, h, constraint_jacobian=lambda x: jac)
+    kernel = np.linalg.svd(jac)[2][k:].T
+    return sys, kernel @ rng.standard_normal(n - k)
+
+
+def counting_forces(sys: DIHSystem):
+    """``sys`` with its G callable wrapped; returns (system, call counter)."""
+    calls = [0]
+    evaluate = sys.ld.forces.evaluate
+
+    def counted(x):
+        calls[0] += 1
+        return evaluate(x)
+
+    forces = dataclasses.replace(sys.ld.forces, evaluate=counted)
+    return dataclasses.replace(sys, ld=LDField(sys.ld.pi, forces)), calls
 
 
 def gradient_flow_system() -> DIHSystem:
@@ -97,6 +125,58 @@ def test_multipliers_finite_difference_jacobian_agrees_with_analytic():
     lam_a, _ = multipliers(analytic, x)
     lam_fd, _ = multipliers(fd, x)
     assert lam_fd[0] == pytest.approx(lam_a[0], abs=1e-6)
+
+
+def test_finite_difference_multipliers_and_rhs_match_analytic_on_random_states():
+    mu = (1.3, 0.7, 2.1)
+    analytic = damped_particle(mu)
+    fd = dataclasses.replace(analytic, constraint_jacobian=None)
+    rng = np.random.default_rng(61)
+    for _ in range(25):
+        x = particle_consistent_state(rng)
+        lam_a, _ = multipliers(analytic, x)
+        lam_fd, resid = multipliers(fd, x)
+        assert lam_fd == pytest.approx(lam_a, abs=1e-6)
+        assert resid <= 1e-10
+        assert np.abs(rhs(fd, x) - rhs(analytic, x)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_finite_difference_multipliers_match_analytic_for_k_constraints(k):
+    rng = np.random.default_rng(70 + k)
+    n = 5
+    sys, x = quadratic_system(rng, n, k)
+    fd = dataclasses.replace(sys, constraint_jacobian=None)
+    lam_a, _ = multipliers(sys, x)
+    lam_fd, _ = multipliers(fd, x)
+    assert lam_fd.shape == (k,)
+    assert np.abs(lam_fd - lam_a).max() <= 1e-6 * max(1.0, np.abs(lam_a).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multipliers_without_jacobian_cost_two_g_evaluations_per_column(k):
+    # J G and J Pi grad H are k + 1 central directional differences
+    sys, x = quadratic_system(np.random.default_rng(80 + k), 5, k)
+    analytic, a_calls = counting_forces(sys)
+    fd, fd_calls = counting_forces(
+        dataclasses.replace(sys, constraint_jacobian=None))
+    multipliers(analytic, x)
+    multipliers(fd, x)
+    assert fd_calls[0] - a_calls[0] == 2 * (k + 1)
+
+
+def test_finite_difference_simulate_costs_at_most_20_g_evaluations_per_step():
+    # RK4 solves for the multiplier 4 times a step at 4 G evaluations each,
+    # plus 3 stage evaluations and the projection's residual check
+    fd, calls = counting_forces(
+        dataclasses.replace(damped_particle(), constraint_jacobian=None))
+    x0 = np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5])
+    simulate(fd, x0, IntegratorConfig(dt=1e-3, t_end=0.0))
+    setup, calls[0] = calls[0], 0
+    traj = simulate(fd, x0, IntegratorConfig(dt=1e-3, t_end=0.2))
+    steps = traj.times.shape[0] - 1
+    assert steps == 200
+    assert (calls[0] - setup) / steps <= 20.0
 
 
 def test_multipliers_reject_state_off_the_constraint_surface():
@@ -323,6 +403,52 @@ def test_simulate_checks_the_tensor_field_shape_up_front():
     config = IntegratorConfig(dt=1e-3, t_end=0.01)
     with pytest.raises(InputError, match="tensor field"):
         simulate(sys, np.array([1.0, 0.0]), config)
+
+
+def test_simulate_wraps_a_callable_that_goes_bad_mid_run():
+    # Pi is well formed at x0 and passes the up-front check, but returns a
+    # vector once x[0] < 0.5; numpy then raises ValueError deep in a step
+    h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def pi_eval(x):
+        return rot if x[0] >= 0.5 else np.array([x[1], -x[0]])
+
+    sys = DIHSystem(2, LDField(TensorField(2, pi_eval),
+                               ConstraintField.none(2)), h)
+    with pytest.raises(StepFailureError) as err:
+        simulate(sys, np.array([1.0, 0.0]),
+                 IntegratorConfig(dt=1e-2, t_end=2.0))
+    partial = err.value.partial
+    assert isinstance(err.value.__cause__, ValueError)
+    assert partial.times.shape[0] > 1
+    assert err.value.time == partial.times[-1]
+    assert np.array_equal(err.value.state, partial.states[-1])
+    assert partial.states[-1][0] >= 0.5
+
+
+@pytest.mark.parametrize("analytic_jacobian", [True, False],
+                         ids=["analytic-J", "finite-difference-J"])
+def test_simulate_wraps_a_constraint_field_that_goes_bad_mid_run(
+        analytic_jacobian):
+    # G drops to a 1-d vector once y > 0.6, after the up-front checks
+    def g_eval(x):
+        column = np.array([[0.0, 0.0, 0.0, x[1], 0.0, -1.0]]).T
+        return column if x[1] <= 0.6 else column[:, 0]
+
+    sys = damped_particle()
+    sys = dataclasses.replace(
+        sys, ld=LDField(sys.ld.pi, ConstraintField(6, 1, g_eval)))
+    if not analytic_jacobian:
+        sys = dataclasses.replace(sys, constraint_jacobian=None)
+    with pytest.raises(StepFailureError) as err:
+        simulate(sys, np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5]),
+                 IntegratorConfig(dt=1e-2, t_end=2.0))
+    partial = err.value.partial
+    assert partial.times.shape[0] > 1
+    assert partial.states[-1][1] <= 0.6
+    assert partial.multipliers.shape == (partial.times.shape[0], 1)
 
 
 @pytest.mark.parametrize("jacobian", [lambda x: np.ones(6),
