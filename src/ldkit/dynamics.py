@@ -191,13 +191,26 @@ class _ProjectionFailed(Exception):
 
 class _Compiled:
     """Raw closures for the hot loop; shapes are validated once at the
-    initial state through the checked field interfaces."""
+    initial state through the checked field interfaces.
 
-    __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval")
+    A callable may still go bad mid-run.  The hot loop then checks the
+    shapes where results meet, at little cost: grad H and Pi in
+    :func:`_terms`, G and grad H through the residual G^T grad H in
+    :func:`_project`, G and J through the k×k multiplier matrix in
+    :func:`_solve_constraint`, and the residual in the difference probes.
+    Without these checks numpy broadcasting would let a malformed result
+    bend the trajectory silently.
+    """
+
+    __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
+                 "vector_shape", "matrix_shape", "residual_shape")
 
     def __init__(self, sys: DIHSystem, x0: np.ndarray):
         self.n = sys.n
         self.k = sys.k
+        self.vector_shape = (sys.n,)
+        self.matrix_shape = (sys.n, sys.n)
+        self.residual_shape = (sys.k,)
         ham = sys.hamiltonian
         ham.grad(x0)
         sys.ld.pi(x0)
@@ -227,16 +240,26 @@ class _Compiled:
 def _solve_constraint(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the k×k system a·z = b, min-norm least squares when singular.
 
-    Returns (z, residual) with residual the max-norm of a·z - b.
+    Returns (z, residual) with residual the max-norm of a·z - b.  Raises
+    ValueError when a is not k×k, which only a malformed G or J produces.
     """
     if a.shape == (1, 1):
         av = a[0, 0]
         if av != 0.0:
             return b / av, 0.0
         return np.zeros(1), float(abs(b[0]))
+    if a.shape != b.shape * 2:
+        raise ValueError(f"G or J returned a malformed result mid-run: "
+                         f"multiplier matrix of shape {a.shape} for "
+                         f"{b.shape[0] if b.ndim else 0} constraints")
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.abs(a @ sol - b).max(initial=0.0))
     return sol, resid
+
+
+def _malformed(name: str, value: np.ndarray, shape: tuple) -> ValueError:
+    return ValueError(f"{name} returned shape {value.shape} mid-run, "
+                      f"expected {shape}")
 
 
 def _lambda_at(c: _Compiled, x: np.ndarray, grad: np.ndarray,
@@ -248,7 +271,7 @@ def _lambda_at(c: _Compiled, x: np.ndarray, grad: np.ndarray,
         lam, resid = _solve_constraint(jac.dot(g), b)
     else:
         jv = central_directional(c.residual, x,
-                                 np.column_stack([g, pi_grad]))
+                                 np.column_stack([g, pi_grad]), c.k)
         b = -jv[:, -1]
         lam, resid = _solve_constraint(jv[:, :-1], b)
     if resid and resid > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
@@ -307,6 +330,10 @@ def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
     half the call overhead of ``@``.
     """
     pi = np.asarray(c.pi(x), dtype=float)
+    if pi.shape != c.matrix_shape:
+        raise _malformed("Pi", pi, c.matrix_shape)
+    if grad.shape != c.vector_shape:
+        raise _malformed("grad H", grad, c.vector_shape)
     pi_grad = pi.dot(grad)
     if c.k == 0:
         return pi, np.zeros(0), pi_grad
@@ -366,6 +393,10 @@ def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
         g = np.asarray(c.g(x), dtype=float)
         grad = np.asarray(c.grad(x), dtype=float)
         cval = g.T @ grad
+        if cval.shape != c.residual_shape:
+            raise ValueError(f"G or grad H returned a malformed result "
+                             f"mid-run: residual G^T grad H of shape "
+                             f"{cval.shape}, expected {c.residual_shape}")
         worst = float(np.abs(cval).max(initial=0.0))
         if worst <= config.projection_tol:
             return x, grad, g, worst
@@ -374,7 +405,7 @@ def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
         if c.jac is not None:
             a = np.asarray(c.jac(x), dtype=float) @ g
         else:
-            a = central_directional(c.residual, x, g)
+            a = central_directional(c.residual, x, g, c.k)
         delta, _ = _solve_constraint(a, -cval)
         x = x + g @ delta
 
@@ -446,10 +477,10 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 pi, lam, fx = _terms(c, x, grad, g, projection_tol)
             rec.record(i * dt, x, grad, pi, lam, resid)
         except (_ProjectionFailed, LDKitError, FloatingPointError,
-                ValueError, IndexError) as exc:
+                ValueError) as exc:
             # a user callable that passed the up-front checks but returns a
-            # malformed result mid-run surfaces as numpy's ValueError
-            # (LinAlgError among them) or IndexError
+            # malformed result mid-run raises ValueError: from the shape
+            # checks of the hot loop, or from numpy (LinAlgError too)
             raise StepFailureError(
                 f"step to t = {i * dt:.6g} failed: {exc}",
                 time=t_prev, state=rec.states[-1],
@@ -471,8 +502,8 @@ def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
 
     The initial state must lie in chi_c (ConsistencyError otherwise); a
     stalled projection, singular multiplier system, non-finite state, or a
-    user callable that raises ValueError or IndexError mid-run (a malformed
-    result, say) raises StepFailureError carrying the partial trajectory.
+    user callable that raises ValueError mid-run or returns a result of the
+    wrong shape raises StepFailureError carrying the partial trajectory.
     """
     return _run(sys, x0, config, _rk4_step, substeps=1)
 

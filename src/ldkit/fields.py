@@ -278,14 +278,12 @@ def bracket(field: LDField, f: ScalarField, g: ScalarField, x,
     return BracketValue(full=skew + sym, skew=skew, sym=sym)
 
 
-def regularity_scan(field: LDField, samples,
-                    tol: Tolerance = DEFAULT_TOLERANCE) -> RegularityReport:
+def regularity_scan(field: LDField, samples) -> RegularityReport:
     """Ranks of G and of the codistribution across sample points.
 
     Uses the raw (unchecked) constraint matrix so rank drops are observed
-    rather than raised; ranks follow the cutoff ``tol.rank_eps``.  A sample
-    is flagged as a jump when its G-rank differs from the modal rank of the
-    scan.
+    rather than raised; a sample is flagged as a jump when its G-rank differs
+    from the modal rank of the scan.
     """
     pts = [as_vector(p, field.n, "sample") for p in np.atleast_2d(np.asarray(samples, dtype=float))]
     if not pts:
@@ -293,7 +291,7 @@ def regularity_scan(field: LDField, samples,
     g_ranks = []
     for p in pts:
         s = np.linalg.svd(field.forces.matrix(p), compute_uv=False)
-        g_ranks.append(numerical_rank(s, tol.rank_eps))
+        g_ranks.append(numerical_rank(s, DEFAULT_TOLERANCE.rank_eps))
     counts = {r: g_ranks.count(r) for r in set(g_ranks)}
     modal = max(counts, key=lambda r: (counts[r], -r))
     jumps = tuple(i for i, r in enumerate(g_ranks) if r != modal)
@@ -301,20 +299,18 @@ def regularity_scan(field: LDField, samples,
     return RegularityReport(tuple(g_ranks), co_ranks, jumps)
 
 
-def involutivity_probe(field: LDField, x, step: float = 1e-4,
-                       tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def involutivity_probe(field: LDField, x, step: float = 1e-4) -> float:
     """Max residual of pairwise Lie brackets of force columns against Im G.
 
     Brackets are formed with central differences at the given step; the
     residual is the norm of the component of [g_i, g_j](x) outside the column
-    span of G(x).  Returns 0 for k <= 1.  Raises RegularityError when G(x)
-    drops rank under ``tol.rank_eps``.
+    span of G(x).  Returns 0 for k <= 1.
     """
     point = as_vector(x, field.n, "point")
     if field.k <= 1:
         return 0.0
-    g0 = field.forces(point, tol)
-    qg = orthonormal_columns(g0, tol.rank_eps)
+    g0 = field.forces(point)
+    qg = orthonormal_columns(g0, DEFAULT_TOLERANCE.rank_eps)
 
     def directional(mat_col: int, direction: np.ndarray) -> np.ndarray:
         hi = field.forces.matrix(point + step * direction)[:, mat_col]

@@ -7,12 +7,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["gradient_step", "central_gradient", "central_jacobian",
-           "central_directional"]
+__all__ = ["gradient_step", "central_gradient", "central_jacobian"]
 
 
 def gradient_step(x: np.ndarray, scale: float = 1e-6) -> float:
     """Step size scale * max(1, |x|) used for all first derivatives."""
+    x = np.asarray(x, dtype=float).ravel()
     return scale * max(1.0, math.sqrt(x.dot(x)))
 
 
@@ -54,19 +54,19 @@ def central_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                        v: np.ndarray) -> np.ndarray:
-    """Central-difference derivatives of a vector function along the
-    columns of ``v``: column j approximates J(x) v_j, J the Jacobian of fn.
+                        v: np.ndarray, m: int) -> np.ndarray:
+    """Central-difference derivatives of a map R^n -> R^m along the columns
+    of ``v``: column j approximates J(x) v_j, J the Jacobian of fn.
 
     Column j is (fn(x + s v_j) - fn(x - s v_j)) / 2s with
     s = gradient_step(x) / |v_j|, so each probe lies as far from x as a
     coordinate probe of :func:`central_jacobian` does.  A zero column is
-    exactly 0 and costs no evaluation; only when every column is zero is fn
-    evaluated once, at x, to size the result.  Returns a
-    (len(fn(x)), v.shape[1]) matrix.
+    exactly 0 and costs no evaluation.  Returns an (m, v.shape[1]) matrix;
+    raises ValueError when fn does not return m values, which numpy would
+    otherwise broadcast into the column.
     """
     h = gradient_step(x)
-    out = None
+    out = np.zeros((m, v.shape[1]))
     for j in range(v.shape[1]):
         vj = v[:, j]
         norm = math.sqrt(vj.dot(vj))
@@ -75,9 +75,8 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         s = h / norm
         hi = np.asarray(fn(x + s * vj), dtype=float)
         lo = np.asarray(fn(x - s * vj), dtype=float)
-        if out is None:
-            out = np.zeros((hi.shape[0], v.shape[1]))
+        if hi.shape != (m,) or lo.shape != (m,):
+            raise ValueError(f"expected {m} values, got shapes {hi.shape} "
+                             f"and {lo.shape}")
         out[:, j] = (hi - lo) / (2.0 * s)
-    if out is None:
-        out = np.zeros((np.asarray(fn(x)).shape[0], v.shape[1]))
     return out

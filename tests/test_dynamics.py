@@ -446,9 +446,101 @@ def test_simulate_wraps_a_constraint_field_that_goes_bad_mid_run(
         simulate(sys, np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5]),
                  IntegratorConfig(dt=1e-2, t_end=2.0))
     partial = err.value.partial
+    assert isinstance(err.value.__cause__, ValueError)
     assert partial.times.shape[0] > 1
     assert partial.states[-1][1] <= 0.6
     assert partial.multipliers.shape == (partial.times.shape[0], 1)
+
+
+@pytest.mark.parametrize("part", ["Pi", "grad H"])
+def test_simulate_fails_a_step_whose_rk4_stage_meets_a_malformed_result(part):
+    # the result is malformed only on a thin shell around the unit circle
+    # that the first RK4 stage point (radius^2 = 1 + dt^2/4) reaches and the
+    # accepted states (radius 1) do not; numpy would broadcast it into the
+    # stage, and the run would bend off its orbit or fail far from the cause
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def on_shell(x):
+        return 1.0024 < float(np.sum(x * x)) < 1.0026
+
+    def pi_eval(x):
+        return np.array([x[1], -x[0]]) if part == "Pi" and on_shell(x) else rot
+
+    def gradient(x):
+        return x[:, None] if part == "grad H" and on_shell(x) else x.copy()
+
+    h = ScalarField(2, value=lambda x: 0.5 * float(np.sum(x * x)),
+                    gradient=gradient)
+    sys = DIHSystem(2, LDField(TensorField(2, pi_eval),
+                               ConstraintField.none(2)), h)
+    with pytest.raises(StepFailureError, match=f"{part} returned shape") as err:
+        simulate(sys, np.array([1.0, 0.0]),
+                 IntegratorConfig(dt=0.1, t_end=1.0))
+    assert err.value.partial.times.shape[0] == 1
+
+
+MALFORMED = {
+    "grad H": lambda v: v[:, None],
+    "Pi": lambda m: m[:, :-1],
+    "G": lambda m: np.column_stack([m, m]),
+    "G vector": lambda m: m[:, 0],
+    "J": lambda m: np.vstack([m, m]),
+}
+
+
+def spoil_one_call(sys: DIHSystem, part: str):
+    """``sys`` with the callable ``part`` wrapped so that its call number
+    ``bad[0]`` returns a malformed result; returns (system, calls, bad)."""
+    calls, bad = [0], [0]
+
+    def spoil(fn):
+        def wrapped(x):
+            calls[0] += 1
+            out = np.asarray(fn(x), dtype=float)
+            return MALFORMED[part](out) if calls[0] == bad[0] else out
+        return wrapped
+
+    if part == "grad H":
+        ham = dataclasses.replace(sys.hamiltonian,
+                                  gradient=spoil(sys.hamiltonian.gradient))
+        return dataclasses.replace(sys, hamiltonian=ham), calls, bad
+    if part == "Pi":
+        pi = dataclasses.replace(sys.ld.pi, evaluate=spoil(sys.ld.pi.evaluate))
+        return dataclasses.replace(sys, ld=LDField(pi, sys.ld.forces)), calls, bad
+    if part.startswith("G"):
+        forces = dataclasses.replace(sys.ld.forces,
+                                     evaluate=spoil(sys.ld.forces.evaluate))
+        return dataclasses.replace(sys, ld=LDField(sys.ld.pi, forces)), calls, bad
+    return dataclasses.replace(
+        sys, constraint_jacobian=spoil(sys.constraint_jacobian)), calls, bad
+
+
+@pytest.mark.parametrize("part,analytic_jacobian",
+                         [("grad H", True), ("grad H", False), ("Pi", True),
+                          ("Pi", False), ("G", True), ("G", False),
+                          ("G vector", True), ("G vector", False),
+                          ("J", True)])
+def test_any_malformed_evaluation_within_a_step_fails_that_step(
+        part, analytic_jacobian):
+    # every evaluation of the step, stage, projection or difference probe,
+    # is spoiled in turn; none may be absorbed by numpy broadcasting.  The
+    # step is long enough that the projection takes Newton steps.
+    sys = damped_particle()
+    if not analytic_jacobian:
+        sys = dataclasses.replace(sys, constraint_jacobian=None)
+    sys, calls, bad = spoil_one_call(sys, part)
+    x0 = np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5])
+    simulate(sys, x0, IntegratorConfig(dt=5e-2, t_end=0.0))
+    setup, calls[0] = calls[0], 0
+    simulate(sys, x0, IntegratorConfig(dt=5e-2, t_end=5e-2))
+    per_step = calls[0] - setup
+    assert per_step >= 4
+    for j in range(setup + 1, setup + per_step + 1):
+        calls[0], bad[0] = 0, j
+        with pytest.raises(StepFailureError) as err:
+            simulate(sys, x0, IntegratorConfig(dt=5e-2, t_end=5e-2))
+        assert isinstance(err.value.__cause__, ValueError)
+        assert err.value.partial.times.shape[0] == 1
 
 
 @pytest.mark.parametrize("jacobian", [lambda x: np.ones(6),

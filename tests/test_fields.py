@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _gen import product_field, random_quadratic
 from ldkit import (AdmissibilityError, ConstraintField, InputError, LDField,
                    RegularityError, ScalarField, Subspace, TensorField,
-                   Tolerance, bracket, carrier_at, damped_particle, involutivity_probe,
+                   bracket, carrier_at, damped_particle, involutivity_probe,
                    pointwise, regularity_scan, tangent_part)
 
 CANONICAL_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -282,39 +282,6 @@ def test_regularity_scan_particle_ranks_are_constant():
     assert report.constant_rank
     assert set(report.g_ranks) == {1}
     assert set(report.codistribution_ranks) == {5}
-
-
-def near_drop_field() -> LDField:
-    """G(x) = [e1, e1 + x0 e2 + eps e3]: full rank, but at x0 = 0 the second
-    singular value is about eps / sqrt(2) = 7e-7 relative to sqrt(2), so the
-    rank cutoff decides whether G drops rank there.  The x0 entry makes the
-    columns fail to commute: [g1, g2] = e2, outside Im G near x0 = 0."""
-    def columns(x):
-        return np.array([[1.0, 1.0], [0.0, x[0]], [0.0, 1e-6]])
-
-    return LDField(TensorField.constant(np.zeros((3, 3))),
-                   ConstraintField(3, 2, evaluate=columns))
-
-
-TIGHT, LOOSE = Tolerance(rank_eps=1e-9), Tolerance(rank_eps=1e-4)
-
-
-def test_regularity_scan_rank_follows_the_tolerance():
-    samples = [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]),
-               np.zeros(3)]
-    field = near_drop_field()
-    tight = regularity_scan(field, samples, tol=TIGHT)
-    loose = regularity_scan(field, samples, tol=LOOSE)
-    assert tight.g_ranks == (2, 2, 2) and tight.constant_rank
-    assert loose.g_ranks == (2, 2, 1) and loose.jumps == (2,)
-    assert regularity_scan(field, samples) == tight
-
-
-def test_involutivity_probe_rank_check_follows_the_tolerance():
-    field = near_drop_field()
-    assert involutivity_probe(field, np.zeros(3), tol=TIGHT) > 0.1
-    with pytest.raises(RegularityError):
-        involutivity_probe(field, np.zeros(3), tol=LOOSE)
 
 
 def test_involutivity_probe_constant_columns_commute():

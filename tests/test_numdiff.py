@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import linear_constraint
-from ldkit.numdiff import central_directional, central_jacobian
+from ldkit.numdiff import central_directional, central_jacobian, gradient_step
 
 
 def quadratic_constraint(rng, n: int, k: int):
@@ -32,7 +32,7 @@ def test_directional_derivatives_of_the_linear_constraint(seed, k, cols):
     g, q, c = quadratic_constraint(rng, n, k)
     x = rng.standard_normal(n)
     v = rng.standard_normal((n, cols)) * rng.uniform(1e-3, 1e3, size=cols)
-    out = central_directional(c, x, v)
+    out = central_directional(c, x, v, k)
     exact = g.T @ q @ v
     assert out.shape == (k, cols)
     scale = np.abs(g).max() * np.abs(q).max() * np.abs(v).max(axis=0) * n
@@ -45,7 +45,7 @@ def test_directional_agrees_with_the_coordinate_jacobian_on_a_nonlinear_map():
 
     x = np.array([0.3, -1.2, 0.7])
     v = np.array([[1.0, 0.5], [-2.0, 0.0], [0.25, 3.0]])
-    assert np.allclose(central_directional(fn, x, v),
+    assert np.allclose(central_directional(fn, x, v, 2),
                        central_jacobian(fn, x) @ v, atol=1e-8)
 
 
@@ -57,7 +57,7 @@ def test_every_probe_lies_one_gradient_step_from_x():
         probes.append(y.copy())
         return y[:1]
 
-    central_directional(fn, x, np.array([[1e4, 0.0], [0.0, 1e-4]]))
+    central_directional(fn, x, np.array([[1e4, 0.0], [0.0, 1e-4]]), 1)
     assert len(probes) == 4
     for p in probes:
         assert np.linalg.norm(p - x) == pytest.approx(5e-6, rel=1e-6)
@@ -69,15 +69,28 @@ def test_a_zero_column_is_exactly_zero_and_costs_no_evaluation():
     fn = Counting(c)
     v = np.column_stack([rng.standard_normal(4), np.zeros(4),
                          rng.standard_normal(4)])
-    out = central_directional(fn, rng.standard_normal(4), v)
+    out = central_directional(fn, rng.standard_normal(4), v, 2)
     assert fn.calls == 4
     assert np.all(out[:, 1] == 0.0)
     assert np.allclose(out[:, [0, 2]], g.T @ q @ v[:, [0, 2]], atol=1e-7)
 
 
-def test_all_zero_columns_cost_one_evaluation_to_size_the_result():
+def test_all_zero_columns_cost_no_evaluation():
     fn = Counting(lambda x: np.array([x[0], x[1], 1.0]))
-    out = central_directional(fn, np.ones(2), np.zeros((2, 2)))
-    assert fn.calls == 1
+    out = central_directional(fn, np.ones(2), np.zeros((2, 2)), 3)
+    assert fn.calls == 0
     assert out.shape == (3, 2)
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("result", [0.5, np.ones(3), np.ones((2, 1))],
+                         ids=["scalar", "too-long", "matrix"])
+def test_a_result_of_the_wrong_shape_raises_value_error(result):
+    with pytest.raises(ValueError, match="expected 2 values"):
+        central_directional(lambda x: result, np.ones(2), np.eye(2), 2)
+
+
+def test_gradient_step_accepts_a_sequence():
+    assert gradient_step([3.0, 4.0]) == gradient_step(np.array([3.0, 4.0]))
+    assert gradient_step((3, 4)) == pytest.approx(5e-6, rel=1e-15)
+    assert gradient_step([0.1, 0.2]) == 1e-6
