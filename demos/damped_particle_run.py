@@ -55,7 +55,7 @@ for i in range(0, trajectory.times.shape[0], 2000):
           f"{trajectory.energy_rates[i]: .6f}  "
           f"{trajectory.multipliers[i, 0]: .6f}")
 
-audit = energy_audit(system, trajectory)
+audit = energy_audit(trajectory)
 print(f"\naudit: rates nonpositive = {audit.rates_nonpositive}, "
       f"monotone = {audit.energy_monotone}")
 print(f"audit: max |dH/dt - [H,H]| = {audit.max_rate_deviation:.2e}")

@@ -22,19 +22,19 @@ from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, annihilator,
                         intersect, project_factor, rank_kernel)
 from .linear import (ABRep, LDFlags, LinearLD, PairRep, SplitPairing,
                      classification_residuals, classify, cotangent_part,
-                     decompose_map, deform, from_ab, from_pair, from_subspace,
-                     split_pairing, tangent_part, to_pair)
+                     deform, from_ab, from_pair, from_subspace, split_pairing,
+                     tangent_part, to_pair)
 from .fields import (BracketValue, ConstraintField, LDField, RegularityReport,
                      ScalarField, TensorField, bracket, carrier_at,
-                     involutivity_probe, pointwise, regularity_scan)
+                     pointwise, regularity_scan)
 from .dynamics import (DEFAULT_PROJECTION_TOL, ConsistencyReport, DIHSystem,
                        EnergyAudit, IntegratorConfig, KernelForm, Trajectory,
                        audit_series, check_consistency, energy_audit,
                        energy_rate, kernel_form, multipliers, oracle_simulate,
                        rhs, simulate)
 from .catalog import (CATALOG, CatalogEntry, SystemSpec, build_system,
-                      damped_mechanical, damped_particle, default_state,
-                      gradient_system, metriplectic_system)
+                      damped_mechanical, damped_particle, gradient_system,
+                      metriplectic_system)
 from .io import (SCHEMA_VERSION, load_structure_spec, load_system_spec,
                  read_trajectory, write_trajectory_csv, write_trajectory_json)
 
@@ -51,12 +51,12 @@ __all__ = [
     # linear
     "LDFlags", "LinearLD", "ABRep", "PairRep", "SplitPairing", "from_ab",
     "from_pair", "from_subspace", "to_pair", "classify",
-    "classification_residuals", "decompose_map", "split_pairing", "deform",
+    "classification_residuals", "split_pairing", "deform",
     "tangent_part", "cotangent_part",
     # fields
     "ScalarField", "TensorField", "ConstraintField", "LDField",
     "BracketValue", "RegularityReport", "pointwise", "bracket", "carrier_at",
-    "regularity_scan", "involutivity_probe",
+    "regularity_scan",
     # dynamics
     "DEFAULT_PROJECTION_TOL", "DIHSystem", "IntegratorConfig", "Trajectory",
     "ConsistencyReport", "KernelForm", "EnergyAudit", "check_consistency",
@@ -65,7 +65,7 @@ __all__ = [
     # catalog
     "gradient_system", "metriplectic_system", "damped_mechanical",
     "damped_particle", "SystemSpec", "CATALOG", "CatalogEntry",
-    "build_system", "default_state",
+    "build_system",
     # io
     "SCHEMA_VERSION", "load_structure_spec", "load_system_spec",
     "read_trajectory", "write_trajectory_csv", "write_trajectory_json",

@@ -36,7 +36,6 @@ __all__ = [
     "CATALOG",
     "CatalogEntry",
     "build_system",
-    "default_state",
 ]
 
 _PROBE_SEED = 20240817
@@ -295,12 +294,6 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def default_state(name: str) -> np.ndarray:
-    if name not in CATALOG:
-        raise SpecFormatError(f"unknown catalog system {name!r}")
-    return np.asarray(CATALOG[name].default_state, dtype=float)
-
-
 def build_system(spec: SystemSpec) -> tuple[DIHSystem, np.ndarray]:
     """Instantiate a catalog system and its validated initial state."""
     if spec.name not in CATALOG:
@@ -322,7 +315,7 @@ def build_system(spec: SystemSpec) -> tuple[DIHSystem, np.ndarray]:
     system = entry.builder(**params)
     state = spec.initial_state
     if state is None or len(tuple(state)) == 0:
-        x0 = default_state(spec.name)
+        x0 = np.asarray(entry.default_state, dtype=float)
     else:
         try:
             x0 = as_vector(np.asarray(state, dtype=float), system.n,

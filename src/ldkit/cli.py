@@ -152,30 +152,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins, so a subclass comes before its base
+_EXIT_CODES = (
+    (SpecFormatError, EXIT_SPEC),
+    ((NotLDStructureError, DegenerateRepresentationError), EXIT_NOT_LD),
+    (ConsistencyError, EXIT_INCONSISTENT),
+    (StepFailureError, EXIT_STEP_FAILURE),
+    (InputError, EXIT_SPEC),
+    (LDKitError, EXIT_UNEXPECTED),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except (NotLDStructureError, DegenerateRepresentationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_LD
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except StepFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STEP_FAILURE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except LDKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except Exception as exc:  # pragma: no cover - safety net
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
+    except Exception as exc:  # safety net
         print(f"unexpected error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_UNEXPECTED

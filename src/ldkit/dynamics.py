@@ -197,9 +197,9 @@ class _Compiled:
     shapes where results meet, at little cost: grad H and Pi in
     :func:`_terms`, G and grad H through the residual G^T grad H in
     :func:`_project`, G and J through the k×k multiplier matrix in
-    :func:`_solve_constraint`, and the residual in the difference probes.
-    Without these checks numpy broadcasting would let a malformed result
-    bend the trajectory silently.
+    :func:`_solve_constraint`, the residual in the difference probes, and
+    H in :attr:`hval`.  Without these checks numpy broadcasting would let a
+    malformed result bend the trajectory silently.
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
@@ -212,17 +212,26 @@ class _Compiled:
         self.matrix_shape = (sys.n, sys.n)
         self.residual_shape = (sys.k,)
         ham = sys.hamiltonian
+        ham(x0)
         ham.grad(x0)
         sys.ld.pi(x0)
         if self.k and sys.constraint_jacobian is not None:
             _checked(sys.constraint_jacobian(x0), (self.k, self.n),
                      "constraint Jacobian", x0)
-        self.hval = ham.value
+        value = ham.value
+
+        def hval(x: np.ndarray) -> float:
+            try:
+                return float(value(x))
+            except TypeError as exc:
+                raise ValueError(
+                    f"H returned a non-scalar mid-run: {exc}") from exc
+
+        self.hval = hval
         if ham.gradient is not None:
             self.grad = ham.gradient
         else:
-            value = ham.value
-            self.grad = lambda x: central_gradient(lambda p: float(value(p)), x)
+            self.grad = lambda x: central_gradient(hval, x)
         self.pi = sys.ld.pi.evaluate
         if self.k:
             self.g = sys.ld.forces.evaluate
@@ -262,9 +271,8 @@ def _malformed(name: str, value: np.ndarray, shape: tuple) -> ValueError:
                       f"expected {shape}")
 
 
-def _lambda_at(c: _Compiled, x: np.ndarray, grad: np.ndarray,
-               g: np.ndarray, pi_grad: np.ndarray,
-               tol: float) -> tuple[np.ndarray, float]:
+def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
+               pi_grad: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     if c.jac is not None:
         jac = np.asarray(c.jac(x), dtype=float)
         b = -jac.dot(pi_grad)
@@ -316,10 +324,9 @@ def multipliers(sys: DIHSystem, x,
     if sys.k == 0:
         return np.zeros(0), 0.0
     c = _Compiled(sys, point)
-    grad = sys.hamiltonian.grad(point)
     g = sys.ld.forces(point)
-    pi_grad = sys.ld.pi(point) @ grad
-    return _lambda_at(c, point, grad, g, pi_grad, projection_tol)
+    pi_grad = sys.ld.pi(point) @ sys.hamiltonian.grad(point)
+    return _lambda_at(c, point, g, pi_grad, projection_tol)
 
 
 def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
@@ -337,7 +344,7 @@ def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
     pi_grad = pi.dot(grad)
     if c.k == 0:
         return pi, np.zeros(0), pi_grad
-    lam, _ = _lambda_at(c, x, grad, g, pi_grad, tol)
+    lam, _ = _lambda_at(c, x, g, pi_grad, tol)
     return pi, lam, pi_grad + g.dot(lam)
 
 
@@ -424,7 +431,7 @@ class _Recorder:
                pi: np.ndarray, lam: np.ndarray, resid: float) -> None:
         # evaluate before appending: a failure leaves no half-written row
         sym = 0.5 * (pi + pi.T)
-        energy = float(self.c.hval(x))
+        energy = self.c.hval(x)
         rate = float(grad @ (sym @ grad))
         self.times.append(t)
         self.states.append(x)
@@ -532,19 +539,17 @@ def _gbs_step(f: Callable, y: np.ndarray, f0: np.ndarray,
     return t2 + (t2 - t1) / 3.0
 
 
-def oracle_simulate(sys: DIHSystem, x0, dt: float, t_end: float,
-                    projection_tol: float = DEFAULT_PROJECTION_TOL,
-                    max_projection_iters: int = 25) -> Trajectory:
+def oracle_simulate(sys: DIHSystem, x0, dt: float,
+                    t_end: float) -> Trajectory:
     """Independent verification run on the same grid as :func:`simulate`.
 
     Steps with the extrapolated Gragg modified-midpoint map at half the user
-    step (two substeps per grid interval), applies the same projection rule,
-    and records only on the dt grid, so trajectories compare row by row.
+    step (two substeps per grid interval), projects with the
+    :class:`IntegratorConfig` defaults, and records only on the dt grid, so
+    trajectories compare row by row.
     """
-    config = IntegratorConfig(dt=dt, t_end=t_end,
-                              projection_tol=projection_tol,
-                              max_projection_iters=max_projection_iters)
-    return _run(sys, x0, config, _gbs_step, substeps=2)
+    return _run(sys, x0, IntegratorConfig(dt=dt, t_end=t_end), _gbs_step,
+                substeps=2)
 
 
 def audit_series(times, energies, rates) -> EnergyAudit:
@@ -579,7 +584,7 @@ def audit_series(times, energies, rates) -> EnergyAudit:
     )
 
 
-def energy_audit(sys: DIHSystem, trajectory: Trajectory) -> EnergyAudit:
-    """Audit a trajectory produced for ``sys``; see :func:`audit_series`."""
+def energy_audit(trajectory: Trajectory) -> EnergyAudit:
+    """Audit a trajectory's energy series; see :func:`audit_series`."""
     return audit_series(trajectory.times, trajectory.energies,
                         trajectory.energy_rates)

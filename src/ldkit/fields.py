@@ -22,8 +22,7 @@ from .errors import AdmissibilityError, InputError, RegularityError
 from .linear import LinearLD, PairRep, from_pair
 from .numdiff import central_gradient
 from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix,
-                        as_vector, complement_columns, numerical_rank,
-                        orthonormal_columns)
+                        as_vector, complement_columns, numerical_rank)
 
 __all__ = [
     "ScalarField",
@@ -36,7 +35,6 @@ __all__ = [
     "pointwise",
     "bracket",
     "regularity_scan",
-    "involutivity_probe",
 ]
 
 
@@ -65,10 +63,7 @@ class ScalarField:
 
     def __call__(self, x) -> float:
         point = as_vector(x, self.dim, "point")
-        val = float(self.value(point))
-        if not np.isfinite(val):
-            raise InputError(f"scalar field returned non-finite value at {point}")
-        return val
+        return float(_checked(self.value(point), (), "scalar field", point))
 
     def grad(self, x) -> np.ndarray:
         point = as_vector(x, self.dim, "point")
@@ -78,11 +73,11 @@ class ScalarField:
             g = central_gradient(lambda p: float(self.value(p)), point)
         return _checked(g, (self.dim,), "gradient", point)
 
-    def check_gradient(self, points: Sequence, rtol: float = 1e-4) -> None:
+    def check_gradient(self, points: Sequence) -> None:
         """Validate the analytic gradient against central differences.
 
         No-op when there is no analytic gradient.  Raises InputError when a
-        probe point disagrees beyond rtol relative to max(1, |fd|).
+        probe point disagrees beyond 1e-4 relative to max(1, |fd|).
         """
         if self.gradient is None:
             return
@@ -92,7 +87,7 @@ class ScalarField:
             analytic = self.grad(point)
             scale = max(1.0, float(np.abs(fd).max(initial=0.0)))
             err = float(np.abs(analytic - fd).max(initial=0.0))
-            if err > rtol * scale:
+            if err > 1e-4 * scale:
                 raise InputError(
                     f"analytic gradient disagrees with finite differences at "
                     f"{point}: max deviation {err:.3e}")
@@ -297,30 +292,3 @@ def regularity_scan(field: LDField, samples) -> RegularityReport:
     jumps = tuple(i for i, r in enumerate(g_ranks) if r != modal)
     co_ranks = tuple(field.n - r for r in g_ranks)
     return RegularityReport(tuple(g_ranks), co_ranks, jumps)
-
-
-def involutivity_probe(field: LDField, x, step: float = 1e-4) -> float:
-    """Max residual of pairwise Lie brackets of force columns against Im G.
-
-    Brackets are formed with central differences at the given step; the
-    residual is the norm of the component of [g_i, g_j](x) outside the column
-    span of G(x).  Returns 0 for k <= 1.
-    """
-    point = as_vector(x, field.n, "point")
-    if field.k <= 1:
-        return 0.0
-    g0 = field.forces(point)
-    qg = orthonormal_columns(g0, DEFAULT_TOLERANCE.rank_eps)
-
-    def directional(mat_col: int, direction: np.ndarray) -> np.ndarray:
-        hi = field.forces.matrix(point + step * direction)[:, mat_col]
-        lo = field.forces.matrix(point - step * direction)[:, mat_col]
-        return (hi - lo) / (2.0 * step)
-
-    worst = 0.0
-    for i in range(field.k):
-        for j in range(i + 1, field.k):
-            lie = directional(j, g0[:, i]) - directional(i, g0[:, j])
-            resid = lie - qg @ (qg.T @ lie)
-            worst = max(worst, float(np.linalg.norm(resid)))
-    return worst

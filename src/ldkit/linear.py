@@ -39,7 +39,6 @@ __all__ = [
     "to_pair",
     "classify",
     "classification_residuals",
-    "decompose_map",
     "split_pairing",
     "deform",
     "tangent_part",
@@ -154,9 +153,11 @@ def _halves(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
 def _meet(range_half: np.ndarray, other_half: np.ndarray,
           tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis of L ∩ V* from (qv, qeta) or L ∩ V from (qeta, qv)."""
+    """Basis of L ∩ V* from (qv, qeta) or L ∩ V from (qeta, qv), orthonormal
+    to within tol.rank_eps ** 2: L's orthonormal basis makes other_half an
+    isometry on ker(range_half), up to the singular values cut as zero."""
     _, ker = rank_kernel(range_half, tol)
-    return orthonormal_columns(other_half @ ker.basis, tol.rank_eps)
+    return other_half @ ker.basis
 
 
 def classification_residuals(space: Subspace,
@@ -318,16 +319,6 @@ def to_pair(l: LinearLD, orientation: Orientation,
     return PairRep(orientation, Subspace(l.n, carrier_basis), matrix)
 
 
-def decompose_map(omega) -> tuple[np.ndarray, np.ndarray]:
-    """Split a square matrix into symmetric and skew parts (sym, skew)."""
-    m = as_matrix(omega, "map matrix")
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"map matrix must be square, got {m.shape}")
-    sym = 0.5 * (m + m.T)
-    skew = 0.5 * (m - m.T)
-    return sym, skew
-
-
 def split_pairing(l: LinearLD, orientation: Orientation,
                   tol: Tolerance = DEFAULT_TOLERANCE) -> SplitPairing:
     """Gram matrix of the split pairing adapted to ``l`` on R^{2n}.
@@ -386,10 +377,12 @@ def deform(l: LinearLD, form, direction: Orientation,
 def tangent_part(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """L ∩ V as a subspace of R^n (vectors paired with the zero covector)."""
     qv, qeta = _halves(l.space)
-    return Subspace(l.n, _meet(qeta, qv, tol))
+    return Subspace(l.n, orthonormal_columns(_meet(qeta, qv, tol),
+                                             tol.rank_eps))
 
 
 def cotangent_part(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """L ∩ V* as a subspace of R^n (covectors paired with the zero vector)."""
     qv, qeta = _halves(l.space)
-    return Subspace(l.n, _meet(qv, qeta, tol))
+    return Subspace(l.n, orthonormal_columns(_meet(qv, qeta, tol),
+                                             tol.rank_eps))

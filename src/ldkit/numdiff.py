@@ -10,16 +10,16 @@ import numpy as np
 __all__ = ["gradient_step", "central_gradient", "central_jacobian"]
 
 
-def gradient_step(x: np.ndarray, scale: float = 1e-6) -> float:
-    """Step size scale * max(1, |x|) used for all first derivatives."""
+def gradient_step(x: np.ndarray) -> float:
+    """Step size 1e-6 * max(1, |x|) used for all first derivatives."""
     x = np.asarray(x, dtype=float).ravel()
-    return scale * max(1.0, math.sqrt(x.dot(x)))
+    return 1e-6 * max(1.0, math.sqrt(x.dot(x)))
 
 
-def central_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                     step: float | None = None) -> np.ndarray:
+def central_gradient(fn: Callable[[np.ndarray], float],
+                     x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function at ``x``."""
-    h = gradient_step(x) if step is None else step
+    h = gradient_step(x)
     grad = np.empty(x.shape[0])
     probe = x.astype(float, copy=True)
     for i in range(x.shape[0]):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _gen import particle_multiplier
 from ldkit.catalog import (CATALOG, SystemSpec, build_system, damped_mechanical,
-                           damped_particle, default_state, gradient_system,
+                           damped_particle, gradient_system,
                            metriplectic_system)
 from ldkit.dynamics import (IntegratorConfig, check_consistency, energy_rate,
                             multipliers, oracle_simulate, rhs, simulate)
@@ -219,16 +219,12 @@ def test_damped_particle_rejects_wrong_entry_count():
 def test_catalog_names_states_and_descriptions():
     assert set(CATALOG) == {"harmonic_oscillator", "gradient_flow",
                             "damped_oscillator", "damped_particle"}
-    assert default_state("damped_particle") == pytest.approx(
+    assert build_system(SystemSpec("damped_particle"))[1] == pytest.approx(
         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    assert default_state("harmonic_oscillator") == pytest.approx([1.0, 0.0])
+    assert build_system(SystemSpec("harmonic_oscillator"))[1] == \
+        pytest.approx([1.0, 0.0])
     for entry in CATALOG.values():
         assert entry.description
-
-
-def test_default_state_rejects_unknown_name():
-    with pytest.raises(SpecFormatError, match="unknown"):
-        default_state("pendulum")
 
 
 def test_build_system_rejects_unknown_name():

@@ -5,8 +5,9 @@ import json
 import pytest
 
 import ldkit
+from ldkit import PreconditionError, cli
 from ldkit.cli import (EXIT_INCONSISTENT, EXIT_NOT_LD, EXIT_OK, EXIT_SPEC,
-                       EXIT_STEP_FAILURE, main)
+                       EXIT_STEP_FAILURE, EXIT_UNEXPECTED, main)
 from ldkit.io import read_trajectory
 
 CANONICAL_AB = {"kind": "ab", "n": 2,
@@ -257,3 +258,22 @@ def test_audit_malformed_file_exits_spec_error(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(path))
     assert code == EXIT_SPEC
     assert "error:" in err
+
+
+# -- unexpected failures ----------------------------------------------------
+
+
+@pytest.mark.parametrize("exc,message", [
+    (PreconditionError("no Dirac structure"), "error: no Dirac structure"),
+    (RuntimeError("boom"), "unexpected error: RuntimeError: boom"),
+], ids=["unmapped-ldkit-error", "foreign-error"])
+def test_errors_without_a_code_of_their_own_exit_unexpected(
+        capsys, monkeypatch, exc, message):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_audit", fail)
+    code, out, err = run(capsys, "audit", "trajectory.csv")
+    assert code == EXIT_UNEXPECTED
+    assert out == ""
+    assert err == message + "\n"

@@ -428,6 +428,41 @@ def test_simulate_wraps_a_callable_that_goes_bad_mid_run():
     assert partial.states[-1][0] >= 0.5
 
 
+@pytest.mark.parametrize("gradient", [lambda x: x.copy(), None],
+                         ids=["analytic-gradient", "finite-difference-gradient"])
+def test_simulate_wraps_a_hamiltonian_that_stops_returning_a_scalar(gradient):
+    # H is a scalar at x0 and passes the up-front check, but returns the
+    # state once x[0] <= 0.5; the recorder reads H at every accepted state,
+    # and the finite-difference gradient at every stage
+    def value(x):
+        return 0.5 * float(x @ x) if x[0] > 0.5 else x.copy()
+
+    h = ScalarField(2, value=value, gradient=gradient)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    sys = DIHSystem(2, LDField(TensorField.constant(rot),
+                               ConstraintField.none(2)), h)
+    with pytest.raises(StepFailureError) as err:
+        simulate(sys, np.array([1.0, 0.0]),
+                 IntegratorConfig(dt=1e-2, t_end=2.0))
+    partial = err.value.partial
+    assert isinstance(err.value.__cause__, ValueError)
+    assert partial.times.shape[0] > 1
+    assert partial.states[-1][0] > 0.5
+    assert partial.energies.shape == partial.times.shape
+
+
+@pytest.mark.parametrize("value", [lambda x: x.copy(),
+                                   lambda x: float("nan")],
+                         ids=["array", "non-finite"])
+def test_simulate_checks_the_hamiltonian_value_up_front(value):
+    h = ScalarField(2, value=value, gradient=lambda x: x.copy())
+    sys = DIHSystem(2, LDField(TensorField.constant(np.zeros((2, 2))),
+                               ConstraintField.none(2)), h)
+    with pytest.raises(InputError, match="scalar field"):
+        simulate(sys, np.array([1.0, 0.0]),
+                 IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
 @pytest.mark.parametrize("analytic_jacobian", [True, False],
                          ids=["analytic-J", "finite-difference-J"])
 def test_simulate_wraps_a_constraint_field_that_goes_bad_mid_run(
@@ -603,7 +638,7 @@ def test_energy_audit_conservative_run_is_flat():
     sys = harmonic_system()
     traj = simulate(sys, np.array([1.0, 0.0]),
                     IntegratorConfig(dt=1e-2, t_end=2.0))
-    audit = energy_audit(sys, traj)
+    audit = energy_audit(traj)
     assert audit.n_samples == 201
     assert audit.max_rate == 0.0
     assert audit.rates_nonpositive
@@ -615,7 +650,7 @@ def test_energy_audit_gradient_flow_dissipates_monotonically():
     sys = gradient_flow_system()
     traj = simulate(sys, np.array([1.0, 1.0]),
                     IntegratorConfig(dt=1e-2, t_end=2.0))
-    audit = energy_audit(sys, traj)
+    audit = energy_audit(traj)
     assert audit.energy_drift < 0.0
     assert audit.rates_nonpositive
     assert audit.energy_monotone
@@ -626,7 +661,7 @@ def test_energy_audit_matches_rate_column_against_finite_differences():
     sys = damped_particle((1.0, 1.0, 1.0))
     x0 = np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5])
     traj = simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=2.0))
-    audit = energy_audit(sys, traj)
+    audit = energy_audit(traj)
     assert audit.rates_nonpositive
     assert audit.energy_monotone
     assert audit.max_rate_deviation <= 5.0 * 1e-2 ** 2

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from _gen import product_field, random_quadratic
 from ldkit import (AdmissibilityError, ConstraintField, InputError, LDField,
                    RegularityError, ScalarField, Subspace, TensorField,
-                   bracket, carrier_at, damped_particle, involutivity_probe,
-                   pointwise, regularity_scan, tangent_part)
+                   bracket, carrier_at, damped_particle, pointwise,
+                   regularity_scan, tangent_part)
 
 CANONICAL_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -58,6 +58,14 @@ def test_scalar_field_rejects_non_finite_value():
     f = ScalarField(1, value=lambda x: float("nan"))
     with pytest.raises(InputError):
         f(np.array([0.0]))
+
+
+@pytest.mark.parametrize("value", [lambda x: x.copy(), lambda x: None],
+                         ids=["array", "none"])
+def test_scalar_field_rejects_a_value_that_is_not_a_scalar(value):
+    f = ScalarField(2, value=value)
+    with pytest.raises(InputError, match="scalar field"):
+        f(np.array([1.0, 2.0]))
 
 
 def test_tensor_field_validates_shape_and_finiteness():
@@ -252,7 +260,7 @@ def test_bracket_product_of_admissible_functions_stays_admissible():
 
 
 # ---------------------------------------------------------------------------
-# regularity and involutivity diagnostics
+# regularity diagnostics
 
 
 def test_regularity_scan_unconstrained_field_has_constant_ranks():
@@ -282,36 +290,6 @@ def test_regularity_scan_particle_ranks_are_constant():
     assert report.constant_rank
     assert set(report.g_ranks) == {1}
     assert set(report.codistribution_ranks) == {5}
-
-
-def test_involutivity_probe_constant_columns_commute():
-    g = ConstraintField.constant(np.array([[1.0, 0.0], [0.0, 1.0],
-                                           [0.0, 0.0]]))
-    field = LDField(TensorField.constant(np.zeros((3, 3))), g)
-    assert involutivity_probe(field, np.zeros(3)) <= 1e-10
-
-
-def test_involutivity_probe_single_column_is_trivially_involutive():
-    sys = damped_particle()
-    assert involutivity_probe(sys.ld, np.ones(6)) == 0.0
-
-
-def test_involutivity_probe_detects_a_non_involutive_pair():
-    def columns(x):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, x[0]]])
-
-    field = LDField(TensorField.constant(np.zeros((3, 3))),
-                    ConstraintField(3, 2, evaluate=columns))
-    assert involutivity_probe(field, np.zeros(3)) > 0.1
-
-
-def test_involutivity_probe_involutive_varying_pair_is_flat():
-    def columns(x):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, x[1]]])
-
-    field = LDField(TensorField.constant(np.zeros((3, 3))),
-                    ConstraintField(3, 2, evaluate=columns))
-    assert involutivity_probe(field, np.array([0.4, -0.3, 0.2])) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

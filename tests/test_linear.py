@@ -13,8 +13,8 @@ from ldkit import (ABRep, DegenerateRepresentationError, InputError,
                    NotLDStructureError, OrientationError, PairRep,
                    PreconditionError, Subspace, Tolerance,
                    classification_residuals, classify, cotangent_part,
-                   decompose_map, deform, from_ab, from_pair, from_subspace,
-                   rank_kernel, split_pairing, tangent_part, to_pair)
+                   deform, from_ab, from_pair, from_subspace, rank_kernel,
+                   split_pairing, tangent_part, to_pair)
 
 POISSON_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -218,30 +218,6 @@ def test_from_subspace_rejects_wrong_dimension():
 
 
 # ---------------------------------------------------------------------------
-# decompose_map
-
-
-def test_decompose_map_splits_into_symmetric_and_skew_parts():
-    sym, skew = decompose_map(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    assert np.array_equal(sym, np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert np.array_equal(skew, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-def test_decompose_map_fixed_points():
-    s = np.array([[2.0, 5.0], [5.0, -1.0]])
-    w = np.array([[0.0, 3.0], [-3.0, 0.0]])
-    assert np.array_equal(decompose_map(s)[0], s)
-    assert np.array_equal(decompose_map(s)[1], np.zeros((2, 2)))
-    assert np.array_equal(decompose_map(w)[0], np.zeros((2, 2)))
-    assert np.array_equal(decompose_map(w)[1], w)
-
-
-def test_decompose_map_rejects_non_square():
-    with pytest.raises(InputError):
-        decompose_map(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
 # split_pairing
 
 
@@ -357,9 +333,9 @@ def test_pairing_flags_match_symmetry_of_the_extracted_map(seed):
     rng = np.random.default_rng(seed)
     ld, info = random_structure(rng)
     pair = to_pair(ld, info["orientation"])
-    sym, skew = decompose_map(pair.matrix)
-    sym_mag = float(np.abs(sym).max(initial=0.0))
-    skew_mag = float(np.abs(skew).max(initial=0.0))
+    m = pair.matrix
+    sym_mag = float(np.abs(0.5 * (m + m.T)).max(initial=0.0))
+    skew_mag = float(np.abs(0.5 * (m - m.T)).max(initial=0.0))
     assert ld.flags.dirac == (sym_mag <= 1e-8)
     assert ld.flags.symmetric_dirac == (skew_mag <= 1e-8)
     assert ld.flags.separable == (ld.flags.dirac and ld.flags.symmetric_dirac)
@@ -388,3 +364,16 @@ def test_graph_parts_are_the_kernel_of_the_graph_map(seed, n, rank):
     assert tangent.dim == cotangent.dim == n - rank
     assert tangent.equals(kernel)
     assert cotangent.equals(kernel)
+
+
+@pytest.mark.parametrize("part", [tangent_part, cotangent_part])
+def test_parts_have_orthonormal_bases_at_a_coarse_rank_tolerance(part):
+    # at rank_eps = 1e-2 the entry 6e-3 of the graph map counts as zero, so
+    # L meets the factor along the first axis; the kernel vector's image in
+    # the other half then has norm 1 only to within 6e-3 squared
+    coarse = Tolerance(rank_eps=1e-2)
+    small = np.diag([6e-3, 1.0])
+    rep = (ABRep(np.eye(2), small) if part is tangent_part
+           else ABRep(small, np.eye(2)))
+    meet = part(from_ab(rep, coarse), coarse)
+    assert meet.equals(span([1.0, 0.0]))

@@ -1,13 +1,21 @@
-"""The benchmark's tracer looks library functions up by name; a rename or a
-deletion in ``src/`` must fail here rather than in a traced benchmark run."""
+"""The benchmark and the demos reach library functions by name; a rename or
+a deletion in ``src/`` must fail here rather than in a benchmark run or a
+demo."""
 
 import importlib
+import importlib.util
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def load_spans():
@@ -34,3 +42,30 @@ def test_the_tracer_rebuilds_systems_through_public_constructors():
         assert callable(getattr(ldkit, name, None))
     assert callable(getattr(importlib.import_module("ldkit.catalog"),
                             "build_system", None))
+
+
+def names_reached_through_ld(path: Path) -> set:
+    # ``ld`` is the ldkit package in the benchmark's workloads and tracer;
+    # an attribute chain such as ``system.ld.pi`` is not a package lookup
+    return set(re.findall(r"(?<![\w.])ld\.(\w+)", path.read_text()))
+
+
+@pytest.mark.parametrize("source", ["workloads.py", "spans.py"])
+def test_every_name_the_benchmark_reaches_on_the_package_resolves(source):
+    ldkit = importlib.import_module("ldkit")
+    names = names_reached_through_ld(ROOT / "perfbench" / source)
+    assert names
+    missing = sorted(name for name in names
+                     if not hasattr(ldkit, name)
+                     and importlib.util.find_spec(f"ldkit.{name}") is None)
+    assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_every_demo_runs_to_completion(demo, tmp_path):
+    # run from a scratch directory: a demo may write its output files there
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
