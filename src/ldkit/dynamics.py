@@ -91,9 +91,9 @@ class DIHSystem:
 class IntegratorConfig:
     """Fixed-step run configuration.
 
-    The run covers floor(t_end / dt) steps of size dt; after each step the
-    state is projected along span G(x) until the constraint residual is at
-    most projection_tol.
+    The run covers t_end / dt steps of size dt, a whole number to within
+    1e-9; after each step the state is projected along span G(x) until the
+    constraint residual is at most projection_tol.
     """
 
     dt: float
@@ -106,6 +106,9 @@ class IntegratorConfig:
             raise InputError("dt must be positive and finite")
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise InputError("t_end must be nonnegative and finite")
+        if abs(self.t_end / self.dt - self.steps) > 1e-9:
+            raise InputError(f"t_end must be a whole number of steps dt; the "
+                             f"nearest is {self.steps * self.dt:.12g}")
         if not (self.projection_tol > 0.0):
             raise InputError("projection_tol must be positive")
         if self.max_projection_iters < 1:
@@ -113,7 +116,7 @@ class IntegratorConfig:
 
     @property
     def steps(self) -> int:
-        return int(math.floor(self.t_end / self.dt + 1e-9))
+        return round(self.t_end / self.dt)
 
 
 @dataclass
@@ -190,8 +193,8 @@ class _ProjectionFailed(Exception):
 
 
 class _Compiled:
-    """Raw closures for the hot loop; shapes are validated once at the
-    initial state through the checked field interfaces.
+    """Raw closures for the hot loop; :attr:`start` holds the one checked
+    evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|.
 
     A callable may still go bad mid-run.  The hot loop then checks the
     shapes where results meet, at little cost: grad H and Pi in
@@ -203,21 +206,28 @@ class _Compiled:
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
-                 "vector_shape", "matrix_shape", "residual_shape")
+                 "vector_shape", "matrix_shape", "residual_shape", "start")
 
-    def __init__(self, sys: DIHSystem, x0: np.ndarray):
+    def __init__(self, sys: DIHSystem, x0, projection_tol: float):
         self.n = sys.n
         self.k = sys.k
         self.vector_shape = (sys.n,)
         self.matrix_shape = (sys.n, sys.n)
         self.residual_shape = (sys.k,)
+        x0 = as_vector(x0, sys.n, "state")
         ham = sys.hamiltonian
         ham(x0)
-        ham.grad(x0)
-        sys.ld.pi(x0)
-        if self.k and sys.constraint_jacobian is not None:
-            _checked(sys.constraint_jacobian(x0), (self.k, self.n),
-                     "constraint Jacobian", x0)
+        grad0, pi0, g0 = ham.grad(x0), sys.ld.pi(x0), sys.ld.forces(x0)
+        resid0 = float(np.abs(g0.T @ grad0).max(initial=0.0))
+        if resid0 > projection_tol:
+            raise ConsistencyError(
+                f"state is not in the consistency set chi_c: constraint "
+                f"residual |G^T grad H| = {resid0:.3e} > {projection_tol:.1e}",
+                residual=resid0)
+        self.jac = sys.constraint_jacobian if self.k else None
+        jac0 = None if self.jac is None else _checked(
+            self.jac(x0), (self.k, self.n), "constraint Jacobian", x0)
+        self.start = (x0, grad0, g0, pi0, jac0, resid0)
         value = ham.value
 
         def hval(x: np.ndarray) -> float:
@@ -240,7 +250,6 @@ class _Compiled:
             self.g = lambda x: zero_g
         # without an analytic J, products J·V are directional differences
         # of the constraint residual c(y) = G(y)^T grad H(y)
-        self.jac = sys.constraint_jacobian
         g_eval = self.g
         grad_eval = self.grad
         self.residual = lambda y: np.asarray(g_eval(y)).T @ grad_eval(y)
@@ -272,9 +281,9 @@ def _malformed(name: str, value: np.ndarray, shape: tuple) -> ValueError:
 
 
 def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
-               pi_grad: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    if c.jac is not None:
-        jac = np.asarray(c.jac(x), dtype=float)
+               pi_grad: np.ndarray, jac, tol: float) -> tuple[np.ndarray, float]:
+    if jac is not None:
+        jac = np.asarray(jac, dtype=float)
         b = -jac.dot(pi_grad)
         lam, resid = _solve_constraint(jac.dot(g), b)
     else:
@@ -302,16 +311,6 @@ def check_consistency(sys: DIHSystem, x,
                              projection_tol)
 
 
-def _require_consistent(sys: DIHSystem, x, projection_tol: float) -> np.ndarray:
-    report = check_consistency(sys, x, projection_tol)
-    if not report.in_chi_c:
-        raise ConsistencyError(
-            f"state is not in the consistency set chi_c: constraint residual "
-            f"|G^T grad H| = {report.residual:.3e} > {projection_tol:.1e}",
-            residual=report.residual)
-    return report.point
-
-
 def multipliers(sys: DIHSystem, x,
                 projection_tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarray, float]:
     """Constraint multiplier at a consistent state.
@@ -320,23 +319,22 @@ def multipliers(sys: DIHSystem, x,
     Jacobian; a singular system falls back to the min-norm least-squares
     solution and the second return value is its residual.
     """
-    point = _require_consistent(sys, x, projection_tol)
-    if sys.k == 0:
+    c = _Compiled(sys, x, projection_tol)
+    if c.k == 0:
         return np.zeros(0), 0.0
-    c = _Compiled(sys, point)
-    g = sys.ld.forces(point)
-    pi_grad = sys.ld.pi(point) @ sys.hamiltonian.grad(point)
-    return _lambda_at(c, point, g, pi_grad, projection_tol)
+    point, grad, g, pi, jac, _ = c.start
+    return _lambda_at(c, point, g, pi @ grad, jac, projection_tol)
 
 
 def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
-           tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pi, the multiplier and the right-hand side at x, given grad H and G.
+           pi, jac, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pi, the multiplier and the right-hand side at x, given grad H, G, Pi
+    and J there; J None takes J·V as directional differences.
 
     The hot path uses ndarray.dot: on these tiny operands it costs about
     half the call overhead of ``@``.
     """
-    pi = np.asarray(c.pi(x), dtype=float)
+    pi = np.asarray(pi, dtype=float)
     if pi.shape != c.matrix_shape:
         raise _malformed("Pi", pi, c.matrix_shape)
     if grad.shape != c.vector_shape:
@@ -344,20 +342,21 @@ def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
     pi_grad = pi.dot(grad)
     if c.k == 0:
         return pi, np.zeros(0), pi_grad
-    lam, _ = _lambda_at(c, x, g, pi_grad, tol)
+    lam, _ = _lambda_at(c, x, g, pi_grad, jac, tol)
     return pi, lam, pi_grad + g.dot(lam)
 
 
 def _rhs_raw(c: _Compiled, x: np.ndarray, tol: float) -> np.ndarray:
     grad = np.asarray(c.grad(x), dtype=float)
-    return _terms(c, x, grad, np.asarray(c.g(x), dtype=float), tol)[2]
+    return _terms(c, x, grad, np.asarray(c.g(x), dtype=float), c.pi(x),
+                  None if c.jac is None else c.jac(x), tol)[2]
 
 
 def rhs(sys: DIHSystem, x,
         projection_tol: float = DEFAULT_PROJECTION_TOL) -> np.ndarray:
     """Right-hand side Pi grad H + G lambda at a consistent state."""
-    point = _require_consistent(sys, x, projection_tol)
-    return _rhs_raw(_Compiled(sys, point), point, projection_tol)
+    c = _Compiled(sys, x, projection_tol)
+    return _terms(c, *c.start[:5], projection_tol)[2]
 
 
 def kernel_form(sys: DIHSystem, x,
@@ -462,15 +461,14 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     the right-hand side there, serve both the record and the next step.
     """
     dt, projection_tol = config.dt, config.projection_tol
-    x = _require_consistent(sys, x0, projection_tol)
-    c = _Compiled(sys, x)
+    c = _Compiled(sys, x0, projection_tol)
     rec = _Recorder(c)
 
     def f(y: np.ndarray) -> np.ndarray:
         return _rhs_raw(c, y, projection_tol)
 
-    x, grad, g, resid = _project(c, x, config)  # x0 is in chi_c: no move
-    pi, lam, fx = _terms(c, x, grad, g, projection_tol)
+    x, grad, g, pi, jac, resid = c.start
+    pi, lam, fx = _terms(c, x, grad, g, pi, jac, projection_tol)
     rec.record(0.0, x, grad, pi, lam, resid)
     h = dt / substeps
     for i in range(1, config.steps + 1):
@@ -481,7 +479,9 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 if not np.isfinite(x_new).all():
                     raise _ProjectionFailed(float("inf"))
                 x, grad, g, resid = _project(c, x_new, config)
-                pi, lam, fx = _terms(c, x, grad, g, projection_tol)
+                jac = None if c.jac is None else c.jac(x)
+                pi, lam, fx = _terms(c, x, grad, g, c.pi(x), jac,
+                                     projection_tol)
             rec.record(i * dt, x, grad, pi, lam, resid)
         except (_ProjectionFailed, LDKitError, FloatingPointError,
                 ValueError) as exc:

@@ -70,7 +70,7 @@ class ScalarField:
         if self.gradient is not None:
             g = self.gradient(point)
         else:
-            g = central_gradient(lambda p: float(self.value(p)), point)
+            g = central_gradient(self, point)
         return _checked(g, (self.dim,), "gradient", point)
 
     def check_gradient(self, points: Sequence) -> None:
@@ -83,7 +83,7 @@ class ScalarField:
             return
         for p in points:
             point = as_vector(p, self.dim, "probe point")
-            fd = central_gradient(lambda q: float(self.value(q)), point)
+            fd = central_gradient(self, point)
             analytic = self.grad(point)
             scale = max(1.0, float(np.abs(fd).max(initial=0.0)))
             err = float(np.abs(analytic - fd).max(initial=0.0))

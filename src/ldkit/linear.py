@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateRepresentationError, InputError,
                      NotLDStructureError, OrientationError, PreconditionError)
 from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, annihilator,
-                        as_matrix, orthonormal_columns, rank_kernel)
+                        as_matrix, numerical_rank, orthonormal_columns)
 
 __all__ = [
     "LDFlags",
@@ -154,10 +154,10 @@ def _halves(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
 def _meet(range_half: np.ndarray, other_half: np.ndarray,
           tol: Tolerance) -> np.ndarray:
     """Basis of L ∩ V* from (qv, qeta) or L ∩ V from (qeta, qv), orthonormal
-    to within tol.rank_eps ** 2: L's orthonormal basis makes other_half an
-    isometry on ker(range_half), up to the singular values cut as zero."""
-    _, ker = rank_kernel(range_half, tol)
-    return other_half @ ker.basis
+    to within rank_eps ** 2: L's orthonormal basis makes other_half an
+    isometry on ker(range_half), its rank cut at rank_eps in absolute terms."""
+    _, s, vt = np.linalg.svd(range_half)
+    return other_half @ vt[numerical_rank(s, tol.rank_eps, scale=1.0):].T
 
 
 def classification_residuals(space: Subspace,
@@ -310,13 +310,13 @@ def to_pair(l: LinearLD, orientation: Orientation,
     else:
         raise InputError(f"unknown orientation {orientation!r}")
 
-    carrier_basis = orthonormal_columns(range_half, tol.rank_eps, scale=1.0)
-    if carrier_basis.shape[1] == 0:
+    # range_half = U S Vᵀ maps the combination v_i / s_i to carrier vector u_i
+    u, s, vt = np.linalg.svd(range_half)
+    rank = numerical_rank(s, tol.rank_eps, scale=1.0)
+    if rank == 0:
         return PairRep(orientation, Subspace.zero(l.n), np.zeros((0, 0)))
-    coeffs, *_ = np.linalg.lstsq(range_half, carrier_basis, rcond=None)
-    images = other_half @ coeffs
-    matrix = carrier_basis.T @ images
-    return PairRep(orientation, Subspace(l.n, carrier_basis), matrix)
+    matrix = u[:, :rank].T @ (other_half @ (vt[:rank].T / s[:rank]))
+    return PairRep(orientation, Subspace(l.n, u[:, :rank]), matrix)
 
 
 def split_pairing(l: LinearLD, orientation: Orientation,

@@ -77,10 +77,13 @@ def test_integrator_config_validates_inputs():
     assert IntegratorConfig(dt=1e-3, t_end=0.0).steps == 0
 
 
-def test_integrator_config_step_count_uses_floor_with_guard():
+def test_integrator_config_needs_a_whole_number_of_steps():
     assert IntegratorConfig(dt=1e-3, t_end=10.0).steps == 10_000
-    assert IntegratorConfig(dt=0.01, t_end=0.0995).steps == 9
     assert IntegratorConfig(dt=0.1, t_end=0.3).steps == 3
+    with pytest.raises(InputError, match="nearest is 0.1$"):
+        IntegratorConfig(dt=0.01, t_end=0.0995)
+    with pytest.raises(InputError, match="nearest is 0.9$"):
+        IntegratorConfig(dt=0.3, t_end=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,35 @@ def test_finite_difference_simulate_costs_at_most_20_g_evaluations_per_step():
     steps = traj.times.shape[0] - 1
     assert steps == 200
     assert (calls[0] - setup) / steps <= 20.0
+
+
+def counting_callables(sys: DIHSystem):
+    """``sys`` with grad H, Pi, G and J wrapped; returns (system, counts)."""
+    counts = dict.fromkeys(("grad H", "Pi", "G", "J"), 0)
+
+    def counted(name, fn):
+        def wrapper(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapper
+
+    ham = dataclasses.replace(
+        sys.hamiltonian, gradient=counted("grad H", sys.hamiltonian.gradient))
+    pi = dataclasses.replace(sys.ld.pi, evaluate=counted("Pi", sys.ld.pi.evaluate))
+    forces = dataclasses.replace(sys.ld.forces,
+                                 evaluate=counted("G", sys.ld.forces.evaluate))
+    return dataclasses.replace(
+        sys, ld=LDField(pi, forces), hamiltonian=ham,
+        constraint_jacobian=counted("J", sys.constraint_jacobian)), counts
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys, x: simulate(sys, x, IntegratorConfig(dt=1e-3, t_end=0.0)),
+    multipliers, rhs], ids=["simulate", "multipliers", "rhs"])
+def test_set_up_evaluates_each_callable_once(call):
+    sys, counts = counting_callables(damped_particle())
+    call(sys, np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5]))
+    assert counts == {"grad H": 1, "Pi": 1, "G": 1, "J": 1}
 
 
 def test_multipliers_reject_state_off_the_constraint_surface():

@@ -68,6 +68,18 @@ def test_scalar_field_rejects_a_value_that_is_not_a_scalar(value):
         f(np.array([1.0, 2.0]))
 
 
+def test_finite_difference_gradient_rejects_a_value_that_is_not_a_scalar():
+    f = ScalarField(2, value=lambda x: x.copy())
+    with pytest.raises(InputError, match="scalar field"):
+        f.grad(np.ones(2))
+
+
+def test_check_gradient_rejects_a_value_that_is_not_a_scalar():
+    f = ScalarField(2, value=lambda x: x.copy(), gradient=lambda x: x.copy())
+    with pytest.raises(InputError, match="scalar field"):
+        f.check_gradient([np.ones(2)])
+
+
 def test_tensor_field_validates_shape_and_finiteness():
     bad_shape = TensorField(2, evaluate=lambda x: np.zeros((2, 3)))
     with pytest.raises(InputError):

@@ -377,3 +377,63 @@ def test_parts_have_orthonormal_bases_at_a_coarse_rank_tolerance(part):
            else ABRep(small, np.eye(2)))
     meet = part(from_ab(rep, coarse), coarse)
     assert meet.equals(span([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_zero_map_backward_pair_on_a_full_carrier_is_the_covector_factor(n):
+    # L = V*: its vector half is pure roundoff, which a cutoff relative to
+    # that half's own top singular value would count as rank
+    carrier = Subspace.from_spanning(
+        np.random.default_rng(n).standard_normal((n, n)))
+    ld = from_pair(PairRep("backward", carrier, np.zeros((n, n))))
+    assert cotangent_part(ld).dim == n
+    assert tangent_part(ld).dim == 0
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60)
+def test_carrier_and_meet_split_the_dimension(seed):
+    # forward: E = proj_V L and L ∩ V* = ann E; backward: F = proj_V* L and
+    # L ∩ V = ann F
+    ld, _ = random_structure(np.random.default_rng(seed))
+    if ld.flags.forward:
+        assert (to_pair(ld, "forward").carrier.dim
+                + cotangent_part(ld).dim == ld.n)
+    if ld.flags.backward:
+        assert (to_pair(ld, "backward").carrier.dim
+                + tangent_part(ld).dim == ld.n)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60)
+def test_to_pair_operator_matches_a_pseudo_inverse_reference(seed):
+    # with range half R and other half O of L's basis, the carrier map is
+    # O R^+ compressed to range(R); R^+ cuts singular values at rank_eps
+    # in absolute terms, as a block of a unit-scale basis
+    ld, _ = random_structure(np.random.default_rng(seed))
+    n = ld.n
+    qv, qeta = ld.space.basis[:n], ld.space.basis[n:]
+    for orientation, r, o in (("forward", qv, qeta), ("backward", qeta, qv)):
+        if not getattr(ld.flags, orientation):
+            continue
+        top = np.linalg.svd(r, compute_uv=False)[0]
+        pinv = (np.linalg.pinv(r, rcond=1e-9 / top) if top > 1e-9
+                else np.zeros((n, n)))
+        reference = r @ pinv @ o @ pinv
+        operator = extended_map(to_pair(ld, orientation))
+        scale = max(1.0, float(np.abs(operator).max()))
+        assert np.abs(operator - reference).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_parts_accept_a_basis_with_norms_off_by_the_subspace_leniency(k):
+    # Subspace accepts column norms off by a few 1e-6 (allclose's rtol);
+    # the meets must still come out as orthonormal bases
+    rng = np.random.default_rng(k)
+    n = 3
+    basis = sum_with_annihilator(random_orthonormal(rng, n, k)).basis
+    basis = basis @ random_orthonormal(rng, n, n)
+    basis = basis * np.array([1.0 + 4e-6, 1.0 - 4e-6, 1.0 + 4e-6])
+    ld = from_subspace(Subspace(2 * n, basis))
+    assert tangent_part(ld).dim == k
+    assert cotangent_part(ld).dim == n - k
