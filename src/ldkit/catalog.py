@@ -159,6 +159,12 @@ def damped_mechanical(damping: TensorField,
     return DIHSystem(n, ld, hamiltonian)
 
 
+def _frozen_pi(system: DIHSystem) -> DIHSystem:
+    """The system with its constant Pi built once instead of per call."""
+    pi = TensorField.constant(system.ld.pi.evaluate(np.zeros(system.n)))
+    return replace(system, ld=LDField(pi, system.ld.forces))
+
+
 def _as_friction_entries(mu) -> list[Callable[[np.ndarray], float]]:
     entries = []
     for item in mu:
@@ -213,9 +219,8 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
         return jac
 
     if not any(callable(item) for item in mu):
-        # constant friction makes Pi constant: build it once, not per call
-        pi = TensorField.constant(system.ld.pi.evaluate(np.zeros(6)))
-        system = replace(system, ld=LDField(pi, system.ld.forces))
+        # constant friction makes Pi constant
+        system = _frozen_pi(system)
     return replace(system, constraint_jacobian=constraint_jacobian)
 
 
@@ -248,7 +253,7 @@ def _build_harmonic(omega: float = 1.0) -> DIHSystem:
     )
     poisson = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     zero_metric = TensorField.constant(np.zeros((2, 2)))
-    return metriplectic_system(poisson, zero_metric, h)
+    return _frozen_pi(metriplectic_system(poisson, zero_metric, h))
 
 
 def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
@@ -258,7 +263,7 @@ def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
         value=lambda x: 0.5 * float(x[0] * x[0] + x[1] * x[1]),
         gradient=lambda x: x.copy(),
     )
-    return gradient_system(metric, entropy)
+    return _frozen_pi(gradient_system(metric, entropy))
 
 
 def _build_damped_oscillator(mu: float = 0.5) -> DIHSystem:
@@ -269,7 +274,7 @@ def _build_damped_oscillator(mu: float = 0.5) -> DIHSystem:
     )
     poisson = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     metric = TensorField.constant(np.diag([0.0, float(mu)]))
-    return metriplectic_system(poisson, metric, h)
+    return _frozen_pi(metriplectic_system(poisson, metric, h))
 
 
 def _build_damped_particle(mu1: float = 1.0, mu2: float = 1.0,

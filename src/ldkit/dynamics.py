@@ -106,6 +106,8 @@ class IntegratorConfig:
             raise InputError("dt must be positive and finite")
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise InputError("t_end must be nonnegative and finite")
+        if not math.isfinite(self.t_end / self.dt):
+            raise InputError("t_end / dt overflows: too many steps dt")
         if abs(self.t_end / self.dt - self.steps) > 1e-9:
             raise InputError(f"t_end must be a whole number of steps dt; the "
                              f"nearest is {self.steps * self.dt:.12g}")
@@ -194,7 +196,7 @@ class _ProjectionFailed(Exception):
 
 class _Compiled:
     """Raw closures for the hot loop; :attr:`start` holds the one checked
-    evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|.
+    evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|, H.
 
     A callable may still go bad mid-run.  The hot loop then checks the
     shapes where results meet, at little cost: grad H and Pi in
@@ -216,7 +218,7 @@ class _Compiled:
         self.residual_shape = (sys.k,)
         x0 = as_vector(x0, sys.n, "state")
         ham = sys.hamiltonian
-        ham(x0)
+        h0 = ham(x0)
         grad0, pi0, g0 = ham.grad(x0), sys.ld.pi(x0), sys.ld.forces(x0)
         resid0 = float(np.abs(g0.T @ grad0).max(initial=0.0))
         if resid0 > projection_tol:
@@ -227,7 +229,7 @@ class _Compiled:
         self.jac = sys.constraint_jacobian if self.k else None
         jac0 = None if self.jac is None else _checked(
             self.jac(x0), (self.k, self.n), "constraint Jacobian", x0)
-        self.start = (x0, grad0, g0, pi0, jac0, resid0)
+        self.start = (x0, grad0, g0, pi0, jac0, resid0, h0)
         value = ham.value
 
         def hval(x: np.ndarray) -> float:
@@ -322,7 +324,7 @@ def multipliers(sys: DIHSystem, x,
     c = _Compiled(sys, x, projection_tol)
     if c.k == 0:
         return np.zeros(0), 0.0
-    point, grad, g, pi, jac, _ = c.start
+    point, grad, g, pi, jac = c.start[:5]
     return _lambda_at(c, point, g, pi @ grad, jac, projection_tol)
 
 
@@ -427,10 +429,10 @@ class _Recorder:
         self.rates: list[float] = []
 
     def record(self, t: float, x: np.ndarray, grad: np.ndarray,
-               pi: np.ndarray, lam: np.ndarray, resid: float) -> None:
+               pi: np.ndarray, lam: np.ndarray, resid: float,
+               energy: float) -> None:
         # evaluate before appending: a failure leaves no half-written row
         sym = 0.5 * (pi + pi.T)
-        energy = self.c.hval(x)
         rate = float(grad @ (sym @ grad))
         self.times.append(t)
         self.states.append(x)
@@ -467,9 +469,9 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     def f(y: np.ndarray) -> np.ndarray:
         return _rhs_raw(c, y, projection_tol)
 
-    x, grad, g, pi, jac, resid = c.start
+    x, grad, g, pi, jac, resid, h0 = c.start
     pi, lam, fx = _terms(c, x, grad, g, pi, jac, projection_tol)
-    rec.record(0.0, x, grad, pi, lam, resid)
+    rec.record(0.0, x, grad, pi, lam, resid, h0)
     h = dt / substeps
     for i in range(1, config.steps + 1):
         t_prev = (i - 1) * dt
@@ -482,7 +484,7 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 jac = None if c.jac is None else c.jac(x)
                 pi, lam, fx = _terms(c, x, grad, g, c.pi(x), jac,
                                      projection_tol)
-            rec.record(i * dt, x, grad, pi, lam, resid)
+            rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
         except (_ProjectionFailed, LDKitError, FloatingPointError,
                 ValueError) as exc:
             # a user callable that passed the up-front checks but returns a

@@ -11,7 +11,6 @@ written with 17 significant digits so both formats round-trip exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
@@ -150,15 +149,16 @@ def _csv_header(n: int, k: int) -> list[str]:
 
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     """Write the fixed-layout trajectory CSV."""
-    n, k = trajectory.n, trajectory.k
+    block = np.column_stack([
+        trajectory.times, trajectory.states, trajectory.multipliers,
+        trajectory.residuals, trajectory.energies, trajectory.energy_rates])
+    # the spreadsheet ("excel") CSV dialect: CRLF line ends; no number
+    # needs quoting
+    row = ",".join(["%.17g"] * block.shape[1]) + "\r\n"
+    text = "".join([row % tuple(values) for values in block.tolist()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(n, k))
-        for i in range(trajectory.times.shape[0]):
-            row = [trajectory.times[i], *trajectory.states[i],
-                   *trajectory.multipliers[i], trajectory.residuals[i],
-                   trajectory.energies[i], trajectory.energy_rates[i]]
-            writer.writerow(f"{float(v):.17g}" for v in row)
+        fh.write(",".join(_csv_header(trajectory.n, trajectory.k)) + "\r\n"
+                 + text)
 
 
 def write_trajectory_json(trajectory: Trajectory, path: str) -> None:
@@ -172,9 +172,9 @@ def write_trajectory_json(trajectory: Trajectory, path: str) -> None:
         "energies": trajectory.energies.tolist(),
         "energy_rates": trajectory.energy_rates.tolist(),
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _trajectory_from_arrays(times, states, multipliers, residuals, energies,
@@ -208,14 +208,15 @@ def _trajectory_from_arrays(times, states, multipliers, residuals, energies,
 
 def _read_trajectory_csv(path: str) -> Trajectory:
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row]
-    if not rows:
+    lines = [(lineno, line) for lineno, line
+             in enumerate(text.split("\n"), start=1) if line]
+    if not lines:
         raise SpecFormatError(f"{path}: empty trajectory file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in lines[0][1].split(",")]
     if (len(header) < 4 or header[0] != "t"
             or header[-3:] != ["constraint_residual", "H", "bracket_HH"]):
         raise SpecFormatError(
@@ -228,20 +229,27 @@ def _read_trajectory_csv(path: str) -> Trajectory:
         raise SpecFormatError(
             f"{path}: not a trajectory CSV (unexpected state/multiplier "
             f"columns)")
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise SpecFormatError(
-                f"{path}: line {lineno} has {len(row)} fields, expected "
-                f"{len(header)}")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise SpecFormatError(
-                f"{path}: line {lineno} has non-numeric data") from exc
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[0] == 0:
+    body = lines[1:]
+    if not body:
         raise SpecFormatError(f"{path}: trajectory has no samples")
+    width = len(header)
+    for lineno, line in body:
+        if line.count(",") != width - 1:
+            raise SpecFormatError(
+                f"{path}: line {lineno} has {line.count(',') + 1} fields, "
+                f"expected {width}")
+    try:
+        arr = np.array(",".join([line for _, line in body]).split(","),
+                       dtype=float).reshape(len(body), width)
+    except ValueError:
+        # name the first line that the same parser rejects
+        for lineno, line in body:
+            try:
+                np.array(line.split(","), dtype=float)
+            except ValueError as exc:
+                raise SpecFormatError(
+                    f"{path}: line {lineno} has non-numeric data") from exc
+        raise
     return _trajectory_from_arrays(
         arr[:, 0], arr[:, 1:1 + n], arr[:, 1 + n:1 + n + k],
         arr[:, 1 + n + k], arr[:, 2 + n + k], arr[:, 3 + n + k], path)

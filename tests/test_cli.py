@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import ldkit
@@ -211,6 +212,38 @@ def test_simulate_unknown_system_exits_spec_error(tmp_path, capsys):
                        str(tmp_path / "t.csv"))
     assert code == EXIT_SPEC
     assert "known systems" in err
+
+
+@pytest.mark.parametrize("dt,t_end", [("1e-300", "1e300"), ("5e-324", "1")])
+def test_simulate_overflowing_step_count_exits_spec_error(tmp_path, capsys,
+                                                          dt, t_end):
+    spec = write_json(tmp_path, "run.json", {
+        "name": "harmonic_oscillator", "initial_state": []})
+    out_path = tmp_path / "t.csv"
+    code, _, err = run(capsys, "simulate", spec, "--dt", dt, "--t-end", t_end,
+                       "--output", str(out_path))
+    assert code == EXIT_SPEC
+    assert "overflows" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", sorted(ldkit.CATALOG))
+def test_simulate_csv_and_json_read_back_equal_and_audit(tmp_path, capsys,
+                                                         name):
+    spec = write_json(tmp_path, "run.json", {"name": name,
+                                             "initial_state": []})
+    back = {}
+    for fmt in ("csv", "json"):
+        out_path = str(tmp_path / f"traj.{fmt}")
+        assert run(capsys, "simulate", spec, "--t-end", "0.5", "--format",
+                   fmt, "--output", out_path)[0] == EXIT_OK
+        assert run(capsys, "audit", out_path)[0] == EXIT_OK
+        back[fmt] = read_trajectory(out_path)
+    assert back["csv"].times.shape == (501,)
+    for field in ("times", "states", "multipliers", "residuals", "energies",
+                  "energy_rates"):
+        assert np.array_equal(getattr(back["csv"], field),
+                              getattr(back["json"], field)), field
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -86,6 +86,12 @@ def test_integrator_config_needs_a_whole_number_of_steps():
         IntegratorConfig(dt=0.3, t_end=1.0)
 
 
+@pytest.mark.parametrize("dt,t_end", [(1e-300, 1e300), (5e-324, 1.0)])
+def test_integrator_config_rejects_an_overflowing_step_count(dt, t_end):
+    with pytest.raises(InputError, match="overflows"):
+        IntegratorConfig(dt=dt, t_end=t_end)
+
+
 # ---------------------------------------------------------------------------
 # multipliers
 
@@ -183,8 +189,9 @@ def test_finite_difference_simulate_costs_at_most_20_g_evaluations_per_step():
 
 
 def counting_callables(sys: DIHSystem):
-    """``sys`` with grad H, Pi, G and J wrapped; returns (system, counts)."""
-    counts = dict.fromkeys(("grad H", "Pi", "G", "J"), 0)
+    """``sys`` with H, grad H, Pi, G and J wrapped; returns (system,
+    counts)."""
+    counts = dict.fromkeys(("H", "grad H", "Pi", "G", "J"), 0)
 
     def counted(name, fn):
         def wrapper(x):
@@ -193,7 +200,8 @@ def counting_callables(sys: DIHSystem):
         return wrapper
 
     ham = dataclasses.replace(
-        sys.hamiltonian, gradient=counted("grad H", sys.hamiltonian.gradient))
+        sys.hamiltonian, value=counted("H", sys.hamiltonian.value),
+        gradient=counted("grad H", sys.hamiltonian.gradient))
     pi = dataclasses.replace(sys.ld.pi, evaluate=counted("Pi", sys.ld.pi.evaluate))
     forces = dataclasses.replace(sys.ld.forces,
                                  evaluate=counted("G", sys.ld.forces.evaluate))
@@ -208,7 +216,15 @@ def counting_callables(sys: DIHSystem):
 def test_set_up_evaluates_each_callable_once(call):
     sys, counts = counting_callables(damped_particle())
     call(sys, np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5]))
-    assert counts == {"grad H": 1, "Pi": 1, "G": 1, "J": 1}
+    assert counts == {"H": 1, "grad H": 1, "Pi": 1, "G": 1, "J": 1}
+
+
+def test_simulate_reads_h_once_per_recorded_sample():
+    sys, counts = counting_callables(damped_particle())
+    traj = simulate(sys, np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5]),
+                    IntegratorConfig(dt=1e-3, t_end=5e-3))
+    assert traj.times.shape == (6,)
+    assert counts["H"] == 6
 
 
 def test_multipliers_reject_state_off_the_constraint_surface():

@@ -1,13 +1,16 @@
 """Round-trip and rejection tests for the file formats."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from _gen import subspace_residual
-from ldkit.catalog import damped_particle
-from ldkit.dynamics import IntegratorConfig, simulate
+from ldkit.catalog import CATALOG, SystemSpec, build_system, damped_particle
+from ldkit.dynamics import IntegratorConfig, Trajectory, simulate
 from ldkit.errors import (DegenerateRepresentationError, NotLDStructureError,
                           SpecFormatError)
 from ldkit.io import (SCHEMA_VERSION, load_structure_spec, load_system_spec,
@@ -16,6 +19,8 @@ from ldkit.io import (SCHEMA_VERSION, load_structure_spec, load_system_spec,
 from ldkit.linear import ABRep, classify, from_ab
 
 POISSON = [[0.0, 1.0], [-1.0, 0.0]]
+FIELDS = ("times", "states", "multipliers", "residuals", "energies",
+          "energy_rates")
 
 
 def dump(path, doc):
@@ -36,6 +41,37 @@ def trajectories_equal(a, b):
             and np.array_equal(a.residuals, b.residuals)
             and np.array_equal(a.energies, b.energies)
             and np.array_equal(a.energy_rates, b.energy_rates))
+
+
+def reference_csv(trajectory, path):
+    """The row-by-row csv.writer CSV writer that the block writer replaced."""
+    n, k = trajectory.n, trajectory.k
+    header = (["t"] + [f"x{i}" for i in range(1, n + 1)]
+              + [f"lambda{i}" for i in range(1, k + 1)]
+              + ["constraint_residual", "H", "bracket_HH"])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(trajectory.times.shape[0]):
+            row = [trajectory.times[i], *trajectory.states[i],
+                   *trajectory.multipliers[i], trajectory.residuals[i],
+                   trajectory.energies[i], trajectory.energy_rates[i]]
+            writer.writerow(f"{float(v):.17g}" for v in row)
+
+
+def reference_json(trajectory, path):
+    """The streaming json.dump JSON writer that json.dumps replaced."""
+    doc = {"schema_version": SCHEMA_VERSION}
+    for name in FIELDS:
+        doc[name] = getattr(trajectory, name).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+def written_bytes(writer, trajectory, path):
+    writer(trajectory, str(path))
+    return path.read_bytes()
 
 
 # -- structure specs --------------------------------------------------------
@@ -260,6 +296,45 @@ def test_trajectory_csv_header_without_multipliers(tmp_path):
     assert trajectories_equal(back, traj)
 
 
+@pytest.mark.parametrize("t_end", [0.0, 0.5], ids=["1 row", "51 rows"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_trajectory_files_match_the_reference_writers_byte_for_byte(
+        tmp_path, name, t_end):
+    sys, x0 = build_system(SystemSpec(name=name))
+    traj = simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=t_end))
+    for writer, reference, ext in (
+            (write_trajectory_csv, reference_csv, "csv"),
+            (write_trajectory_json, reference_json, "json")):
+        assert (written_bytes(writer, traj, tmp_path / f"a.{ext}")
+                == written_bytes(reference, traj, tmp_path / f"b.{ext}"))
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=4 * 9, max_size=4 * 9))
+@example(2, 1, 1, [-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308,
+                   -4.9e-324, 0.1, 1 / 3, 1e-300] * 4)
+def test_trajectory_files_round_trip_every_finite_float(
+        tmp_path_factory, m, n, k, values):
+    block = np.array(values[:m * (n + k + 4)]).reshape(m, n + k + 4)
+    traj = Trajectory(times=block[:, 0], states=block[:, 1:1 + n],
+                      multipliers=block[:, 1 + n:1 + n + k],
+                      residuals=block[:, -3], energies=block[:, -2],
+                      energy_rates=block[:, -1])
+    folder = tmp_path_factory.mktemp("round_trip")
+    for writer, reference, ext in (
+            (write_trajectory_csv, reference_csv, "csv"),
+            (write_trajectory_json, reference_json, "json")):
+        path = folder / f"a.{ext}"
+        assert (written_bytes(writer, traj, path)
+                == written_bytes(reference, traj, folder / f"b.{ext}"))
+        back = read_trajectory(str(path))
+        # bytes, not array_equal, which takes -0.0 for 0.0
+        for name in FIELDS:
+            assert (getattr(back, name).tobytes()
+                    == getattr(traj, name).tobytes()), name
+
+
 def test_trajectory_json_round_trips_exactly(tmp_path):
     traj = particle_trajectory()
     path = str(tmp_path / "traj.json")
@@ -299,7 +374,8 @@ def test_read_trajectory_rejects_short_row_with_line_number(tmp_path):
     path.write_text("t,x1,constraint_residual,H,bracket_HH\n"
                     "0.0,1.0,0.0,0.5,0.0\n"
                     "0.1,1.0,0.0\n", encoding="utf-8")
-    with pytest.raises(SpecFormatError, match="line 3"):
+    with pytest.raises(SpecFormatError,
+                       match="line 3 has 3 fields, expected 5$"):
         read_trajectory(str(path))
 
 
@@ -311,16 +387,49 @@ def test_read_trajectory_rejects_non_numeric_cell(tmp_path):
         read_trajectory(str(path))
 
 
+HEADER = "t,x1,constraint_residual,H,bracket_HH"
+ROWS = ["0,1,0,0.5,0", "0.5,0.25,1e-17,0.03125,-0.0625"]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_read_trajectory_csv_reads_either_line_end_and_skips_blank_lines(
+        tmp_path, eol):
+    path = tmp_path / "t.csv"
+    path.write_text(eol.join([HEADER, "", ROWS[0], "", "", ROWS[1], ""]),
+                    encoding="utf-8", newline="")
+    traj = read_trajectory(str(path))
+    assert traj.times.tolist() == [0.0, 0.5]
+    assert traj.states.tolist() == [[1.0], [0.25]]
+    assert traj.residuals.tolist() == [0.0, 1e-17]
+    assert traj.energy_rates.tolist() == [0.0, -0.0625]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("bad,message", [
+    ("0.1,1.0,0.0", "line 5 has 3 fields, expected 5$"),
+    ("0.1,1.0,0.0,0.5,0.0,7", "line 5 has 6 fields, expected 5$"),
+    ("0.1,1.0,,0.5,0.0", "line 5 has non-numeric data$"),
+    ("0.1,1.0,0.0,0.5,zero", "line 5 has non-numeric data$")])
+def test_read_trajectory_csv_names_the_file_line_of_a_bad_row(
+        tmp_path, eol, bad, message):
+    path = tmp_path / "t.csv"
+    # blank lines count: the message names the line as an editor shows it
+    path.write_text(eol.join([HEADER, ROWS[0], "", ROWS[1], bad, ROWS[1]]),
+                    encoding="utf-8", newline="")
+    with pytest.raises(SpecFormatError, match=message):
+        read_trajectory(str(path))
+
+
 def test_read_trajectory_rejects_empty_and_headerless_files(tmp_path):
     empty = tmp_path / "e.csv"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(SpecFormatError, match="empty"):
         read_trajectory(str(empty))
-    header_only = tmp_path / "h.csv"
-    header_only.write_text("t,x1,constraint_residual,H,bracket_HH\n",
-                           encoding="utf-8")
-    with pytest.raises(SpecFormatError, match="no samples"):
-        read_trajectory(str(header_only))
+    for text in (HEADER + "\n", HEADER, HEADER + "\r\n\r\n"):
+        header_only = tmp_path / "h.csv"
+        header_only.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(SpecFormatError, match="no samples"):
+            read_trajectory(str(header_only))
 
 
 def test_trajectory_json_rejects_missing_fields(tmp_path):
