@@ -44,7 +44,7 @@ def _checked(value, shape: tuple, label: str, point) -> np.ndarray:
     if arr.shape != shape:
         raise InputError(
             f"{label} returned shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{label} has non-finite entries at {point}")
     return arr
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import SystemSpec
 from .dynamics import Trajectory
-from .errors import SpecFormatError
+from .errors import InputError, SpecFormatError
 from .linear import ABRep, LinearLD, PairRep, from_ab, from_pair
 from .subspaces import DEFAULT_TOLERANCE, Subspace, Tolerance
 
@@ -67,7 +67,7 @@ def _matrix_from(doc: dict, key: str, path: str) -> np.ndarray:
     if arr.ndim != 2:
         raise SpecFormatError(
             f"{path}: field {key!r} must be a nested (row-major) array")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise SpecFormatError(f"{path}: field {key!r} has non-finite entries")
     return arr
 
@@ -77,10 +77,10 @@ def load_structure_spec(path: str,
     """Load and build a linear structure from a spec file.
 
     ``kind: "ab"`` requires n×n fields "a" and "b"; ``kind: "pair"`` requires
-    "orientation", a "carrier" whose rows are orthonormal vectors in R^n, and
-    a k×k "map" in those carrier coordinates.  Parse and shape problems raise
-    SpecFormatError; degenerate pairs and non-LD subspaces raise their own
-    library errors.
+    "orientation", a "carrier" whose rows are orthonormal vectors in R^n (by
+    the rule of :class:`Subspace`), and a k×k "map" in those carrier
+    coordinates.  Parse and shape problems raise SpecFormatError; degenerate
+    pairs and non-LD subspaces raise their own library errors.
     """
     doc = _load_json(path)
     n = doc.get("n")
@@ -104,17 +104,16 @@ def load_structure_spec(path: str,
             raise SpecFormatError(
                 f"{path}: carrier vectors must have length n = {n}")
         k = carrier_rows.shape[0]
-        basis = carrier_rows.T if k else np.zeros((n, 0))
-        if k:
-            gram = basis.T @ basis
-            if not np.allclose(gram, np.eye(k), atol=1e-8):
-                raise SpecFormatError(
-                    f"{path}: carrier vectors must be orthonormal")
+        try:
+            carrier = Subspace(n, carrier_rows.T if k else np.zeros((n, 0)))
+        except InputError as exc:
+            raise SpecFormatError(
+                f"{path}: carrier vectors must be orthonormal") from exc
         mapping = _matrix_from(doc, "map", path)
         if mapping.shape != (k, k):
             raise SpecFormatError(
                 f"{path}: 'map' must be {k}x{k} for {k} carrier vectors")
-        return from_pair(PairRep(orientation, Subspace(n, basis), mapping), tol)
+        return from_pair(PairRep(orientation, carrier, mapping), tol)
     raise SpecFormatError(f"{path}: field 'kind' must be 'ab' or 'pair'")
 
 

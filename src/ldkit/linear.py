@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (DegenerateRepresentationError, InputError,
                      NotLDStructureError, OrientationError, PreconditionError)
-from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, annihilator,
-                        as_matrix, numerical_rank, orthonormal_columns)
+from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix,
+                        complement_columns, numerical_rank,
+                        orthonormal_columns)
 
 __all__ = [
     "LDFlags",
@@ -270,7 +271,7 @@ def from_pair(rep: PairRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     n = rep.carrier.ambient_dim
     k = rep.carrier.dim
     qc = rep.carrier.basis
-    qa = annihilator(rep.carrier).basis
+    qa = complement_columns(qc, k)
     mapped = qc @ rep.matrix
     if rep.orientation == "forward":
         top = np.hstack([qc, np.zeros((n, n - k))])
@@ -333,12 +334,10 @@ def split_pairing(l: LinearLD, orientation: Orientation,
     qc = rep.carrier.basis
     extended = qc @ rep.matrix @ qc.T
     sym = 0.5 * (extended + extended.T)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    if orientation == "forward":
-        gram = np.block([[-2.0 * sym, eye], [eye, zero]])
-    else:
-        gram = np.block([[zero, eye], [eye, -2.0 * sym]])
+    gram = np.zeros((2 * n, 2 * n))
+    gram[:n, n:] = gram[n:, :n] = np.eye(n)
+    half = slice(None, n) if orientation == "forward" else slice(n, None)
+    gram[half, half] = -2.0 * sym
     eigs = np.linalg.eigvalsh(gram)
     cutoff = tol.rank_eps * float(np.abs(eigs).max())
     pos = int(np.count_nonzero(eigs > cutoff))

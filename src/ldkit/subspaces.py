@@ -51,7 +51,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
     return arr
 
@@ -61,7 +61,7 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise InputError(f"{name} must have length {dim}, got {arr.shape[0]}")
@@ -127,6 +127,8 @@ class Subspace:
     Attributes:
         ambient_dim: the m of the ambient R^m.
         basis: (m, k) matrix with orthonormal columns; k = dim of subspace.
+            Every entry of basisᵀ basis - I must be at most 1e-8 in
+            absolute value; there is no relative allowance.
     """
 
     ambient_dim: int
@@ -144,7 +146,8 @@ class Subspace:
             raise InputError("basis has more columns than the ambient dimension")
         if b.shape[1]:
             gram = b.T @ b
-            if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-8):
+            gram.flat[::b.shape[1] + 1] -= 1.0
+            if not np.abs(gram).max() <= 1e-8:
                 raise InputError("basis columns are not orthonormal")
         b = b.copy()
         b.setflags(write=False)

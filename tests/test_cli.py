@@ -89,6 +89,16 @@ def test_verify_non_ld_subspace_exits_not_ld(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_carrier_off_orthonormal_exits_spec_error(tmp_path, capsys):
+    spec = write_json(tmp_path, "s.json", {
+        "kind": "pair", "n": 2, "orientation": "forward",
+        "carrier": [[1.0 + 4e-6, 0.0], [0.0, 1.0 - 4e-6]],
+        "map": [[0.0, 1.0], [-1.0, 0.0]]})
+    code, _, err = run(capsys, "verify", spec)
+    assert code == EXIT_SPEC
+    assert "carrier vectors must be orthonormal" in err
+
+
 def test_verify_parse_failure_exits_spec_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def test_structure_spec_rejects_non_orthonormal_carrier(tmp_path):
         "kind": "pair", "n": 2, "orientation": "forward",
         "carrier": [[1.0, 1.0]], "map": [[0.0]]})
     with pytest.raises(SpecFormatError, match="orthonormal"):
+        load_structure_spec(path)
+
+
+def test_structure_spec_carrier_meets_the_subspace_orthonormality_bound(
+        tmp_path):
+    # row norms off by 4e-6 put Gram entries 8e-6 off the identity
+    path = dump(tmp_path / "s.json", {
+        "kind": "pair", "n": 2, "orientation": "forward",
+        "carrier": [[1.0 + 4e-6, 0.0], [0.0, 1.0 - 4e-6]],
+        "map": POISSON})
+    message = f"{path}: carrier vectors must be orthonormal"
+    with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
         load_structure_spec(path)
 
 

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import (planted_rank, random_dirac, random_map, random_orthonormal,
-                  random_structure, random_subspace, subspace_residual,
-                  sum_with_annihilator)
+from _gen import (planted_rank, random_dirac, random_map, random_structure,
+                  random_subspace, subspace_residual, sum_with_annihilator)
 from ldkit import (ABRep, DegenerateRepresentationError, InputError,
                    NotLDStructureError, OrientationError, PairRep,
                    PreconditionError, Subspace, Tolerance,
@@ -425,15 +424,55 @@ def test_to_pair_operator_matches_a_pseudo_inverse_reference(seed):
         assert np.abs(operator - reference).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_parts_accept_a_basis_with_norms_off_by_the_subspace_leniency(k):
-    # Subspace accepts column norms off by a few 1e-6 (allclose's rtol);
-    # the meets must still come out as orthonormal bases
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60)
+def test_split_pairing_gram_equals_a_block_assembled_reference(seed):
+    ld, _ = random_structure(np.random.default_rng(seed))
+    eye, zero = np.eye(ld.n), np.zeros((ld.n, ld.n))
+    for orientation in ("forward", "backward"):
+        if not getattr(ld.flags, orientation):
+            continue
+        extended = extended_map(to_pair(ld, orientation))
+        psi = -2.0 * (0.5 * (extended + extended.T))
+        reference = (np.block([[psi, eye], [eye, zero]])
+                     if orientation == "forward"
+                     else np.block([[zero, eye], [eye, psi]]))
+        assert np.array_equal(split_pairing(ld, orientation).gram, reference)
+
+
+# ---------------------------------------------------------------------------
+# SVD budget: a routine that grows an SVD fails here, not in a benchmark run
+
+
+def svd_count(monkeypatch, routine, *args):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*a, **kw):
+        calls.append(None)
+        return svd(*a, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        routine(*args)
+    return len(calls)
+
+
+@pytest.mark.parametrize("orientation", ["forward", "backward"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_svd_budget_of_the_linear_routines(monkeypatch, orientation, k):
     rng = np.random.default_rng(k)
-    n = 3
-    basis = sum_with_annihilator(random_orthonormal(rng, n, k)).basis
-    basis = basis @ random_orthonormal(rng, n, n)
-    basis = basis * np.array([1.0 + 4e-6, 1.0 - 4e-6, 1.0 + 4e-6])
-    ld = from_subspace(Subspace(2 * n, basis))
-    assert tangent_part(ld).dim == k
-    assert cotangent_part(ld).dim == n - k
+    n = 4
+    pair = PairRep(orientation, random_subspace(rng, n, k),
+                   random_map(rng, k, "generic"))
+    ab = ABRep(np.eye(n), random_map(rng, n, "generic"))
+    ld = from_pair(pair)
+    # to_pair: one SVD of the range half gives carrier and map
+    assert svd_count(monkeypatch, to_pair, ld, orientation) == 1
+    # classification: one SVD per half, for the two meets
+    assert svd_count(monkeypatch, classification_residuals, ld.space) == 2
+    # from_ab: orthonormalize the spanning set, then classify
+    assert svd_count(monkeypatch, from_ab, ab) == 1 + 2
+    # from_pair with 0 < k < n: complement of the carrier, orthonormalize,
+    # classify
+    assert svd_count(monkeypatch, from_pair, pair) == 1 + 1 + 2

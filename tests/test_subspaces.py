@@ -37,6 +37,31 @@ def test_subspace_rejects_non_orthonormal_basis():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("basis", [
+    np.diag([1.0 + 4e-6, 1.0]),            # Gram diagonal entry 1 + 8e-6
+    np.array([[1.0, 2e-8], [0.0, 1.0]]),   # off-diagonal Gram entry 2e-8
+], ids=["norm", "angle"])
+def test_subspace_orthonormality_has_no_relative_allowance(basis):
+    with pytest.raises(InputError, match="orthonormal"):
+        Subspace(2, basis)
+
+
+@given(seed=st.integers(0, 10_000), ambient=st.integers(1, 8))
+def test_subspace_accepts_a_basis_within_the_absolute_bound(seed, ambient):
+    # columns moved by at most 3e-9 in norm (so every entry by at most
+    # 3e-9) move each entry of the Gram matrix by at most 6e-9 + 9e-18
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, ambient + 1))
+    basis = random_orthonormal(rng, ambient, dim)
+    push = rng.standard_normal((ambient, dim))
+    push *= 3e-9 * rng.uniform(0.0, 1.0, dim) / np.linalg.norm(push, axis=0)
+    assert Subspace(ambient, basis + push).dim == dim
+    # one column longer by a factor 1 + 1e-8 puts a diagonal entry 2e-8 off
+    basis[:, int(rng.integers(0, dim))] *= 1.0 + 1e-8
+    with pytest.raises(InputError, match="orthonormal"):
+        Subspace(ambient, basis)
+
+
 def test_subspace_rejects_non_finite_entries():
     with pytest.raises(InputError):
         Subspace(2, np.array([[np.nan], [0.0]]))
