@@ -27,11 +27,11 @@ from .linear import (ABRep, LDFlags, LinearLD, PairRep, SplitPairing,
 from .fields import (BracketValue, ConstraintField, LDField, RegularityReport,
                      ScalarField, TensorField, bracket, carrier_at,
                      pointwise, regularity_scan)
-from .dynamics import (DEFAULT_PROJECTION_TOL, ConsistencyReport, DIHSystem,
-                       EnergyAudit, IntegratorConfig, KernelForm, Trajectory,
-                       audit_series, check_consistency, energy_audit,
-                       energy_rate, kernel_form, multipliers, oracle_simulate,
-                       rhs, simulate)
+from .dynamics import (ConsistencyReport, DIHSystem, EnergyAudit,
+                       IntegratorConfig, KernelForm, Trajectory, audit_series,
+                       check_consistency, energy_audit, energy_rate,
+                       kernel_form, multipliers, oracle_simulate, rhs,
+                       simulate)
 from .catalog import (CATALOG, CatalogEntry, SystemSpec, build_system,
                       damped_mechanical, damped_particle, gradient_system,
                       metriplectic_system)
@@ -58,10 +58,10 @@ __all__ = [
     "BracketValue", "RegularityReport", "pointwise", "bracket", "carrier_at",
     "regularity_scan",
     # dynamics
-    "DEFAULT_PROJECTION_TOL", "DIHSystem", "IntegratorConfig", "Trajectory",
-    "ConsistencyReport", "KernelForm", "EnergyAudit", "check_consistency",
-    "multipliers", "rhs", "kernel_form", "energy_rate", "simulate",
-    "oracle_simulate", "energy_audit", "audit_series",
+    "DIHSystem", "IntegratorConfig", "Trajectory", "ConsistencyReport",
+    "KernelForm", "EnergyAudit", "check_consistency", "multipliers", "rhs",
+    "kernel_form", "energy_rate", "simulate", "oracle_simulate",
+    "energy_audit", "audit_series",
     # catalog
     "gradient_system", "metriplectic_system", "damped_mechanical",
     "damped_particle", "SystemSpec", "CATALOG", "CatalogEntry",

@@ -244,16 +244,23 @@ class CatalogEntry:
     description: str
 
 
-def _build_harmonic(omega: float = 1.0) -> DIHSystem:
+def _build_oscillator(omega: float = 1.0, mu: float = 0.0) -> DIHSystem:
+    """Pi = P - diag(0, mu), H = (omega^2 q^2 + p^2) / 2."""
     w2 = float(omega) ** 2
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        g = x.copy()  # scaled in place: a third of np.array([w2 * q, p])
+        g[0] *= w2
+        return g
+
     h = ScalarField(
         2,
         value=lambda x: 0.5 * float(w2 * x[0] * x[0] + x[1] * x[1]),
-        gradient=lambda x: np.array([w2 * x[0], x[1]]),
+        gradient=gradient,
     )
     poisson = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    zero_metric = TensorField.constant(np.zeros((2, 2)))
-    return _frozen_pi(metriplectic_system(poisson, zero_metric, h))
+    metric = TensorField.constant(np.diag([0.0, float(mu)]))
+    return _frozen_pi(metriplectic_system(poisson, metric, h))
 
 
 def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
@@ -266,17 +273,6 @@ def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
     return _frozen_pi(gradient_system(metric, entropy))
 
 
-def _build_damped_oscillator(mu: float = 0.5) -> DIHSystem:
-    h = ScalarField(
-        2,
-        value=lambda x: 0.5 * float(x[0] * x[0] + x[1] * x[1]),
-        gradient=lambda x: x.copy(),
-    )
-    poisson = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    metric = TensorField.constant(np.diag([0.0, float(mu)]))
-    return _frozen_pi(metriplectic_system(poisson, metric, h))
-
-
 def _build_damped_particle(mu1: float = 1.0, mu2: float = 1.0,
                            mu3: float = 1.0) -> DIHSystem:
     return damped_particle((mu1, mu2, mu3))
@@ -284,13 +280,13 @@ def _build_damped_particle(mu1: float = 1.0, mu2: float = 1.0,
 
 CATALOG: dict[str, CatalogEntry] = {
     "harmonic_oscillator": CatalogEntry(
-        _build_harmonic, {"omega": 1.0}, (1.0, 0.0),
+        _build_oscillator, {"omega": 1.0}, (1.0, 0.0),
         "canonical oscillator, conservative (pure Poisson)"),
     "gradient_flow": CatalogEntry(
         _build_gradient_flow, {"g1": 1.0, "g2": 2.0}, (1.0, 1.0),
         "linear gradient descent of the quadratic entropy"),
     "damped_oscillator": CatalogEntry(
-        _build_damped_oscillator, {"mu": 0.5}, (1.0, 0.0),
+        _build_oscillator, {"mu": 0.5}, (1.0, 0.0),
         "metriplectic oscillator with momentum friction"),
     "damped_particle": CatalogEntry(
         _build_damped_particle, {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +30,6 @@ from .subspaces import (DEFAULT_TOLERANCE, Tolerance, as_vector,
                         complement_columns)
 
 __all__ = [
-    "DEFAULT_PROJECTION_TOL",
     "DIHSystem",
     "IntegratorConfig",
     "Trajectory",
@@ -47,7 +47,16 @@ __all__ = [
     "audit_series",
 ]
 
-DEFAULT_PROJECTION_TOL = 1e-10
+# chi_c membership (at set-up, in check_consistency, as the projection's stop)
+# is a max-norm residual |G^T grad H| <= _PROJECTION_TOL, reached in at most
+# _MAX_PROJECTION_ITERS Newton steps along span G; the same value bounds the
+# least-squares residual of a singular multiplier system that counts as solved
+_PROJECTION_TOL = 1e-10
+_MAX_PROJECTION_ITERS = 25
+# the recorder peaks at about 420 B per row for the 2-d harmonic oscillator and
+# 523 B per row for the particle (tracemalloc over 10,001 rows): a run of more
+# than 10^8 steps needs over 40 GB and could only end by exhausting memory
+_MAX_STEPS = 10**8
 
 # audit verdict cutoffs: a rate counts as nonpositive up to round-off, and a
 # per-step energy increase up to the projection scale still counts as
@@ -92,14 +101,12 @@ class IntegratorConfig:
     """Fixed-step run configuration.
 
     The run covers t_end / dt steps of size dt, a whole number to within
-    1e-9; after each step the state is projected along span G(x) until the
-    constraint residual is at most projection_tol.
+    1e-9 and at most 10^8; after each step at most 25 Newton steps along
+    span G(x) bring the max-norm constraint residual to 1e-10 or below.
     """
 
     dt: float
     t_end: float
-    projection_tol: float = DEFAULT_PROJECTION_TOL
-    max_projection_iters: int = 25
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -108,13 +115,12 @@ class IntegratorConfig:
             raise InputError("t_end must be nonnegative and finite")
         if not math.isfinite(self.t_end / self.dt):
             raise InputError("t_end / dt overflows: too many steps dt")
+        if self.steps > _MAX_STEPS:
+            raise InputError(f"t_end / dt = {self.t_end / self.dt:.3g} steps "
+                             f"exceeds the ceiling of {_MAX_STEPS:,} steps")
         if abs(self.t_end / self.dt - self.steps) > 1e-9:
             raise InputError(f"t_end must be a whole number of steps dt; the "
                              f"nearest is {self.steps * self.dt:.12g}")
-        if not (self.projection_tol > 0.0):
-            raise InputError("projection_tol must be positive")
-        if self.max_projection_iters < 1:
-            raise InputError("max_projection_iters must be at least 1")
 
     @property
     def steps(self) -> int:
@@ -153,7 +159,6 @@ class ConsistencyReport:
     point: np.ndarray
     in_chi_c: bool
     residual: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ class _Compiled:
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
                  "vector_shape", "matrix_shape", "residual_shape", "start")
 
-    def __init__(self, sys: DIHSystem, x0, projection_tol: float):
+    def __init__(self, sys: DIHSystem, x0):
         self.n = sys.n
         self.k = sys.k
         self.vector_shape = (sys.n,)
@@ -221,10 +226,11 @@ class _Compiled:
         h0 = ham(x0)
         grad0, pi0, g0 = ham.grad(x0), sys.ld.pi(x0), sys.ld.forces(x0)
         resid0 = float(np.abs(g0.T @ grad0).max(initial=0.0))
-        if resid0 > projection_tol:
+        if resid0 > _PROJECTION_TOL:
             raise ConsistencyError(
                 f"state is not in the consistency set chi_c: constraint "
-                f"residual |G^T grad H| = {resid0:.3e} > {projection_tol:.1e}",
+                f"residual |G^T grad H| = {resid0:.3e} > "
+                f"{_PROJECTION_TOL:.1e}",
                 residual=resid0)
         self.jac = sys.constraint_jacobian if self.k else None
         jac0 = None if self.jac is None else _checked(
@@ -283,7 +289,7 @@ def _malformed(name: str, value: np.ndarray, shape: tuple) -> ValueError:
 
 
 def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
-               pi_grad: np.ndarray, jac, tol: float) -> tuple[np.ndarray, float]:
+               pi_grad: np.ndarray, jac) -> tuple[np.ndarray, float]:
     if jac is not None:
         jac = np.asarray(jac, dtype=float)
         b = -jac.dot(pi_grad)
@@ -293,43 +299,42 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
                                  np.column_stack([g, pi_grad]), c.k)
         b = -jv[:, -1]
         lam, resid = _solve_constraint(jv[:, :-1], b)
-    if resid and resid > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+    if resid and resid > _PROJECTION_TOL * max(
+            1.0, float(np.abs(b).max(initial=0.0))):
         raise DegenerateMultiplierError(
             f"multiplier system is singular and inconsistent (least-squares "
             f"residual {resid:.3e})", ls_residual=resid)
     return lam, resid
 
 
-def check_consistency(sys: DIHSystem, x,
-                      projection_tol: float = DEFAULT_PROJECTION_TOL) -> ConsistencyReport:
-    """Test membership of ``x`` in chi_c = {x : G(x)^T grad H(x) = 0}."""
+def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
+    """Test membership of ``x`` in chi_c = {x : G(x)^T grad H(x) = 0}: the
+    max-norm residual must be at most 1e-10, the bound runs start from."""
     point = as_vector(x, sys.n, "state")
     if sys.k == 0:
-        return ConsistencyReport(point, True, 0.0, projection_tol)
+        return ConsistencyReport(point, True, 0.0)
     g = sys.ld.forces(point)
     grad = sys.hamiltonian.grad(point)
     residual = float(np.abs(g.T @ grad).max(initial=0.0))
-    return ConsistencyReport(point, residual <= projection_tol, residual,
-                             projection_tol)
+    return ConsistencyReport(point, residual <= _PROJECTION_TOL, residual)
 
 
-def multipliers(sys: DIHSystem, x,
-                projection_tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarray, float]:
+def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
     """Constraint multiplier at a consistent state.
 
     Solves (J G) lambda = -J Pi grad H with J the constraint-residual
     Jacobian; a singular system falls back to the min-norm least-squares
     solution and the second return value is its residual.
     """
-    c = _Compiled(sys, x, projection_tol)
+    c = _Compiled(sys, x)
     if c.k == 0:
         return np.zeros(0), 0.0
     point, grad, g, pi, jac = c.start[:5]
-    return _lambda_at(c, point, g, pi @ grad, jac, projection_tol)
+    return _lambda_at(c, point, g, pi @ grad, jac)
 
 
 def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
-           pi, jac, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           pi, jac) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pi, the multiplier and the right-hand side at x, given grad H, G, Pi
     and J there; J None takes J·V as directional differences.
 
@@ -344,21 +349,20 @@ def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
     pi_grad = pi.dot(grad)
     if c.k == 0:
         return pi, np.zeros(0), pi_grad
-    lam, _ = _lambda_at(c, x, g, pi_grad, jac, tol)
+    lam, _ = _lambda_at(c, x, g, pi_grad, jac)
     return pi, lam, pi_grad + g.dot(lam)
 
 
-def _rhs_raw(c: _Compiled, x: np.ndarray, tol: float) -> np.ndarray:
+def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
     grad = np.asarray(c.grad(x), dtype=float)
     return _terms(c, x, grad, np.asarray(c.g(x), dtype=float), c.pi(x),
-                  None if c.jac is None else c.jac(x), tol)[2]
+                  None if c.jac is None else c.jac(x))[2]
 
 
-def rhs(sys: DIHSystem, x,
-        projection_tol: float = DEFAULT_PROJECTION_TOL) -> np.ndarray:
+def rhs(sys: DIHSystem, x) -> np.ndarray:
     """Right-hand side Pi grad H + G lambda at a consistent state."""
-    c = _Compiled(sys, x, projection_tol)
-    return _terms(c, *c.start[:5], projection_tol)[2]
+    c = _Compiled(sys, x)
+    return _terms(c, *c.start[:5])[2]
 
 
 def kernel_form(sys: DIHSystem, x,
@@ -379,16 +383,19 @@ def kernel_form(sys: DIHSystem, x,
     return KernelForm(kmat, lhs, rhs_vec)
 
 
-def energy_rate(sys: DIHSystem, x) -> float:
-    """The bracket value [H, H](x) = grad H^T sym(Pi) grad H."""
-    point = as_vector(x, sys.n, "state")
-    grad = sys.hamiltonian.grad(point)
-    pi = sys.ld.pi(point)
+def _bracket_hh(grad: np.ndarray, pi: np.ndarray) -> float:
+    # through sym(Pi), not grad·(Pi grad): a skew Pi then gives exactly 0.0
     sym = 0.5 * (pi + pi.T)
     return float(grad @ (sym @ grad))
 
 
-def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
+def energy_rate(sys: DIHSystem, x) -> float:
+    """The bracket value [H, H](x) = grad H^T sym(Pi) grad H."""
+    point = as_vector(x, sys.n, "state")
+    return _bracket_hh(sys.hamiltonian.grad(point), sys.ld.pi(point))
+
+
+def _project(c: _Compiled, x: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Newton iteration along span G(x) onto the constraint set.
 
@@ -397,7 +404,7 @@ def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
     """
     if c.k == 0:
         return x, np.asarray(c.grad(x), dtype=float), c.g(x), 0.0
-    for i in range(config.max_projection_iters + 1):
+    for i in range(_MAX_PROJECTION_ITERS + 1):
         g = np.asarray(c.g(x), dtype=float)
         grad = np.asarray(c.grad(x), dtype=float)
         cval = g.T @ grad
@@ -406,9 +413,9 @@ def _project(c: _Compiled, x: np.ndarray, config: IntegratorConfig
                              f"mid-run: residual G^T grad H of shape "
                              f"{cval.shape}, expected {c.residual_shape}")
         worst = float(np.abs(cval).max(initial=0.0))
-        if worst <= config.projection_tol:
+        if worst <= _PROJECTION_TOL:
             return x, grad, g, worst
-        if i == config.max_projection_iters:
+        if i == _MAX_PROJECTION_ITERS:
             raise _ProjectionFailed(worst)
         if c.jac is not None:
             a = np.asarray(c.jac(x), dtype=float) @ g
@@ -432,8 +439,7 @@ class _Recorder:
                pi: np.ndarray, lam: np.ndarray, resid: float,
                energy: float) -> None:
         # evaluate before appending: a failure leaves no half-written row
-        sym = 0.5 * (pi + pi.T)
-        rate = float(grad @ (sym @ grad))
+        rate = _bracket_hh(grad, pi)
         self.times.append(t)
         self.states.append(x)
         self.lams.append(lam)
@@ -462,15 +468,13 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     accepted state is evaluated once: the projection's grad H and G, and
     the right-hand side there, serve both the record and the next step.
     """
-    dt, projection_tol = config.dt, config.projection_tol
-    c = _Compiled(sys, x0, projection_tol)
+    dt = config.dt
+    c = _Compiled(sys, x0)
     rec = _Recorder(c)
-
-    def f(y: np.ndarray) -> np.ndarray:
-        return _rhs_raw(c, y, projection_tol)
+    f = partial(_rhs_raw, c)
 
     x, grad, g, pi, jac, resid, h0 = c.start
-    pi, lam, fx = _terms(c, x, grad, g, pi, jac, projection_tol)
+    pi, lam, fx = _terms(c, x, grad, g, pi, jac)
     rec.record(0.0, x, grad, pi, lam, resid, h0)
     h = dt / substeps
     for i in range(1, config.steps + 1):
@@ -480,10 +484,9 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 x_new = stepper(f, x, fx, h)
                 if not np.isfinite(x_new).all():
                     raise _ProjectionFailed(float("inf"))
-                x, grad, g, resid = _project(c, x_new, config)
+                x, grad, g, resid = _project(c, x_new)
                 jac = None if c.jac is None else c.jac(x)
-                pi, lam, fx = _terms(c, x, grad, g, c.pi(x), jac,
-                                     projection_tol)
+                pi, lam, fx = _terms(c, x, grad, g, c.pi(x), jac)
             rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
         except (_ProjectionFailed, LDKitError, FloatingPointError,
                 ValueError) as exc:
@@ -546,9 +549,9 @@ def oracle_simulate(sys: DIHSystem, x0, dt: float,
     """Independent verification run on the same grid as :func:`simulate`.
 
     Steps with the extrapolated Gragg modified-midpoint map at half the user
-    step (two substeps per grid interval), projects with the
-    :class:`IntegratorConfig` defaults, and records only on the dt grid, so
-    trajectories compare row by row.
+    step (two substeps per grid interval), projects as :func:`simulate` does
+    (residual at most 1e-10 in at most 25 Newton steps), and records only on
+    the dt grid, so trajectories compare row by row.
     """
     return _run(sys, x0, IntegratorConfig(dt=dt, t_end=t_end), _gbs_step,
                 substeps=2)

@@ -33,13 +33,13 @@ def central_gradient(fn: Callable[[np.ndarray], float],
     return grad
 
 
-def central_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                     step: float | None = None) -> np.ndarray:
+def central_jacobian(fn: Callable[[np.ndarray], np.ndarray],
+                     x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function at ``x``.
 
     Returns a (len(fn(x)), len(x)) matrix.
     """
-    h = gradient_step(x) if step is None else step
+    h = gradient_step(x)
     probe = x.astype(float, copy=True)
     cols = []
     for i in range(x.shape[0]):

@@ -1,6 +1,7 @@
 """Public API hygiene: every exported name resolves, appears once, and a
 submodule exports only what it defines itself."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -37,3 +38,11 @@ def test_submodules_export_only_their_own_functions_and_classes(module):
                    or inspect.isclass(getattr(module, name)))
                and getattr(module, name).__module__ != module.__name__]
     assert foreign == []
+
+
+def test_the_integrator_settings_are_dt_and_t_end_only():
+    # the projection tolerance and Newton cap are fixed constants
+    fields = [f.name for f in dataclasses.fields(ldkit.IntegratorConfig)]
+    assert fields == ["dt", "t_end"]
+    for fn in (ldkit.check_consistency, ldkit.multipliers, ldkit.rhs):
+        assert list(inspect.signature(fn).parameters) == ["sys", "x"], fn

@@ -356,6 +356,34 @@ def test_catalog_pi_is_built_once_and_runs_bitwise_as_built_per_call():
                     == getattr(b, field).tobytes()), (name, field)
 
 
+@pytest.mark.parametrize("name,param,value", [
+    ("harmonic_oscillator", "omega", 1.0),
+    ("harmonic_oscillator", "omega", 2.5),
+    ("damped_oscillator", "mu", 0.5),
+    ("damped_oscillator", "mu", 0.0),
+    ("damped_oscillator", "mu", 3.0)])
+def test_both_oscillators_match_their_separate_formulas_bitwise(name, param,
+                                                                value):
+    # harmonic: H = (omega^2 q^2 + p^2) / 2, Pi = P - 0; damped:
+    # H = (q^2 + p^2) / 2, Pi = P - diag(0, mu)
+    if param == "omega":
+        w2 = value ** 2
+        h_ref = lambda x: 0.5 * float(w2 * x[0] * x[0] + x[1] * x[1])
+        grad_ref = lambda x: np.array([w2 * x[0], x[1]])
+        pi_ref = CANONICAL_2 - np.zeros((2, 2))
+    else:
+        h_ref = lambda x: 0.5 * float(x[0] * x[0] + x[1] * x[1])
+        grad_ref = lambda x: x.copy()
+        pi_ref = CANONICAL_2 - np.diag([0.0, value])
+    sys, _ = build_system(SystemSpec(name=name, parameters={param: value}))
+    rng = np.random.default_rng(5)
+    for x in np.vstack([rng.standard_normal((50, 2)) * 10.0,
+                        [[0.0, -0.0], [-0.0, 0.0]]]):
+        assert sys.hamiltonian(x) == h_ref(x)
+        assert sys.hamiltonian.grad(x).tobytes() == grad_ref(x).tobytes()
+        assert sys.ld.pi(x).tobytes() == pi_ref.tobytes()
+
+
 def test_harmonic_oscillator_bracket_is_exactly_zero_on_every_row():
     # the recorder forms grad H . sym(Pi) grad H; grad H . (Pi grad H),
     # which the step already has, leaves round-off here: 10,000 of the

@@ -237,6 +237,23 @@ def test_simulate_overflowing_step_count_exits_spec_error(tmp_path, capsys,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("dt,t_end", [("1", "1e300"), ("1e-3", "1e9")])
+def test_simulate_step_count_above_the_ceiling_exits_before_a_run(
+        tmp_path, capsys, monkeypatch, dt, t_end):
+    def no_run(*args):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    spec = write_json(tmp_path, "run.json", {
+        "name": "harmonic_oscillator", "initial_state": []})
+    out_path = tmp_path / "t.csv"
+    code, _, err = run(capsys, "simulate", spec, "--dt", dt, "--t-end", t_end,
+                       "--output", str(out_path))
+    assert code == EXIT_SPEC
+    assert "ceiling of 100,000,000 steps" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name", sorted(ldkit.CATALOG))
 def test_simulate_csv_and_json_read_back_equal_and_audit(tmp_path, capsys,
                                                          name):

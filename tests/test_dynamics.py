@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (linear_constraint, particle_consistent_state,
@@ -70,10 +70,6 @@ def test_integrator_config_validates_inputs():
         IntegratorConfig(dt=0.0, t_end=1.0)
     with pytest.raises(InputError):
         IntegratorConfig(dt=1e-3, t_end=-1.0)
-    with pytest.raises(InputError):
-        IntegratorConfig(dt=1e-3, t_end=1.0, projection_tol=0.0)
-    with pytest.raises(InputError):
-        IntegratorConfig(dt=1e-3, t_end=1.0, max_projection_iters=0)
     assert IntegratorConfig(dt=1e-3, t_end=0.0).steps == 0
 
 
@@ -90,6 +86,15 @@ def test_integrator_config_needs_a_whole_number_of_steps():
 def test_integrator_config_rejects_an_overflowing_step_count(dt, t_end):
     with pytest.raises(InputError, match="overflows"):
         IntegratorConfig(dt=dt, t_end=t_end)
+
+
+@pytest.mark.parametrize("dt,t_end", [(1.0, 1e300), (1e-3, 1e9),
+                                      (1.0, 1e8 + 1.0)])
+def test_integrator_config_rejects_more_steps_than_the_ceiling(dt, t_end):
+    # configs only: a run this long would exhaust memory
+    with pytest.raises(InputError, match="ceiling of 100,000,000 steps"):
+        IntegratorConfig(dt=dt, t_end=t_end)
+    assert IntegratorConfig(dt=1.0, t_end=1e8).steps == 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,24 @@ def test_check_consistency_reports_membership():
     assert not bad.in_chi_c and bad.residual == pytest.approx(1.0)
 
 
+@given(seed=st.integers(0, 2_000), offset=st.floats(0.0, 2e-10))
+@example(seed=0, offset=1e-10)
+@settings(max_examples=40)
+def test_check_consistency_agrees_with_the_run_set_up(seed, offset):
+    # one tolerance decides both: a state check_consistency admits starts a
+    # run, and one it refuses raises ConsistencyError
+    x0 = particle_consistent_state(np.random.default_rng(seed))
+    x0[5] += offset
+    sys = damped_particle()
+    report = check_consistency(sys, x0)
+    try:
+        simulate(sys, x0, IntegratorConfig(dt=1e-3, t_end=5e-3))
+    except ConsistencyError:
+        assert not report.in_chi_c
+    else:
+        assert report.in_chi_c
+
+
 # ---------------------------------------------------------------------------
 # kernel form
 
@@ -426,21 +449,23 @@ def test_simulate_rejects_inconsistent_initial_state():
 
 
 def test_simulate_step_failure_carries_time_state_and_partial_run():
-    # cubic constraint residual: the projection converges too slowly for the
-    # allotted iterations at an unreachable tolerance
-    h = ScalarField(2, value=lambda x: float(x[0] ** 3 + x[1]),
-                    gradient=lambda x: np.array([3.0 * x[0] ** 2, 1.0]))
+    # H = x0^3/3 + x0 x1^2 + x1 with G = e1: the residual x0^2 + x1^2 has
+    # no root along span G once the first step moves x1 off 0, so the
+    # projection stalls at x1^2 > 1e-10
+    h = ScalarField(
+        2, value=lambda x: float(x[0] ** 3 / 3.0 + x[0] * x[1] ** 2 + x[1]),
+        gradient=lambda x: np.array([x[0] ** 2 + x[1] ** 2,
+                                     2.0 * x[0] * x[1] + 1.0]))
     field = LDField(TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
                     ConstraintField.constant(np.array([[1.0], [0.0]])))
     sys = DIHSystem(2, field, h)
-    config = IntegratorConfig(dt=1e-3, t_end=1.0, projection_tol=1e-30,
-                              max_projection_iters=2)
     with pytest.raises(StepFailureError) as err:
-        simulate(sys, np.zeros(2), config)
+        simulate(sys, np.zeros(2), IntegratorConfig(dt=0.1, t_end=1.0))
     assert err.value.time == 0.0  # last valid sample
     assert err.value.state == pytest.approx([0.0, 0.0])
     assert err.value.partial.times.shape == (1,)
-    assert "0.001" in str(err.value)
+    assert "t = 0.1 " in str(err.value)
+    assert "projection stalled" in str(err.value)
 
 
 def test_simulate_checks_the_tensor_field_shape_up_front():
