@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
-from .fields import LDField, ScalarField, _checked
+from .fields import LDField, ScalarField, _checked, _Constant
 from .numdiff import central_directional, central_gradient
 from .subspaces import (DEFAULT_TOLERANCE, Tolerance, as_vector,
                         complement_columns)
@@ -53,6 +53,9 @@ __all__ = [
 # least-squares residual of a singular multiplier system that counts as solved
 _PROJECTION_TOL = 1e-10
 _MAX_PROJECTION_ITERS = 25
+# the multiplier of every k = 0 state
+_NO_LAM = np.zeros(0)
+_NO_LAM.setflags(write=False)
 # the recorder peaks at about 420 B per row for the 2-d harmonic oscillator and
 # 523 B per row for the particle (tracemalloc over 10,001 rows): a run of more
 # than 10^8 steps needs over 40 GB and could only end by exhausting memory
@@ -203,17 +206,23 @@ class _Compiled:
     """Raw closures for the hot loop; :attr:`start` holds the one checked
     evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|, H.
 
-    A callable may still go bad mid-run.  The hot loop then checks the
-    shapes where results meet, at little cost: grad H and Pi in
-    :func:`_terms`, G and grad H through the residual G^T grad H in
-    :func:`_project`, G and J through the k×k multiplier matrix in
+    A constant Pi (built by ``TensorField.constant``) and the empty G of
+    k = 0 are checked once, at set-up, and not evaluated per step:
+    :attr:`pi_fixed`, :attr:`sym_fixed` = sym(Pi) and :attr:`g_fixed` hold
+    them, None otherwise.
+
+    Any other callable may still go bad mid-run.  The hot loop then checks
+    the shapes where results meet, at little cost: grad H in :func:`_terms`,
+    Pi in :func:`_checked_pi`, G and grad H through the residual G^T grad H
+    in :func:`_project`, G and J through the k×k multiplier matrix in
     :func:`_solve_constraint`, the residual in the difference probes, and
     H in :attr:`hval`.  Without these checks numpy broadcasting would let a
     malformed result bend the trajectory silently.
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
-                 "vector_shape", "matrix_shape", "residual_shape", "start")
+                 "vector_shape", "matrix_shape", "residual_shape", "start",
+                 "pi_fixed", "sym_fixed", "g_fixed")
 
     def __init__(self, sys: DIHSystem, x0):
         self.n = sys.n
@@ -236,6 +245,14 @@ class _Compiled:
         jac0 = None if self.jac is None else _checked(
             self.jac(x0), (self.k, self.n), "constraint Jacobian", x0)
         self.start = (x0, grad0, g0, pi0, jac0, resid0, h0)
+        self.pi = sys.ld.pi.evaluate
+        self.g = sys.ld.forces.evaluate
+        if isinstance(self.pi, _Constant):
+            self.pi_fixed = pi0
+            self.sym_fixed = 0.5 * (pi0 + pi0.T)
+        else:
+            self.pi_fixed = self.sym_fixed = None
+        self.g_fixed = g0 if self.k == 0 else None
         value = ham.value
 
         def hval(x: np.ndarray) -> float:
@@ -250,12 +267,6 @@ class _Compiled:
             self.grad = ham.gradient
         else:
             self.grad = lambda x: central_gradient(hval, x)
-        self.pi = sys.ld.pi.evaluate
-        if self.k:
-            self.g = sys.ld.forces.evaluate
-        else:
-            zero_g = np.zeros((sys.n, 0))
-            self.g = lambda x: zero_g
         # without an analytic J, products J·V are directional differences
         # of the constraint residual c(y) = G(y)^T grad H(y)
         g_eval = self.g
@@ -333,36 +344,47 @@ def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
     return _lambda_at(c, point, g, pi @ grad, jac)
 
 
+def _checked_pi(c: _Compiled, x: np.ndarray) -> np.ndarray:
+    """Pi at x: the constant checked at set-up, else a shape-checked
+    evaluation."""
+    if c.pi_fixed is not None:
+        return c.pi_fixed
+    pi = np.asarray(c.pi(x), dtype=float)
+    if pi.shape != c.matrix_shape:
+        raise _malformed("Pi", pi, c.matrix_shape)
+    return pi
+
+
 def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
-           pi, jac) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pi, the multiplier and the right-hand side at x, given grad H, G, Pi
-    and J there; J None takes J·V as directional differences.
+           pi: np.ndarray, jac) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier and the right-hand side at x, given grad H, G, the
+    checked Pi and J there; J None takes J·V as directional differences.
 
     The hot path uses ndarray.dot: on these tiny operands it costs about
     half the call overhead of ``@``.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != c.matrix_shape:
-        raise _malformed("Pi", pi, c.matrix_shape)
     if grad.shape != c.vector_shape:
         raise _malformed("grad H", grad, c.vector_shape)
     pi_grad = pi.dot(grad)
     if c.k == 0:
-        return pi, np.zeros(0), pi_grad
+        return _NO_LAM, pi_grad
     lam, _ = _lambda_at(c, x, g, pi_grad, jac)
-    return pi, lam, pi_grad + g.dot(lam)
+    return lam, pi_grad + g.dot(lam)
 
 
 def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
     grad = np.asarray(c.grad(x), dtype=float)
-    return _terms(c, x, grad, np.asarray(c.g(x), dtype=float), c.pi(x),
-                  None if c.jac is None else c.jac(x))[2]
+    g = c.g_fixed
+    if g is None:
+        g = np.asarray(c.g(x), dtype=float)
+    return _terms(c, x, grad, g, _checked_pi(c, x),
+                  None if c.jac is None else c.jac(x))[1]
 
 
 def rhs(sys: DIHSystem, x) -> np.ndarray:
     """Right-hand side Pi grad H + G lambda at a consistent state."""
     c = _Compiled(sys, x)
-    return _terms(c, *c.start[:5])[2]
+    return _terms(c, *c.start[:5])[1]
 
 
 def kernel_form(sys: DIHSystem, x,
@@ -383,9 +405,12 @@ def kernel_form(sys: DIHSystem, x,
     return KernelForm(kmat, lhs, rhs_vec)
 
 
-def _bracket_hh(grad: np.ndarray, pi: np.ndarray) -> float:
-    # through sym(Pi), not grad·(Pi grad): a skew Pi then gives exactly 0.0
-    sym = 0.5 * (pi + pi.T)
+def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
+                sym: np.ndarray | None = None) -> float:
+    # through sym(Pi), not grad·(Pi grad): a skew Pi then gives exactly 0.0;
+    # ``sym``, when given, is sym(Pi) formed once for a constant Pi
+    if sym is None:
+        sym = 0.5 * (pi + pi.T)
     return float(grad @ (sym @ grad))
 
 
@@ -403,7 +428,7 @@ def _project(c: _Compiled, x: np.ndarray
     residual there, so that the caller need not evaluate them again.
     """
     if c.k == 0:
-        return x, np.asarray(c.grad(x), dtype=float), c.g(x), 0.0
+        return x, np.asarray(c.grad(x), dtype=float), c.g_fixed, 0.0
     for i in range(_MAX_PROJECTION_ITERS + 1):
         g = np.asarray(c.g(x), dtype=float)
         grad = np.asarray(c.grad(x), dtype=float)
@@ -439,7 +464,7 @@ class _Recorder:
                pi: np.ndarray, lam: np.ndarray, resid: float,
                energy: float) -> None:
         # evaluate before appending: a failure leaves no half-written row
-        rate = _bracket_hh(grad, pi)
+        rate = _bracket_hh(grad, pi, self.c.sym_fixed)
         self.times.append(t)
         self.states.append(x)
         self.lams.append(lam)
@@ -474,7 +499,7 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     f = partial(_rhs_raw, c)
 
     x, grad, g, pi, jac, resid, h0 = c.start
-    pi, lam, fx = _terms(c, x, grad, g, pi, jac)
+    lam, fx = _terms(c, x, grad, g, pi, jac)
     rec.record(0.0, x, grad, pi, lam, resid, h0)
     h = dt / substeps
     for i in range(1, config.steps + 1):
@@ -483,10 +508,12 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
             for _ in range(substeps):
                 x_new = stepper(f, x, fx, h)
                 if not np.isfinite(x_new).all():
-                    raise _ProjectionFailed(float("inf"))
+                    raise ValueError(f"the step reached the non-finite "
+                                     f"state {x_new}")
                 x, grad, g, resid = _project(c, x_new)
                 jac = None if c.jac is None else c.jac(x)
-                pi, lam, fx = _terms(c, x, grad, g, c.pi(x), jac)
+                pi = _checked_pi(c, x)
+                lam, fx = _terms(c, x, grad, g, pi, jac)
             rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
         except (_ProjectionFailed, LDKitError, FloatingPointError,
                 ValueError) as exc:
@@ -561,7 +588,9 @@ def audit_series(times, energies, rates) -> EnergyAudit:
     """Audit an energy series against its stored bracket rates.
 
     Finite-difference dH/dt uses central differences in the interior and
-    one-sided differences at the ends of the sample grid.
+    one-sided differences at the ends of the sample grid.  Raises
+    InputError unless the times increase strictly and every value is
+    finite.
     """
     t = np.asarray(times, dtype=float)
     h = np.asarray(energies, dtype=float)
@@ -570,6 +599,16 @@ def audit_series(times, energies, rates) -> EnergyAudit:
         raise InputError("times, energies and rates must be equal-length 1-d")
     if t.size == 0:
         raise InputError("audit needs at least one sample")
+    for label, values in (("times", t), ("energies", h), ("rates", r)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InputError(f"{label} must be finite; sample {bad[0]} is "
+                             f"{values[bad[0]]}")
+    bad = np.flatnonzero(np.diff(t) <= 0.0)
+    if bad.size:
+        i = bad[0] + 1
+        raise InputError(f"times must increase strictly; sample {i} "
+                         f"(t = {t[i]:.17g}) does not")
     if t.size < 2:
         deviation = 0.0
         max_increase = 0.0

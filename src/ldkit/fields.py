@@ -49,6 +49,22 @@ def _checked(value, shape: tuple, label: str, point) -> np.ndarray:
     return arr
 
 
+class _Constant:
+    """The ``evaluate`` of a constant field: one read-only matrix at every
+    point.  The integrator recognises it as Pi and reads the matrix once per
+    run; a field whose ``evaluate`` is replaced is evaluated per call
+    again."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix.copy()
+        self.matrix.setflags(write=False)
+
+    def __call__(self, x) -> np.ndarray:
+        return self.matrix
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function on R^n with an optional analytic gradient.
@@ -107,12 +123,13 @@ class TensorField:
 
     @classmethod
     def constant(cls, matrix) -> "TensorField":
+        """The field x -> ``matrix`` (a read-only copy).  :func:`simulate`
+        and :func:`oracle_simulate` check it once at set-up and do not
+        evaluate it per step."""
         m = as_matrix(matrix, "tensor")
         if m.shape[0] != m.shape[1]:
             raise InputError(f"constant tensor must be square, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        return cls(m.shape[0], lambda x: m)
+        return cls(m.shape[0], _Constant(m))
 
 
 @dataclass(frozen=True)
@@ -156,10 +173,9 @@ class ConstraintField:
 
     @classmethod
     def constant(cls, matrix) -> "ConstraintField":
+        """The field x -> ``matrix`` (a read-only copy)."""
         m = as_matrix(matrix, "constraint matrix")
-        m = m.copy()
-        m.setflags(write=False)
-        return cls(m.shape[0], m.shape[1], lambda x: m)
+        return cls(m.shape[0], m.shape[1], _Constant(m))
 
 
 @dataclass(frozen=True)

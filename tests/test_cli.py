@@ -1,6 +1,7 @@
 """End-to-end command line tests driven through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,39 @@ def test_audit_malformed_file_exits_spec_error(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(path))
     assert code == EXIT_SPEC
     assert "error:" in err
+
+
+# (times, H, [H,H]) of three rows, and the error the audit must report
+CORRUPT_SERIES = {
+    "repeated-time": (([0.0, 1.0, 1.0], [1.0, 0.5, 0.25], [-1.0, -0.5, -0.25]),
+                      "times must increase strictly"),
+    "nan-H": (([0.0, 1.0, 2.0], [1.0, np.nan, 0.25], [-1.0, -0.5, -0.25]),
+              "energies must be finite"),
+    "nan-rate": (([0.0, 1.0, 2.0], [1.0, 0.5, 0.25], [-1.0, np.nan, -0.25]),
+                 "rates must be finite"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(CORRUPT_SERIES))
+def test_audit_of_a_corrupt_series_exits_spec_error(tmp_path, capsys, case,
+                                                    fmt):
+    series, message = CORRUPT_SERIES[case]
+    times, energies, rates = (np.array(v) for v in series)
+    traj = ldkit.Trajectory(times=times, states=np.zeros((3, 2)),
+                            multipliers=np.zeros((3, 0)),
+                            residuals=np.zeros(3), energies=energies,
+                            energy_rates=rates)
+    path = str(tmp_path / f"corrupt.{fmt}")
+    write = (ldkit.write_trajectory_csv if fmt == "csv"
+             else ldkit.write_trajectory_json)
+    write(traj, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "audit", path)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert message in err
 
 
 # -- unexpected failures ----------------------------------------------------

@@ -13,9 +13,9 @@ from _gen import (linear_constraint, particle_consistent_state,
 from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    DIHSystem, InputError, IntegratorConfig, LDField,
                    ScalarField, StepFailureError, Subspace, TensorField,
-                   check_consistency, damped_particle, energy_audit,
-                   energy_rate, kernel_form, multipliers, oracle_simulate,
-                   rhs, simulate)
+                   audit_series, check_consistency, damped_particle,
+                   energy_audit, energy_rate, fields, kernel_form, multipliers,
+                   oracle_simulate, rhs, simulate)
 
 
 def harmonic_system() -> DIHSystem:
@@ -468,6 +468,25 @@ def test_simulate_step_failure_carries_time_state_and_partial_run():
     assert "projection stalled" in str(err.value)
 
 
+def test_a_non_finite_state_fails_its_step_without_naming_the_projection():
+    # H = x0^4 + x1^2 from x0 = (1e30, 0): the first step stays finite, the
+    # second overflows; k = 0, so there is no projection to blame
+    h = ScalarField(2, value=lambda x: float(x[0] ** 4 + x[1] ** 2),
+                    gradient=lambda x: np.array([4.0 * x[0] ** 3, 2.0 * x[1]]))
+    field = LDField(TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+                    ConstraintField.none(2))
+    with np.errstate(all="ignore"), pytest.raises(StepFailureError) as err:
+        simulate(DIHSystem(2, field, h), np.array([1e30, 0.0]),
+                 IntegratorConfig(dt=1.0, t_end=3.0))
+    message = str(err.value)
+    assert message.startswith("step to t = 2 failed: the step reached the "
+                              "non-finite state [")
+    assert "projection" not in message
+    assert isinstance(err.value.__cause__, ValueError)
+    assert err.value.partial.times.tolist() == [0.0, 1.0]
+    assert err.value.time == 1.0
+
+
 def test_simulate_checks_the_tensor_field_shape_up_front():
     h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
                     gradient=lambda x: x.copy())
@@ -740,6 +759,24 @@ def test_energy_audit_matches_rate_column_against_finite_differences():
     assert audit.max_rate_deviation <= 5.0 * 1e-2 ** 2
 
 
+@pytest.mark.parametrize("times,energies,rates,message", [
+    ([0.0, 1.0, 1.0], [1.0, 0.5, 0.25], [-1.0, -0.5, -0.25],
+     "times must increase strictly; sample 2"),
+    ([0.0, 2.0, 1.0], [1.0, 0.5, 0.25], [-1.0, -0.5, -0.25],
+     "times must increase strictly; sample 2"),
+    ([0.0, np.nan, 2.0], [1.0, 0.5, 0.25], [-1.0, -0.5, -0.25],
+     "times must be finite; sample 1"),
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 0.25], [-1.0, -0.5, -0.25],
+     "energies must be finite; sample 1"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.25], [-1.0, -0.5, np.inf],
+     "rates must be finite; sample 2"),
+], ids=["repeated-time", "decreasing-time", "nan-time", "nan-H", "inf-rate"])
+def test_audit_series_rejects_a_corrupt_series(times, energies, rates,
+                                               message):
+    with pytest.raises(InputError, match=message):
+        audit_series(times, energies, rates)
+
+
 def test_skew_component_does_no_work():
     rng = np.random.default_rng(53)
     p = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -750,6 +787,89 @@ def test_skew_component_does_no_work():
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+TRAJECTORY_FIELDS = ("times", "states", "multipliers", "residuals",
+                     "energies", "energy_rates")
+
+
+def assert_bitwise_equal(a, b):
+    for name in TRAJECTORY_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def per_call_twin(sys: DIHSystem) -> DIHSystem:
+    """``sys`` with its constant Pi and G (when k >= 1) replaced by plain
+    callables that return a fresh copy of the same matrix at every call."""
+    origin = np.zeros(sys.n)
+    m = sys.ld.pi(origin)
+    forces = sys.ld.forces
+    if sys.k:
+        g = forces(origin)
+        forces = ConstraintField(sys.n, sys.k, lambda x: g.copy())
+    return dataclasses.replace(
+        sys, ld=LDField(TensorField(sys.n, lambda x: m.copy()), forces))
+
+
+@given(seed=st.integers(0, 2_000),
+       nk=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       analytic_jacobian=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_constant_structure_runs_bitwise_as_its_per_call_twin(
+        seed, nk, analytic_jacobian):
+    n, k = nk
+    sys, x0 = quadratic_system(np.random.default_rng(seed), n, k)
+    if not analytic_jacobian:
+        sys = dataclasses.replace(sys, constraint_jacobian=None)
+    twin = per_call_twin(sys)
+    assert_bitwise_equal(simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.1)),
+                         simulate(twin, x0, IntegratorConfig(dt=1e-2, t_end=0.1)))
+    assert_bitwise_equal(oracle_simulate(sys, x0, 1e-2, 0.1),
+                         oracle_simulate(twin, x0, 1e-2, 0.1))
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda sys, x0: simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.2)),
+    lambda sys, x0: oracle_simulate(sys, x0, 1e-2, 0.2)],
+    ids=["simulate", "oracle"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_constant_pi_is_evaluated_at_set_up_only(monkeypatch, integrate, k):
+    calls = []
+    evaluate = fields._Constant.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(fields._Constant, "__call__", counted)
+    sys, x0 = quadratic_system(np.random.default_rng(7), 4, k)
+    traj = integrate(sys, x0)
+    assert traj.times.shape == (21,)
+    assert calls.count(sys.ld.pi.evaluate) == 1
+
+
+@pytest.mark.parametrize("integrate,per_interval", [
+    (lambda sys, x0: simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.2)),
+     4),
+    (lambda sys, x0: oracle_simulate(sys, x0, 1e-2, 0.2), 14)],
+    ids=["simulate", "oracle"])
+def test_replacing_a_constant_fields_evaluate_evaluates_it_per_call(
+        integrate, per_interval):
+    sys = harmonic_system()
+    m = sys.ld.pi(np.zeros(2))
+    calls = [0]
+
+    def evaluate(x):
+        calls[0] += 1
+        return m
+
+    pi = dataclasses.replace(sys.ld.pi, evaluate=evaluate)
+    replaced = dataclasses.replace(sys, ld=LDField(pi, sys.ld.forces))
+    traj = integrate(replaced, np.array([1.0, 0.0]))
+    assert calls[0] == 1 + per_interval * 20
+    assert_bitwise_equal(traj, integrate(sys, np.array([1.0, 0.0])))
 
 
 @given(seed=st.integers(0, 2_000))

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -42,6 +43,26 @@ def test_the_tracer_rebuilds_systems_through_public_constructors():
         assert callable(getattr(ldkit, name, None))
     assert callable(getattr(importlib.import_module("ldkit.catalog"),
                             "build_system", None))
+
+
+CATALOG_NAMES = sorted(importlib.import_module("ldkit.catalog").CATALOG)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_a_traced_catalog_system_runs_bitwise_as_the_untraced_one(name):
+    # the tracer's wrapped Pi takes the per-call path, the catalog's
+    # constant Pi the path that reads it once at set-up
+    ldkit = importlib.import_module("ldkit")
+    system, x0 = ldkit.build_system(ldkit.SystemSpec(name, {}, None))
+    traced = load_spans().Tracer(time.perf_counter).wrap_system(
+        ldkit, system, "catalog")
+    config = ldkit.IntegratorConfig(dt=1e-3, t_end=0.5)
+    plain = ldkit.simulate(system, x0, config)
+    wrapped = ldkit.simulate(traced, x0, config)
+    for field in ("times", "states", "multipliers", "residuals", "energies",
+                  "energy_rates"):
+        a, b = getattr(plain, field), getattr(wrapped, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 def names_reached_through_ld(path: Path) -> set:
