@@ -43,9 +43,9 @@ _SYMMETRY_TOL = 1e-8
 _PSD_TOL = 1e-8
 
 
-def _probe_points(dim: int, count: int = 5) -> np.ndarray:
+def _probe_points(dim: int) -> np.ndarray:
     rng = np.random.default_rng(_PROBE_SEED)
-    pts = rng.normal(size=(count, dim))
+    pts = rng.normal(size=(5, dim))
     pts[0] = 0.0
     return pts
 

@@ -8,7 +8,6 @@ integration step failure, 1 anything unexpected.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -29,31 +28,12 @@ EXIT_NOT_LD = 3
 EXIT_INCONSISTENT = 4
 EXIT_STEP_FAILURE = 5
 
-_ENV_TOL_RANK = "LDKIT_TOL_RANK"
-
-
-def _tolerance(args: argparse.Namespace) -> Tolerance:
-    rank_eps = args.tol_rank
-    if rank_eps is None:
-        env = os.environ.get(_ENV_TOL_RANK)
-        if env is not None:
-            try:
-                rank_eps = float(env)
-            except ValueError:
-                raise InputError(
-                    f"environment variable {_ENV_TOL_RANK} must be a number, "
-                    f"got {env!r}")
-    if rank_eps is None:
-        rank_eps = DEFAULT_TOLERANCE.rank_eps
-    return Tolerance(rank_eps=rank_eps, residual_eps=args.tol_residual)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(rank_eps=args.tol_rank, residual_eps=args.tol_residual)
     ld = load_structure_spec(args.spec, tol)
     res = classification_residuals(ld.space, tol)
     print(f"structure: n={ld.n}, subspace dimension {ld.space.dim}")
@@ -122,10 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="classify a structure-spec file and print residuals")
     p_verify.add_argument("spec", help="structure-spec JSON file")
     p_verify.add_argument(
-        "--tol-rank", type=float, default=None,
-        help="relative singular-value cutoff for rank decisions (default "
-             f"{DEFAULT_TOLERANCE.rank_eps:g}; env {_ENV_TOL_RANK} "
-             "overrides the default)")
+        "--tol-rank", type=float, default=DEFAULT_TOLERANCE.rank_eps,
+        help="relative singular-value cutoff for rank decisions "
+             "(default %(default)g)")
     p_verify.add_argument(
         "--tol-residual", type=float, default=DEFAULT_TOLERANCE.residual_eps,
         help="residual bound for membership and equation checks "

@@ -159,7 +159,6 @@ class Trajectory:
 class ConsistencyReport:
     """Membership report for the consistency set chi_c."""
 
-    point: np.ndarray
     in_chi_c: bool
     residual: float
 
@@ -196,12 +195,6 @@ class EnergyAudit:
     max_rate_deviation: float
 
 
-class _ProjectionFailed(Exception):
-    def __init__(self, residual: float):
-        super().__init__(f"projection stalled at residual {residual:.3e}")
-        self.residual = residual
-
-
 class _Compiled:
     """Raw closures for the hot loop; :attr:`start` holds the one checked
     evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|, H.
@@ -217,7 +210,8 @@ class _Compiled:
     in :func:`_project`, G and J through the k×k multiplier matrix in
     :func:`_solve_constraint`, the residual in the difference probes, and
     H in :attr:`hval`.  Without these checks numpy broadcasting would let a
-    malformed result bend the trajectory silently.
+    malformed result bend the trajectory silently.  The recorder rejects a
+    non-finite H or [H, H].
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
@@ -323,11 +317,11 @@ def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
     max-norm residual must be at most 1e-10, the bound runs start from."""
     point = as_vector(x, sys.n, "state")
     if sys.k == 0:
-        return ConsistencyReport(point, True, 0.0)
+        return ConsistencyReport(True, 0.0)
     g = sys.ld.forces(point)
     grad = sys.hamiltonian.grad(point)
     residual = float(np.abs(g.T @ grad).max(initial=0.0))
-    return ConsistencyReport(point, residual <= _PROJECTION_TOL, residual)
+    return ConsistencyReport(residual <= _PROJECTION_TOL, residual)
 
 
 def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
@@ -441,7 +435,7 @@ def _project(c: _Compiled, x: np.ndarray
         if worst <= _PROJECTION_TOL:
             return x, grad, g, worst
         if i == _MAX_PROJECTION_ITERS:
-            raise _ProjectionFailed(worst)
+            raise ValueError(f"projection stalled at residual {worst:.3e}")
         if c.jac is not None:
             a = np.asarray(c.jac(x), dtype=float) @ g
         else:
@@ -465,6 +459,11 @@ class _Recorder:
                energy: float) -> None:
         # evaluate before appending: a failure leaves no half-written row
         rate = _bracket_hh(grad, pi, self.c.sym_fixed)
+        if not (math.isfinite(energy) and math.isfinite(rate)):
+            # mid-run this fails the step; at the start, the input
+            raise (ValueError if self.times else InputError)(
+                f"H = {energy} and [H, H] = {rate} at t = {t:.6g} are not "
+                f"both finite")
         self.times.append(t)
         self.states.append(x)
         self.lams.append(lam)
@@ -515,11 +514,11 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 pi = _checked_pi(c, x)
                 lam, fx = _terms(c, x, grad, g, pi, jac)
             rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
-        except (_ProjectionFailed, LDKitError, FloatingPointError,
-                ValueError) as exc:
-            # a user callable that passed the up-front checks but returns a
-            # malformed result mid-run raises ValueError: from the shape
-            # checks of the hot loop, or from numpy (LinAlgError too)
+        except (LDKitError, FloatingPointError, ValueError) as exc:
+            # a stalled projection, a non-finite state, H or [H, H], and a
+            # user callable that passed the up-front checks but returns a
+            # malformed result mid-run raise ValueError: from the checks of
+            # the hot loop, or from numpy (LinAlgError too)
             raise StepFailureError(
                 f"step to t = {i * dt:.6g} failed: {exc}",
                 time=t_prev, state=rec.states[-1],
@@ -540,9 +539,10 @@ def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
     """Integrate with fixed-step RK4 plus post-step constraint projection.
 
     The initial state must lie in chi_c (ConsistencyError otherwise); a
-    stalled projection, singular multiplier system, non-finite state, or a
-    user callable that raises ValueError mid-run or returns a result of the
-    wrong shape raises StepFailureError carrying the partial trajectory.
+    stalled projection, singular multiplier system, non-finite state, H or
+    [H, H], or a user callable that raises ValueError mid-run or returns a
+    result of the wrong shape raises StepFailureError carrying the partial
+    trajectory.
     """
     return _run(sys, x0, config, _rk4_step, substeps=1)
 

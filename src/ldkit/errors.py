@@ -93,10 +93,10 @@ class StepFailureError(LDKitError):
     """Integration failed mid-run.
 
     Carries the last accepted time and state plus the partial trajectory up
-    to that point (``partial`` may be None when failure happens immediately).
+    to that point; ``partial`` always holds at least the initial sample.
     """
 
-    def __init__(self, message: str, time: float, state=None, partial=None):
+    def __init__(self, message: str, time: float, state, partial):
         super().__init__(message)
         self.time = time
         self.state = state

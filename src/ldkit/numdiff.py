@@ -35,22 +35,10 @@ def central_gradient(fn: Callable[[np.ndarray], float],
 
 def central_jacobian(fn: Callable[[np.ndarray], np.ndarray],
                      x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector function at ``x``.
-
-    Returns a (len(fn(x)), len(x)) matrix.
-    """
-    h = gradient_step(x)
-    probe = x.astype(float, copy=True)
-    cols = []
-    for i in range(x.shape[0]):
-        xi = probe[i]
-        probe[i] = xi + h
-        hi = np.asarray(fn(probe), dtype=float)
-        probe[i] = xi - h
-        lo = np.asarray(fn(probe), dtype=float)
-        probe[i] = xi
-        cols.append((hi - lo) / (2.0 * h))
-    return np.column_stack(cols) if cols else np.zeros((0, 0))
+    """Central-difference Jacobian of a vector function at ``x``: the
+    (len(fn(x)), len(x)) matrix of :func:`central_directional` along the
+    coordinate axes."""
+    return central_directional(fn, x, np.eye(x.shape[0]), len(fn(x)))
 
 
 def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

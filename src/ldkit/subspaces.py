@@ -9,7 +9,7 @@ membership or equality check is a residual test against an explicit bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -56,14 +56,14 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Coerce ``v`` to a finite float 1-d array, optionally of length ``dim``."""
+def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
+    """Coerce ``v`` to a finite float 1-d array of length ``dim``."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise InputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
-    if dim is not None and arr.shape[0] != dim:
+    if arr.shape[0] != dim:
         raise InputError(f"{name} must have length {dim}, got {arr.shape[0]}")
     return arr
 
@@ -156,26 +156,11 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_spanning(cls, vectors, tol: Tolerance = DEFAULT_TOLERANCE,
-                      ambient_dim: int | None = None) -> "Subspace":
-        """Subspace spanned by the columns of ``vectors``.
-
-        ``vectors`` may also be an iterable of 1-d vectors, which are taken
-        as the spanning set.
-        """
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            m = as_matrix(vectors, "spanning set")
-        else:
-            vecs = [as_vector(v, name="spanning vector") for v in vectors]
-            if not vecs:
-                if ambient_dim is None:
-                    raise InputError(
-                        "empty spanning set needs an explicit ambient_dim")
-                m = np.zeros((ambient_dim, 0))
-            else:
-                m = np.column_stack(vecs)
-        if ambient_dim is not None and m.shape[0] != ambient_dim:
-            raise InputError("spanning vectors do not match ambient_dim")
+    def from_spanning(cls, vectors,
+                      tol: Tolerance = DEFAULT_TOLERANCE) -> "Subspace":
+        """Subspace spanned by the columns of the matrix ``vectors``: any
+        matrix-like input, so ``[[1, 0, 0], [0, 1, 0]]`` spans R^2."""
+        m = as_matrix(vectors, "spanning set")
         return cls(m.shape[0], orthonormal_columns(m, tol.rank_eps))
 
     @classmethod

@@ -122,17 +122,22 @@ def test_verify_accepts_tolerance_flags(tmp_path, capsys):
     assert "dirac: true" in out
 
 
-def test_verify_reads_rank_tolerance_from_environment(tmp_path, capsys,
-                                                      monkeypatch):
-    spec = write_json(tmp_path, "s.json", CANONICAL_AB)
-    monkeypatch.setenv("LDKIT_TOL_RANK", "1e-6")
-    code, out, _ = run(capsys, "verify", spec)
+def test_verify_reads_the_rank_tolerance_from_its_flag_only(tmp_path, capsys,
+                                                          monkeypatch):
+    # A = diag(1, 1e-7): forward at the default rank cutoff, not at 1e-6,
+    # so an environment variable that set the cutoff would show here
+    spec = write_json(tmp_path, "s.json",
+                      {"kind": "ab", "n": 2, "a": [[1.0, 0.0], [0.0, 1e-7]],
+                       "b": [[0.0, 1.0], [-1.0, 0.0]]})
+    monkeypatch.delenv("LDKIT_TOL_RANK", raising=False)
+    code, default, _ = run(capsys, "verify", spec)
     assert code == EXIT_OK
-    assert "dirac: true" in out
-    monkeypatch.setenv("LDKIT_TOL_RANK", "not-a-number")
-    code, _, err = run(capsys, "verify", spec)
-    assert code == EXIT_SPEC
-    assert "LDKIT_TOL_RANK" in err
+    assert "forward: true" in default
+    code, coarse, _ = run(capsys, "verify", spec, "--tol-rank", "1e-6")
+    assert "forward: false" in coarse
+    for value in ("1e-6", "not-a-number"):
+        monkeypatch.setenv("LDKIT_TOL_RANK", value)
+        assert run(capsys, "verify", spec) == (EXIT_OK, default, "")
 
 
 @pytest.mark.parametrize("command", ["simulate", "audit"])

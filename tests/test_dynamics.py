@@ -232,6 +232,23 @@ def test_simulate_reads_h_once_per_recorded_sample():
     assert counts["H"] == 6
 
 
+@pytest.mark.parametrize("steps", [0, 100])
+@pytest.mark.parametrize("run,per_step", [
+    (lambda sys, x0, t_end: simulate(sys, x0, IntegratorConfig(1e-3, t_end)),
+     4),
+    (lambda sys, x0, t_end: oracle_simulate(sys, x0, 1e-3, t_end), 14)],
+    ids=["simulate", "oracle_simulate"])
+def test_an_analytic_jacobian_run_evaluates_each_callable_exactly(
+        run, per_step, steps):
+    # one evaluation at set-up, then one per RK4 stage (4) or per GBS
+    # evaluation of the two half steps (2 x 7); H once per recorded row
+    sys, counts = counting_callables(damped_particle())
+    run(sys, np.array([0.0, 0.3, 0.0, 1.0, 0.5, 0.3]), steps * 1e-3)
+    each = per_step * steps + 1
+    assert counts == {"H": steps + 1, "grad H": each, "Pi": each, "G": each,
+                      "J": each}
+
+
 def test_multipliers_reject_state_off_the_constraint_surface():
     sys = damped_particle()
     with pytest.raises(ConsistencyError) as err:
@@ -469,14 +486,15 @@ def test_simulate_step_failure_carries_time_state_and_partial_run():
 
 
 def test_a_non_finite_state_fails_its_step_without_naming_the_projection():
-    # H = x0^4 + x1^2 from x0 = (1e30, 0): the first step stays finite, the
-    # second overflows; k = 0, so there is no projection to blame
+    # H = x0^4 + x1^2 from x0 = (1e4, 0): the first step and its row stay
+    # finite, the second step overflows; k = 0, so there is no projection
+    # to blame
     h = ScalarField(2, value=lambda x: float(x[0] ** 4 + x[1] ** 2),
                     gradient=lambda x: np.array([4.0 * x[0] ** 3, 2.0 * x[1]]))
     field = LDField(TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
                     ConstraintField.none(2))
     with np.errstate(all="ignore"), pytest.raises(StepFailureError) as err:
-        simulate(DIHSystem(2, field, h), np.array([1e30, 0.0]),
+        simulate(DIHSystem(2, field, h), np.array([1e4, 0.0]),
                  IntegratorConfig(dt=1.0, t_end=3.0))
     message = str(err.value)
     assert message.startswith("step to t = 2 failed: the step reached the "
@@ -484,6 +502,7 @@ def test_a_non_finite_state_fails_its_step_without_naming_the_projection():
     assert "projection" not in message
     assert isinstance(err.value.__cause__, ValueError)
     assert err.value.partial.times.tolist() == [0.0, 1.0]
+    assert np.isfinite(err.value.partial.energies).all()
     assert err.value.time == 1.0
 
 
@@ -523,24 +542,40 @@ def test_simulate_wraps_a_callable_that_goes_bad_mid_run():
 @pytest.mark.parametrize("gradient", [lambda x: x.copy(), None],
                          ids=["analytic-gradient", "finite-difference-gradient"])
 def test_simulate_wraps_a_hamiltonian_that_stops_returning_a_scalar(gradient):
-    # H is a scalar at x0 and passes the up-front check, but returns the
-    # state once x[0] <= 0.5; the recorder reads H at every accepted state,
-    # and the finite-difference gradient at every stage
-    def value(x):
-        return 0.5 * float(x @ x) if x[0] > 0.5 else x.copy()
-
-    h = ScalarField(2, value=value, gradient=gradient)
+    # H is a finite scalar at x0 and passes the up-front check, but returns
+    # the state, or nan, once x[0] <= 0.5; the recorder reads H at every
+    # accepted state, and the finite-difference gradient at every stage.
+    # The run fails there and records no row with a non-finite H or [H, H]
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    sys = DIHSystem(2, LDField(TensorField.constant(rot),
+    for bad in (lambda x: x.copy(), lambda x: float("nan")):
+        def value(x, bad=bad):
+            return 0.5 * float(x @ x) if x[0] > 0.5 else bad(x)
+
+        h = ScalarField(2, value=value, gradient=gradient)
+        sys = DIHSystem(2, LDField(TensorField.constant(rot),
+                                   ConstraintField.none(2)), h)
+        with pytest.raises(StepFailureError) as err:
+            simulate(sys, np.array([1.0, 0.0]),
+                     IntegratorConfig(dt=1e-2, t_end=2.0))
+        partial = err.value.partial
+        assert isinstance(err.value.__cause__, ValueError)
+        assert partial.times.shape[0] > 1
+        assert partial.states[-1][0] > 0.5
+        assert partial.energies.shape == partial.times.shape
+        assert np.isfinite(partial.energies).all()
+        assert np.isfinite(partial.energy_rates).all()
+
+
+def test_simulate_rejects_a_non_finite_bracket_at_the_start():
+    # H and grad H are finite at x0, but [H, H] = -|grad H|^2 overflows
+    h = ScalarField(2, value=lambda x: 1e200 * float(x[0]),
+                    gradient=lambda x: np.array([1e200, 0.0]))
+    sys = DIHSystem(2, LDField(TensorField.constant(-np.eye(2)),
                                ConstraintField.none(2)), h)
-    with pytest.raises(StepFailureError) as err:
+    with np.errstate(all="ignore"), pytest.raises(InputError,
+                                                  match="not both finite"):
         simulate(sys, np.array([1.0, 0.0]),
-                 IntegratorConfig(dt=1e-2, t_end=2.0))
-    partial = err.value.partial
-    assert isinstance(err.value.__cause__, ValueError)
-    assert partial.times.shape[0] > 1
-    assert partial.states[-1][0] > 0.5
-    assert partial.energies.shape == partial.times.shape
+                 IntegratorConfig(dt=1e-3, t_end=0.01))
 
 
 @pytest.mark.parametrize("value", [lambda x: x.copy(),
@@ -642,21 +677,30 @@ def spoil_one_call(sys: DIHSystem, part: str):
         sys, constraint_jacobian=spoil(sys.constraint_jacobian)), calls, bad
 
 
-@pytest.mark.parametrize("part,analytic_jacobian",
-                         [("grad H", True), ("grad H", False), ("Pi", True),
-                          ("Pi", False), ("G", True), ("G", False),
-                          ("G vector", True), ("G vector", False),
-                          ("J", True)])
+SPOILED_PARTS = [("grad H", True), ("grad H", False), ("Pi", True),
+                 ("Pi", False), ("G", True), ("G", False),
+                 ("G vector", True), ("G vector", False), ("J", True)]
+
+
+@pytest.mark.parametrize("part,analytic_jacobian,k", [
+    pytest.param(part, analytic, k,
+                 id=f"{part}-{analytic}" + ("-k2" if k == 2 else ""))
+    for k in (1, 2) for part, analytic in SPOILED_PARTS])
 def test_any_malformed_evaluation_within_a_step_fails_that_step(
-        part, analytic_jacobian):
+        part, analytic_jacobian, k):
     # every evaluation of the step, stage, projection or difference probe,
     # is spoiled in turn; none may be absorbed by numpy broadcasting.  The
-    # step is long enough that the projection takes Newton steps.
-    sys = damped_particle()
+    # step is long enough that the particle's projection takes Newton
+    # steps; k = 2 sends each malformed result into the least-squares
+    # branch of the multiplier solve
+    if k == 1:
+        sys = damped_particle()
+        x0 = np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5])
+    else:
+        sys, x0 = quadratic_system(np.random.default_rng(3), 4, 2)
     if not analytic_jacobian:
         sys = dataclasses.replace(sys, constraint_jacobian=None)
     sys, calls, bad = spoil_one_call(sys, part)
-    x0 = np.array([0.0, 0.5, 0.0, 1.0, 0.3, 0.5])
     simulate(sys, x0, IntegratorConfig(dt=5e-2, t_end=0.0))
     setup, calls[0] = calls[0], 0
     simulate(sys, x0, IntegratorConfig(dt=5e-2, t_end=5e-2))

@@ -39,14 +39,19 @@ def test_directional_derivatives_of_the_linear_constraint(seed, k, cols):
     assert np.all(np.abs(out - exact).max(axis=0) <= 1e-8 * scale)
 
 
-def test_directional_agrees_with_the_coordinate_jacobian_on_a_nonlinear_map():
-    def fn(x):
-        return np.array([x[0] * x[1], np.sin(x[2]) + x[0] ** 3])
-
+def test_directional_and_coordinate_jacobians_match_the_closed_form():
+    fn = Counting(lambda x: np.array([x[0] * x[1], np.sin(x[2]) + x[0] ** 3]))
     x = np.array([0.3, -1.2, 0.7])
+    exact = np.array([[x[1], x[0], 0.0],
+                      [3.0 * x[0] ** 2, 0.0, np.cos(x[2])]])
     v = np.array([[1.0, 0.5], [-2.0, 0.0], [0.25, 3.0]])
-    assert np.allclose(central_directional(fn, x, v, 2),
-                       central_jacobian(fn, x) @ v, atol=1e-8)
+    assert np.allclose(central_directional(fn, x, v, 2), exact @ v,
+                       rtol=0.0, atol=1e-8)
+    fn.calls = 0
+    jac = central_jacobian(fn, x)
+    assert fn.calls == 1 + 2 * 3
+    assert jac.shape == (2, 3)
+    assert np.allclose(jac, exact, rtol=0.0, atol=1e-8)
 
 
 def test_every_probe_lies_one_gradient_step_from_x():

@@ -74,6 +74,19 @@ def test_from_spanning_orthonormalizes_redundant_columns():
     assert not s.contains([1.0, -1.0])
 
 
+def test_from_spanning_reads_a_nested_list_by_columns_as_an_array():
+    # two rows of length 3: two columns in R^2, whatever the container
+    data = [[1, 0, 0], [0, 1, 0]]
+    from_list = Subspace.from_spanning(data)
+    from_array = Subspace.from_spanning(np.array(data))
+    assert from_list.ambient_dim == from_array.ambient_dim == 2
+    assert from_list.dim == from_array.dim == 2
+    assert np.array_equal(from_list.basis, from_array.basis)
+    assert Subspace.from_spanning(np.zeros((3, 0))).equals(Subspace.zero(3))
+    with pytest.raises(InputError, match="2-dimensional"):
+        Subspace.from_spanning([1.0, 0.0])
+
+
 def test_membership_residual_is_relative_and_zero_vector_belongs():
     s = span(E1_3)
     assert s.membership_residual(np.zeros(3)) == 0.0

@@ -1,6 +1,6 @@
 """The benchmark and the demos reach library functions by name; a rename or
 a deletion in ``src/`` must fail here rather than in a benchmark run or a
-demo."""
+demo.  The trajectory comparison in ``tools/`` is checked here too."""
 
 import importlib
 import importlib.util
@@ -12,6 +12,7 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,3 +91,31 @@ def test_every_demo_runs_to_completion(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+COMPARE = ROOT / "tools" / "compare_trajectories.py"
+
+
+def test_compare_trajectories_finds_a_tree_equal_to_itself():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(COMPARE), str(ROOT / "src"), str(ROOT / "src"),
+         "--t-end", "0.01"], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == (
+        "48 trajectory arrays and 8 files compared: 0 differ")
+
+
+def test_compare_trajectories_reports_each_array_that_differs():
+    spec = importlib.util.spec_from_file_location("compare_trajectories",
+                                                  COMPARE)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    parent = {"a": np.zeros(3), "b": np.ones(2), "c": np.ones(1)}
+    change = {"a": np.array([0.0, -0.0, 2e-16]), "b": np.ones(3),
+              "d": np.ones(1)}
+    assert compare.differences(parent, parent) == []
+    assert compare.differences(parent, change) == [
+        "a: max |delta| = 2.000e-16", "b: shape (2,) != (3,)",
+        "c: only in the parent", "d: only in the change"]

@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Check that two ldkit source trees integrate bit for bit alike.
+
+Usage:
+    python tools/compare_trajectories.py PARENT_SRC CHANGE_SRC [--t-end T]
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
+``ldkit`` package).  Each tree runs in its own Python process and makes:
+
+- ``simulate`` of the 4 catalog systems from their default states at
+  dt = 1e-3 to t = 10, and the CSV and JSON files ``ldkit simulate`` writes
+  for them;
+- ``oracle_simulate`` of ``damped_particle`` to t = 10;
+- the particle without its analytic constraint Jacobian, under
+  ``simulate`` and ``oracle_simulate`` to t = 2;
+- the particle with a friction entry that is a callable of q (so Pi is
+  evaluated per call), under ``simulate`` to t = 2.
+
+Every array of every trajectory must be bitwise equal and every file
+byte-identical.  Each one that is not is printed with its max |delta|, and
+the exit status is 1 (2 when a tree fails to make its runs).  ``--t-end``
+caps every horizon, for a quick check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FIELDS = ("times", "states", "multipliers", "residuals", "energies",
+          "energy_rates")
+PARTICLE_X0 = (0.0, 0.3, 0.0, 1.0, 0.5, 0.3)
+
+
+def record_runs(src: str, t_end: float, out: Path) -> None:
+    """Make every run with the ldkit package under ``src``; save them to
+    ``out``."""
+    sys.path.insert(0, src)
+    import ldkit
+    from ldkit.cli import main as cli_main
+
+    if not ldkit.__file__.startswith(src):
+        raise SystemExit(f"imported {ldkit.__file__}, not the ldkit in {src}")
+
+    runs = {}
+
+    def keep(label, trajectory):
+        for name in FIELDS:
+            runs[f"{label}: {name}"] = getattr(trajectory, name)
+
+    def config(horizon):
+        return ldkit.IntegratorConfig(dt=1e-3, t_end=min(horizon, t_end))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(ldkit.CATALOG):
+            system, x0 = ldkit.build_system(ldkit.SystemSpec(name, {}, ()))
+            keep(f"simulate {name}", ldkit.simulate(system, x0, config(10.0)))
+            spec = Path(tmp, f"{name}.json")
+            spec.write_text(json.dumps({"name": name, "initial_state": []}))
+            for fmt in ("csv", "json"):
+                path = Path(tmp, f"{name}.{fmt}")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main(["simulate", str(spec), "--format", fmt,
+                                     "--t-end", repr(config(10.0).t_end),
+                                     "--output", str(path)])
+                if code != 0:
+                    raise SystemExit(f"ldkit simulate {name} exited {code}")
+                runs[f"file {path.name}"] = np.frombuffer(path.read_bytes(),
+                                                          dtype=np.uint8)
+
+    x0 = np.array(PARTICLE_X0)
+    particle = ldkit.damped_particle()
+    c = config(10.0)
+    keep("oracle damped_particle",
+         ldkit.oracle_simulate(particle, x0, c.dt, c.t_end))
+    no_jac = dataclasses.replace(particle, constraint_jacobian=None)
+    c = config(2.0)
+    keep("simulate particle without J", ldkit.simulate(no_jac, x0, c))
+    keep("oracle particle without J",
+         ldkit.oracle_simulate(no_jac, x0, c.dt, c.t_end))
+    friction = ldkit.damped_particle((lambda q: 1.0 + q[1] ** 2, 1.0, 0.5))
+    keep("simulate particle with callable friction",
+         ldkit.simulate(friction, x0, c))
+    np.savez(out, **runs)
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """One line for each run that is missing on a side or not bitwise
+    equal, with its max |delta| when the shapes agree."""
+    lines = []
+    for key in sorted(set(parent) | set(change)):
+        if key not in parent or key not in change:
+            lines.append(f"{key}: only in the "
+                         f"{'parent' if key in parent else 'change'}")
+            continue
+        a, b = parent[key], change[key]
+        if a.shape != b.shape:
+            lines.append(f"{key}: shape {a.shape} != {b.shape}")
+        elif a.dtype != b.dtype or a.tobytes() != b.tobytes():
+            delta = np.abs(a.astype(float) - b.astype(float))
+            lines.append(f"{key}: max |delta| = "
+                         f"{float(np.nanmax(delta, initial=0.0)):.3e}")
+    return lines
+
+
+def load_runs(src: str, t_end: float, tmp: str, label: str) -> dict:
+    """Make the runs of the tree ``src`` in a new Python process."""
+    out = Path(tmp, f"{label}.npz")
+    src = str(Path(src).resolve())
+    code = (f"import sys; "
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            f"import compare_trajectories as c; "
+            f"c.record_runs({src!r}, {t_end!r}, c.Path({str(out)!r}))")
+    if subprocess.run([sys.executable, "-B", "-c", code]).returncode:
+        print(f"the runs of {src} failed", file=sys.stderr)
+        raise SystemExit(2)
+    with np.load(out) as data:
+        return {key: data[key] for key in data.files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--t-end", type=float, default=10.0,
+                        help="cap on every run's horizon (default 10)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = load_runs(args.parent_src, args.t_end, tmp, "parent")
+        change = load_runs(args.change_src, args.t_end, tmp, "change")
+    lines = differences(parent, change)
+    for line in lines:
+        print(line)
+    files = sum(key.startswith("file ") for key in parent)
+    print(f"{len(parent) - files} trajectory arrays and {files} files "
+          f"compared: {len(lines)} differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
