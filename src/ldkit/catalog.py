@@ -194,22 +194,21 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
     def r_eval(q: np.ndarray) -> np.ndarray:
         return np.diag([float(e(q)) for e in entries])
 
-    # filling a copy of the fixed entries is cheaper than a nested list
-    a_fixed = np.array([[0.0], [0.0], [-1.0]])
+    # each call fills a new copy of the fixed entries (zeros for grad H) and
+    # writes only those that depend on x: cheaper than building from lists
+    # or through the generic (0; A(q)) wrapper of damped_mechanical
+    g_fixed = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [-1.0]])
     jac_fixed = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0]])
 
-    def a_eval(q: np.ndarray) -> np.ndarray:
-        a = a_fixed.copy()
-        a[0, 0] = q[1]
-        return a
+    def g_eval(x: np.ndarray) -> np.ndarray:
+        g = g_fixed.copy()
+        g[3, 0] = x[1]
+        return g
 
-    hamiltonian = ScalarField(
-        6,
-        value=lambda x: 0.5 * float(x[3] * x[3] + x[4] * x[4] + x[5] * x[5]),
-        gradient=lambda x: np.array([0.0, 0.0, 0.0, x[3], x[4], x[5]]),
-    )
-    system = damped_mechanical(TensorField(3, r_eval),
-                               ConstraintField(3, 1, a_eval), hamiltonian)
+    def gradient(x: np.ndarray) -> np.ndarray:
+        g = np.zeros(6)
+        g[3:] = x[3:]
+        return g
 
     def constraint_jacobian(x: np.ndarray) -> np.ndarray:
         # c(x) = y p_x - p_z
@@ -218,6 +217,15 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
         jac[0, 3] = x[1]
         return jac
 
+    hamiltonian = ScalarField(
+        6,
+        value=lambda x: 0.5 * float(x[3] * x[3] + x[4] * x[4] + x[5] * x[5]),
+        gradient=gradient,
+    )
+    # Pi and the probe checks of friction and H come from damped_mechanical
+    system = damped_mechanical(TensorField(3, r_eval), None, hamiltonian)
+    system = replace(system, ld=LDField(system.ld.pi,
+                                        ConstraintField(6, 1, g_eval)))
     if not any(callable(item) for item in mu):
         # constant friction makes Pi constant
         system = _frozen_pi(system)

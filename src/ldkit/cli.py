@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .catalog import build_system
-from .dynamics import IntegratorConfig, audit_series, simulate
+from .dynamics import RATE_TOL, IntegratorConfig, audit_series, simulate
 from .errors import (ConsistencyError, DegenerateRepresentationError,
                      InputError, LDKitError, NotLDStructureError,
                      SpecFormatError, StepFailureError)
@@ -87,6 +87,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     print(f"energy monotone nonincreasing: "
           f"{'yes' if audit.energy_monotone else 'no'} "
           f"(max step increase {audit.max_energy_increase:.3e})")
+    times = trajectory.times
+
+    def at(row: int) -> str:
+        return f"row {row} (t = {times[row]:.9g})"
+
+    print(f"max [H,H] at {at(audit.max_rate_row)}")
+    print(f"max step increase ends at {at(audit.max_energy_increase_row)}")
+    print(f"max |dH/dt - [H,H]| at {at(audit.max_rate_deviation_row)}")
+    first = audit.first_positive_rate_row
+    print(f"first [H,H] above {RATE_TOL:g}: "
+          f"{'none' if first is None else at(first)}")
     return EXIT_OK
 
 

@@ -183,7 +183,11 @@ class EnergyAudit:
 
     max_rate_deviation compares finite-difference dH/dt on the sample grid
     against the stored bracket values; the two verdict flags use the module
-    cutoffs RATE_TOL and MONOTONE_TOL.
+    cutoffs RATE_TOL and MONOTONE_TOL.  Each ``*_row`` is the sample row
+    where its value occurs (the first, on a tie); max_energy_increase_row
+    is the row that ends the step, and both step-based rows are 0 with
+    fewer than 2 samples.  first_positive_rate_row is the first row whose
+    rate exceeds RATE_TOL, or None.
     """
 
     n_samples: int
@@ -193,6 +197,10 @@ class EnergyAudit:
     max_energy_increase: float
     energy_monotone: bool
     max_rate_deviation: float
+    max_rate_row: int
+    max_energy_increase_row: int
+    max_rate_deviation_row: int
+    first_positive_rate_row: int | None
 
 
 class _Compiled:
@@ -612,11 +620,18 @@ def audit_series(times, energies, rates) -> EnergyAudit:
     if t.size < 2:
         deviation = 0.0
         max_increase = 0.0
+        deviation_row = increase_row = 0
     else:
         fd = np.gradient(h, t, edge_order=2 if t.size >= 3 else 1)
-        deviation = float(np.abs(fd - r).max())
-        max_increase = float(np.diff(h).max())
-    max_rate = float(r.max())
+        gaps = np.abs(fd - r)
+        deviation_row = int(gaps.argmax())
+        deviation = float(gaps[deviation_row])
+        steps = np.diff(h)
+        increase_row = int(steps.argmax()) + 1
+        max_increase = float(steps[increase_row - 1])
+    rate_row = int(r.argmax())
+    max_rate = float(r[rate_row])
+    positive = np.flatnonzero(r > RATE_TOL)
     return EnergyAudit(
         n_samples=int(t.size),
         energy_drift=float(h[-1] - h[0]),
@@ -625,6 +640,10 @@ def audit_series(times, energies, rates) -> EnergyAudit:
         max_energy_increase=max(max_increase, 0.0),
         energy_monotone=max_increase <= MONOTONE_TOL,
         max_rate_deviation=deviation,
+        max_rate_row=rate_row,
+        max_energy_increase_row=increase_row,
+        max_rate_deviation_row=deviation_row,
+        first_positive_rate_row=int(positive[0]) if positive.size else None,
     )
 
 

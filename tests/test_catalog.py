@@ -1,5 +1,7 @@
 """Tests for the ready-made system constructors and the named catalog."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from ldkit.catalog import (CATALOG, SystemSpec, build_system, damped_mechanical,
 from ldkit.dynamics import (IntegratorConfig, check_consistency, energy_rate,
                             multipliers, oracle_simulate, rhs, simulate)
 from ldkit.errors import ConsistencyError, InputError, SpecFormatError
-from ldkit.fields import (ConstraintField, ScalarField, TensorField,
+from ldkit.fields import (ConstraintField, LDField, ScalarField, TensorField,
                           regularity_scan)
 
 CANONICAL_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -392,3 +394,72 @@ def test_harmonic_oscillator_bracket_is_exactly_zero_on_every_row():
     traj = simulate(sys, x0, IntegratorConfig(dt=1e-3, t_end=10.0))
     assert traj.energy_rates.shape == (10_001,)
     assert not traj.energy_rates.any()
+
+
+def particle_built_generically(mu):
+    """The damped particle from the public constructors alone: G through
+    damped_mechanical's (0; A(q)) wrapper, grad H built from a list, J
+    filled per call, and a constant Pi when every friction entry is."""
+    entries = [m if callable(m) else (lambda q, _v=float(m): _v) for m in mu]
+    a_fixed = np.array([[0.0], [0.0], [-1.0]])
+
+    def a_eval(q):
+        a = a_fixed.copy()
+        a[0, 0] = q[1]
+        return a
+
+    hamiltonian = ScalarField(
+        6,
+        value=lambda x: 0.5 * float(x[3] * x[3] + x[4] * x[4] + x[5] * x[5]),
+        gradient=lambda x: np.array([0.0, 0.0, 0.0, x[3], x[4], x[5]]),
+    )
+    sys = damped_mechanical(
+        TensorField(3, lambda q: np.diag([float(e(q)) for e in entries])),
+        ConstraintField(3, 1, a_eval), hamiltonian)
+    if not any(callable(m) for m in mu):
+        pi = TensorField.constant(sys.ld.pi.evaluate(np.zeros(6)))
+        sys = dataclasses.replace(sys, ld=LDField(pi, sys.ld.forces))
+    return dataclasses.replace(
+        sys, constraint_jacobian=lambda x: np.array(
+            [[0.0, x[3], 0.0, x[1], 0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("mu", [
+    (1.0, 1.0, 1.0), (0.3, 1.7, 0.0), (lambda q: 1.0 + q[1] ** 2, 1.0, 0.5)],
+    ids=["unit", "mixed", "callable"])
+def test_damped_particle_runs_bitwise_as_built_from_generic_constructors(mu):
+    x0 = np.array([0.0, 0.3, 0.0, 1.0, 0.5, 0.3])
+    sys, twin = damped_particle(mu), particle_built_generically(mu)
+    for run in (lambda s: simulate(s, x0, IntegratorConfig(dt=1e-3,
+                                                           t_end=1.0)),
+                lambda s: oracle_simulate(s, x0, 1e-3, 1.0)):
+        a, b = run(sys), run(twin)
+        for field in ("times", "states", "multipliers", "residuals",
+                      "energies", "energy_rates"):
+            assert (getattr(a, field).tobytes()
+                    == getattr(b, field).tobytes()), field
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(EDGE_FLOATS, min_size=6, max_size=6))
+def test_damped_particle_g_and_grad_are_fresh_arrays_of_the_closed_form(
+        values):
+    sys = damped_particle()
+    x = np.array(values)
+    g_ref = np.array([[0.0], [0.0], [0.0], [x[1]], [0.0], [-1.0]])
+    grad_ref = np.array([0.0, 0.0, 0.0, x[3], x[4], x[5]])
+    for call, ref in ((sys.ld.forces.evaluate, g_ref),
+                      (sys.hamiltonian.gradient, grad_ref)):
+        first = call(x)
+        assert first.dtype == np.float64 and first.shape == ref.shape
+        assert first.tobytes() == ref.tobytes()  # signbits included
+        assert first.flags.writeable
+        first[...] = 7.0
+        second = call(x)
+        assert second is not first and not np.shares_memory(first, second)
+        assert second.tobytes() == ref.tobytes()

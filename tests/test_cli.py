@@ -318,6 +318,53 @@ def test_audit_reports_conservative_run_with_zero_bracket(tmp_path, capsys):
     assert "energy drift" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_audit_says_where_after_its_six_verdict_lines(tmp_path, capsys, fmt):
+    # H falls by 1/8 per row of 1/4 with a bump of 1/2 at row 6; the rate
+    # is -1/2 except 1e-9 at row 3 and 2e-9 at row 8
+    rows = np.arange(10)
+    rates = np.full(10, -0.5)
+    rates[3], rates[8] = 1e-9, 2e-9
+    traj = ldkit.Trajectory(
+        times=rows * 0.25, states=np.zeros((10, 2)),
+        multipliers=np.zeros((10, 0)), residuals=np.zeros(10),
+        energies=1.0 - 0.125 * rows + 0.5 * (rows == 6), energy_rates=rates)
+    path = str(tmp_path / f"bump.{fmt}")
+    (ldkit.write_trajectory_csv if fmt == "csv"
+     else ldkit.write_trajectory_json)(traj, path)
+    code, out, _ = run(capsys, "audit", path)
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "samples: 10",
+        "energy drift H(end) - H(start): -1.125000e+00",
+        "max bracket value [H,H]: 2.000000e-09",
+        "max |dH/dt - [H,H]| (finite differences): 1.000000e+00",
+        "energy rates nonpositive: no",
+        "energy monotone nonincreasing: no (max step increase 3.750e-01)",
+        "max [H,H] at row 8 (t = 2)",
+        "max step increase ends at row 6 (t = 1.5)",
+        "max |dH/dt - [H,H]| at row 5 (t = 1.25)",
+        "first [H,H] above 1e-12: row 3 (t = 0.75)",
+    ]
+
+
+def test_audit_of_one_sample_points_at_row_zero(tmp_path, capsys):
+    traj = ldkit.Trajectory(
+        times=np.array([0.5]), states=np.zeros((1, 2)),
+        multipliers=np.zeros((1, 0)), residuals=np.zeros(1),
+        energies=np.array([1.0]), energy_rates=np.array([-0.5]))
+    path = str(tmp_path / "one.csv")
+    ldkit.write_trajectory_csv(traj, path)
+    code, out, _ = run(capsys, "audit", path)
+    assert code == EXIT_OK
+    assert out.splitlines()[6:] == [
+        "max [H,H] at row 0 (t = 0.5)",
+        "max step increase ends at row 0 (t = 0.5)",
+        "max |dH/dt - [H,H]| at row 0 (t = 0.5)",
+        "first [H,H] above 1e-12: none",
+    ]
+
+
 def test_audit_malformed_file_exits_spec_error(tmp_path, capsys):
     path = tmp_path / "other.csv"
     path.write_text("time,value\n0.0,1.0\n", encoding="utf-8")

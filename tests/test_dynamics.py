@@ -16,6 +16,7 @@ from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    audit_series, check_consistency, damped_particle,
                    energy_audit, energy_rate, fields, kernel_form, multipliers,
                    oracle_simulate, rhs, simulate)
+from ldkit.dynamics import RATE_TOL
 
 
 def harmonic_system() -> DIHSystem:
@@ -819,6 +820,49 @@ def test_audit_series_rejects_a_corrupt_series(times, energies, rates,
                                                message):
     with pytest.raises(InputError, match=message):
         audit_series(times, energies, rates)
+
+
+# times k/4, H falling by 1/8 per row with a bump of 1/2 planted at row 6,
+# and the matching rate -1/2: every value is exact in binary
+BUMP_TIMES = np.arange(10) * 0.25
+BUMP_ENERGIES = 1.0 - 0.125 * np.arange(10) + 0.5 * (np.arange(10) == 6)
+
+
+def test_audit_series_locates_a_planted_energy_bump():
+    audit = audit_series(BUMP_TIMES, BUMP_ENERGIES, np.full(10, -0.5))
+    assert not audit.energy_monotone
+    # the step from row 5 to row 6 rises by 1/2 - 1/8
+    assert audit.max_energy_increase == 0.375
+    assert audit.max_energy_increase_row == 6
+    # central differences at rows 5 and 7 are +1/2 and -3/2, both 1 off the
+    # rate: the first row wins the tie
+    assert audit.max_rate_deviation == 1.0
+    assert audit.max_rate_deviation_row == 5
+    assert audit.max_rate_row == 0
+    assert audit.first_positive_rate_row is None
+
+
+def test_audit_series_locates_a_single_positive_rate():
+    rates = np.full(10, -0.5)
+    rates[2] = RATE_TOL  # not above the cutoff
+    rates[7] = 1e-9
+    energies = 1.0 - 0.125 * np.arange(10)
+    audit = audit_series(BUMP_TIMES, energies, rates)
+    assert not audit.rates_nonpositive and audit.energy_monotone
+    assert audit.first_positive_rate_row == 7
+    assert audit.max_rate_row == 7 and audit.max_rate == 1e-9
+    assert audit.max_rate_deviation_row == 7
+    # a linear H changes by the same step everywhere: the first one
+    assert audit.max_energy_increase_row == 1
+
+
+@pytest.mark.parametrize("rate,first", [(-0.5, None), (0.25, 0)])
+def test_audit_series_of_one_sample_has_row_zero(rate, first):
+    audit = audit_series([0.0], [1.0], [rate])
+    assert (audit.max_rate_row, audit.max_energy_increase_row,
+            audit.max_rate_deviation_row) == (0, 0, 0)
+    assert audit.max_energy_increase == audit.max_rate_deviation == 0.0
+    assert audit.first_positive_rate_row == first
 
 
 def test_skew_component_does_no_work():

@@ -14,12 +14,18 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
 - the particle without its analytic constraint Jacobian, under
   ``simulate`` and ``oracle_simulate`` to t = 2;
 - the particle with a friction entry that is a callable of q (so Pi is
-  evaluated per call), under ``simulate`` to t = 2.
+  evaluated per call), under ``simulate`` to t = 2;
+- one-point values of the 4 catalog systems at their default states and
+  of the particle at PARTICLE_X0: ``multipliers`` (lambda and its
+  residual), ``rhs``, ``energy_rate``, the ``check_consistency`` residual,
+  the three arrays of ``kernel_form`` and the basis of
+  ``fields.pointwise``.  These reach the catalog callables by paths that
+  no trajectory covers.
 
-Every array of every trajectory must be bitwise equal and every file
-byte-identical.  Each one that is not is printed with its max |delta|, and
-the exit status is 1 (2 when a tree fails to make its runs).  ``--t-end``
-caps every horizon, for a quick check.
+Every array of every trajectory and every one-point array must be bitwise
+equal and every file byte-identical.  Each one that is not is printed with
+its max |delta|, and the exit status is 1 (2 when a tree fails to make its
+runs).  ``--t-end`` caps every horizon, for a quick check.
 """
 
 from __future__ import annotations
@@ -90,6 +96,27 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
     friction = ldkit.damped_particle((lambda q: 1.0 + q[1] ** 2, 1.0, 0.5))
     keep("simulate particle with callable friction",
          ldkit.simulate(friction, x0, c))
+
+    points = {name: ldkit.build_system(ldkit.SystemSpec(name, {}, ()))
+              for name in sorted(ldkit.CATALOG)}
+    points["damped_particle at PARTICLE_X0"] = (particle, x0)
+    for label, (system, x) in points.items():
+        lam, residual = ldkit.multipliers(system, x)
+        report = ldkit.check_consistency(system, x)
+        form = ldkit.kernel_form(system, x)
+        structure = ldkit.fields.pointwise(system.ld, x)
+        values = {
+            "multipliers": lam, "multipliers residual": residual,
+            "rhs": ldkit.rhs(system, x),
+            "energy_rate": ldkit.energy_rate(system, x),
+            "consistency residual": report.residual,
+            "kernel_form k_matrix": form.k_matrix,
+            "kernel_form reduced_lhs": form.reduced_lhs,
+            "kernel_form reduced_rhs": form.reduced_rhs,
+            "pointwise basis": structure.space.basis,
+        }
+        for name, value in values.items():
+            runs[f"point {label}: {name}"] = np.asarray(value)
     np.savez(out, **runs)
 
 
@@ -141,8 +168,9 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     files = sum(key.startswith("file ") for key in parent)
-    print(f"{len(parent) - files} trajectory arrays and {files} files "
-          f"compared: {len(lines)} differ")
+    points = sum(key.startswith("point ") for key in parent)
+    print(f"{len(parent) - files - points} trajectory arrays, {points} "
+          f"one-point arrays and {files} files compared: {len(lines)} differ")
     return 1 if lines else 0
 
 
