@@ -26,8 +26,7 @@ from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
 from .fields import LDField, ScalarField, _checked, _Constant
 from .numdiff import central_directional, central_gradient
-from .subspaces import (DEFAULT_TOLERANCE, Tolerance, as_vector,
-                        complement_columns)
+from .subspaces import as_vector, complement_columns
 
 __all__ = [
     "DIHSystem",
@@ -389,8 +388,7 @@ def rhs(sys: DIHSystem, x) -> np.ndarray:
     return _terms(c, *c.start[:5])[1]
 
 
-def kernel_form(sys: DIHSystem, x,
-                tol: Tolerance = DEFAULT_TOLERANCE) -> KernelForm:
+def kernel_form(sys: DIHSystem, x) -> KernelForm:
     """Multiplier-free reduced form [K; 0] xdot = (K Pi grad H, G^T grad H).
 
     K spans the left null space of G(x); with k = 0 it is the identity.
@@ -399,7 +397,7 @@ def kernel_form(sys: DIHSystem, x,
     point = as_vector(x, sys.n, "state")
     grad = sys.hamiltonian.grad(point)
     pi = sys.ld.pi(point)
-    g = sys.ld.forces(point, tol)
+    g = sys.ld.forces(point)
     n, k = sys.n, sys.k
     kmat = complement_columns(g, k).T
     lhs = np.vstack([kmat, np.zeros((k, n))])

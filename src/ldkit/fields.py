@@ -21,8 +21,8 @@ import numpy as np
 from .errors import AdmissibilityError, InputError, RegularityError
 from .linear import LinearLD, PairRep, from_pair
 from .numdiff import central_gradient
-from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix,
-                        as_vector, complement_columns, numerical_rank)
+from .subspaces import (Subspace, as_matrix, as_vector, complement_columns,
+                        numerical_rank)
 
 __all__ = [
     "ScalarField",
@@ -36,6 +36,14 @@ __all__ = [
     "bracket",
     "regularity_scan",
 ]
+
+_RANK_EPS = 1e-9  # G(x) has full rank: k-th singular value > 1e-9 x largest
+_ADMISSIBILITY_TOL = 1e-8  # bound on each normalized entry of G(x)^T df
+
+
+def _rank(g: np.ndarray) -> int:
+    """The numerical rank of a constraint-force matrix G(x)."""
+    return numerical_rank(np.linalg.svd(g, compute_uv=False), _RANK_EPS)
 
 
 def _checked(value, shape: tuple, label: str, point) -> np.ndarray:
@@ -157,13 +165,11 @@ class ConstraintField:
         return _checked(self.evaluate(point), (self.dim, self.k),
                         "constraint field", point)
 
-    def __call__(self, x, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         m = self.matrix(x)
-        if self.k:
-            s = np.linalg.svd(m, compute_uv=False)
-            if numerical_rank(s, tol.rank_eps) < self.k:
-                raise RegularityError(
-                    f"constraint-force matrix drops rank at {np.asarray(x)}")
+        if self.k and _rank(m) < self.k:
+            raise RegularityError(
+                f"constraint-force matrix drops rank at {np.asarray(x)}")
         return m
 
     @classmethod
@@ -221,13 +227,13 @@ class RegularityReport:
         return not self.jumps
 
 
-def carrier_at(field: LDField, x, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
+def carrier_at(field: LDField, x) -> Subspace:
     """The admissible codistribution F(x) = ker(G(x)^T) = ann(Im G(x))."""
-    g = field.forces(x, tol)
+    g = field.forces(x)
     return Subspace(field.n, complement_columns(g, field.k))
 
 
-def pointwise(field: LDField, x, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
+def pointwise(field: LDField, x) -> LinearLD:
     """The linear LD structure induced at a point.
 
     Built as the backward pair on carrier F(x) = ker(G(x)^T) with map the
@@ -235,14 +241,14 @@ def pointwise(field: LDField, x, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD
     land in Im G(x), which the construction's annihilator summand absorbs.
     Raises RegularityError when G(x) drops rank.
     """
-    carrier = carrier_at(field, x, tol)
+    carrier = carrier_at(field, x)
     qf = carrier.basis
     compressed = qf.T @ field.pi(x) @ qf
-    return from_pair(PairRep("backward", carrier, compressed), tol)
+    return from_pair(PairRep("backward", carrier, compressed))
 
 
-def _admissibility_check(field: LDField, g_matrix: np.ndarray, df: np.ndarray,
-                         tol: Tolerance, label: str) -> None:
+def _admissibility_check(field: LDField, g_matrix: np.ndarray,
+                         df: np.ndarray) -> None:
     if field.k == 0:
         return
     scale = float(np.linalg.norm(df))
@@ -252,35 +258,35 @@ def _admissibility_check(field: LDField, g_matrix: np.ndarray, df: np.ndarray,
     norms[norms == 0.0] = 1.0
     violations = np.abs(g_matrix.T @ df) / (norms * scale)
     worst = int(np.argmax(violations))
-    if violations[worst] > tol.residual_eps:
+    if violations[worst] > _ADMISSIBILITY_TOL:
         raise AdmissibilityError(
-            f"differential of {label} is not admissible: constraint "
-            f"component {worst} has residual {violations[worst]:.3e} "
-            f"> {tol.residual_eps:.1e}",
+            f"differential of the first argument is not admissible: "
+            f"constraint component {worst} has residual "
+            f"{violations[worst]:.3e} > {_ADMISSIBILITY_TOL:.1e}",
             component=worst,
             residual=float(violations[worst]))
 
 
-def bracket(field: LDField, f: ScalarField, g: ScalarField, x,
-            tol: Tolerance = DEFAULT_TOLERANCE,
-            check_admissibility: bool = True) -> BracketValue:
+def bracket(field: LDField, f: ScalarField, g: ScalarField, x) -> BracketValue:
     """Evaluate {{f, g}}(x) = <df | Pi(x) dg> with its skew/sym split.
 
     The orientation is the one under which the coordinate tables of the
     canonical examples come out right ({{q, p}} = +1 for the canonical
     Poisson tensor) and the flow identity zdot_i = {{z_i, H}} reproduces
-    Pi grad H.  Requires df(x) admissible, i.e. G(x)^T df(x) = 0 within
-    tolerance; violation raises AdmissibilityError naming the worst
-    constraint component.  ``check_admissibility=False`` skips that gate for
-    formal coordinate tabulations.  The returned triple satisfies
-    full = skew + sym exactly.
+    Pi grad H.  Its cutoffs are fixed (tolerance arguments belong to the
+    subspace and linear layers and to ``load_structure_spec``): G(x) must
+    have full rank, its k-th singular value above 1e-9 times the largest
+    (else RegularityError), and df(x) must be admissible,
+    |G_i(x) . df(x)| <= 1e-8 |G_i(x)| |df(x)| for each column G_i (else
+    AdmissibilityError naming the worst i).  For a coordinate table of Pi
+    off the constraint, pass the unconstrained field
+    ``LDField(field.pi, ConstraintField.none(field.n))``.  The returned
+    triple satisfies full = skew + sym exactly.
     """
     point = as_vector(x, field.n, "point")
     df = f.grad(point)
     dg = g.grad(point)
-    g_matrix = field.forces(point, tol)
-    if check_admissibility:
-        _admissibility_check(field, g_matrix, df, tol, "the first argument")
+    _admissibility_check(field, field.forces(point), df)
     pi = field.pi(point)
     sym_m = 0.5 * (pi + pi.T)
     skew_m = 0.5 * (pi - pi.T)
@@ -299,10 +305,7 @@ def regularity_scan(field: LDField, samples) -> RegularityReport:
     pts = [as_vector(p, field.n, "sample") for p in np.atleast_2d(np.asarray(samples, dtype=float))]
     if not pts:
         raise InputError("regularity_scan needs at least one sample")
-    g_ranks = []
-    for p in pts:
-        s = np.linalg.svd(field.forces.matrix(p), compute_uv=False)
-        g_ranks.append(numerical_rank(s, DEFAULT_TOLERANCE.rank_eps))
+    g_ranks = [_rank(field.forces.matrix(p)) for p in pts]
     counts = {r: g_ranks.count(r) for r in set(g_ranks)}
     modal = max(counts, key=lambda r: (counts[r], -r))
     jumps = tuple(i for i, r in enumerate(g_ranks) if r != modal)

@@ -32,27 +32,42 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_FIELDS = ("times", "states", "multipliers", "residuals", "energies",
+           "energy_rates")
 
 
-def _check_version(doc: dict, path: str) -> None:
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SpecFormatError(
-            f"{path}: unsupported schema_version {version!r}; "
-            f"this build reads version {SCHEMA_VERSION}")
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is, or holds at any depth, a JSON true or false."""
+    if isinstance(value, (list, dict)):
+        return any(map(_holds_bool, value.values()
+                       if isinstance(value, dict) else value))
+    return isinstance(value, bool)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``.  Its schema_version and each field named
+    in ``numeric`` must hold numbers only: Python would read a true or
+    false there as 1 or 0."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFormatError(f"{path}: top level must be a JSON object")
-    _check_version(doc, path)
+    if "true" in text or "false" in text:  # else no field holds a boolean
+        for key in ("schema_version",) + numeric:
+            if _holds_bool(doc.get(key)):
+                raise SpecFormatError(
+                    f"{path}: field {key!r} holds a boolean, not a number")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise SpecFormatError(
+            f"{path}: unsupported schema_version {version!r}; "
+            f"this build reads version {SCHEMA_VERSION}")
     return doc
 
 
@@ -82,7 +97,7 @@ def load_structure_spec(path: str,
     coordinates.  Parse and shape problems raise SpecFormatError; degenerate
     pairs and non-LD subspaces raise their own library errors.
     """
-    doc = _load_json(path)
+    doc = _load_json(path, ("n", "a", "b", "carrier", "map"))
     n = doc.get("n")
     if not isinstance(n, int) or n < 1:
         raise SpecFormatError(f"{path}: field 'n' must be a positive integer")
@@ -119,7 +134,7 @@ def load_structure_spec(path: str,
 
 def load_system_spec(path: str) -> SystemSpec:
     """Load a run request: {"name", "parameters", "initial_state"}."""
-    doc = _load_json(path)
+    doc = _load_json(path, ("parameters", "initial_state"))
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise SpecFormatError(f"{path}: field 'name' must be a string")
@@ -148,9 +163,7 @@ def _csv_header(n: int, k: int) -> list[str]:
 
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     """Write the fixed-layout trajectory CSV."""
-    block = np.column_stack([
-        trajectory.times, trajectory.states, trajectory.multipliers,
-        trajectory.residuals, trajectory.energies, trajectory.energy_rates])
+    block = np.column_stack([getattr(trajectory, name) for name in _FIELDS])
     # the spreadsheet ("excel") CSV dialect: CRLF line ends; no number
     # needs quoting
     row = ",".join(["%.17g"] * block.shape[1]) + "\r\n"
@@ -162,47 +175,33 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
 
 def write_trajectory_json(trajectory: Trajectory, path: str) -> None:
     """Write the JSON mirror of the trajectory fields."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "times": trajectory.times.tolist(),
-        "states": trajectory.states.tolist(),
-        "multipliers": trajectory.multipliers.tolist(),
-        "residuals": trajectory.residuals.tolist(),
-        "energies": trajectory.energies.tolist(),
-        "energy_rates": trajectory.energy_rates.tolist(),
-    }
+    doc = {"schema_version": SCHEMA_VERSION}
+    doc.update((name, getattr(trajectory, name).tolist()) for name in _FIELDS)
     # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
-def _trajectory_from_arrays(times, states, multipliers, residuals, energies,
-                            rates, path: str) -> Trajectory:
+def _trajectory_from_arrays(fields: dict, path: str) -> Trajectory:
+    """The trajectory of ``fields`` (holding each of _FIELDS): states and
+    multipliers one row per sample (a k = 0 row is empty), the rest one
+    value per sample."""
     try:
-        t = np.asarray(times, dtype=float)
-        x = np.asarray(states, dtype=float)
-        lam = np.asarray(multipliers, dtype=float)
-        res = np.asarray(residuals, dtype=float)
-        h = np.asarray(energies, dtype=float)
-        r = np.asarray(rates, dtype=float)
+        arrays = {name: np.asarray(fields[name], dtype=float)
+                  for name in _FIELDS}
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"{path}: non-numeric trajectory data") from exc
+    t = arrays["times"]
     m = t.shape[0] if t.ndim == 1 else -1
     if m < 1:
         raise SpecFormatError(f"{path}: trajectory needs at least one sample")
-    try:
-        x = x.reshape(m, -1) if x.size else np.zeros((m, 0))
-        lam = lam.reshape(m, -1) if lam.size else np.zeros((m, 0))
-    except ValueError as exc:
-        raise SpecFormatError(
-            f"{path}: states/multipliers do not match the sample count") from exc
-    for name, arr in (("residuals", res), ("energies", h),
-                      ("energy_rates", r)):
-        if arr.shape != (m,):
+    for name, arr in arrays.items():
+        rows = name in ("states", "multipliers")
+        if arr.ndim != 1 + rows or arr.shape[0] != m:
             raise SpecFormatError(
-                f"{path}: field {name!r} must have one value per sample")
-    return Trajectory(times=t, states=x, multipliers=lam, residuals=res,
-                      energies=h, energy_rates=r)
+                f"{path}: field {name!r} must have one "
+                f"{'row' if rows else 'value'} per sample")
+    return Trajectory(**arrays)
 
 
 def _read_trajectory_csv(path: str) -> Trajectory:
@@ -249,20 +248,17 @@ def _read_trajectory_csv(path: str) -> Trajectory:
                 raise SpecFormatError(
                     f"{path}: line {lineno} has non-numeric data") from exc
         raise
-    return _trajectory_from_arrays(
+    return _trajectory_from_arrays(dict(zip(_FIELDS, (
         arr[:, 0], arr[:, 1:1 + n], arr[:, 1 + n:1 + n + k],
-        arr[:, 1 + n + k], arr[:, 2 + n + k], arr[:, 3 + n + k], path)
+        arr[:, 1 + n + k], arr[:, 2 + n + k], arr[:, 3 + n + k]))), path)
 
 
 def _read_trajectory_json(path: str) -> Trajectory:
-    doc = _load_json(path)
-    missing = [key for key in ("times", "states", "multipliers", "residuals",
-                               "energies", "energy_rates") if key not in doc]
+    doc = _load_json(path, _FIELDS)
+    missing = [key for key in _FIELDS if key not in doc]
     if missing:
         raise SpecFormatError(f"{path}: missing trajectory fields {missing}")
-    return _trajectory_from_arrays(
-        doc["times"], doc["states"], doc["multipliers"], doc["residuals"],
-        doc["energies"], doc["energy_rates"], path)
+    return _trajectory_from_arrays(doc, path)
 
 
 def read_trajectory(path: str) -> Trajectory:

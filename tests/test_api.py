@@ -46,3 +46,17 @@ def test_the_integrator_settings_are_dt_and_t_end_only():
     assert fields == ["dt", "t_end"]
     for fn in (ldkit.check_consistency, ldkit.multipliers, ldkit.rhs):
         assert list(inspect.signature(fn).parameters) == ["sys", "x"], fn
+
+
+def test_fields_and_dynamics_take_no_tolerance_and_no_admissibility_switch():
+    # the rank rule on G and the admissibility bound are fixed cutoffs; a
+    # Tolerance reaches only the subspace and linear layers
+    expected = {
+        ldkit.ConstraintField.__call__: ["self", "x"],
+        ldkit.carrier_at: ["field", "x"],
+        ldkit.pointwise: ["field", "x"],
+        ldkit.bracket: ["field", "f", "g", "x"],
+        ldkit.kernel_form: ["sys", "x"],
+    }
+    for fn, parameters in expected.items():
+        assert list(inspect.signature(fn).parameters) == parameters, fn

@@ -373,6 +373,33 @@ def test_audit_malformed_file_exits_spec_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("verify", {"kind": "ab", "n": True, "a": [[1.0]], "b": [[0.0]]}),
+    ("verify", {**CANONICAL_AB, "schema_version": True}),
+    ("simulate", {"name": "harmonic_oscillator",
+                  "parameters": {"omega": True}, "initial_state": []}),
+    ("simulate", {"name": "harmonic_oscillator",
+                  "initial_state": [True, False]}),
+    ("audit", {"times": [0.0, 0.1], "states": [[1.0], [0.5]],
+               "multipliers": [[], []], "residuals": [0.0, 0.0],
+               "energies": [True, 0.5], "energy_rates": [0.0, 0.0]}),
+    ("audit", {"times": [0.0, 0.1], "states": [[1, 2], [3, 4], [5, 6]],
+               "multipliers": [[], []], "residuals": [0.0, 0.0],
+               "energies": [1.0, 0.5], "energy_rates": [0.0, 0.0]}),
+], ids=["verify-n", "verify-version", "simulate-parameter",
+        "simulate-state", "audit-energy", "audit-three-state-rows"])
+def test_a_boolean_or_misshapen_field_exits_spec_error(tmp_path, capsys,
+                                                       command, doc):
+    path = write_json(tmp_path, "doc.json", doc)
+    argv = [command, path]
+    if command == "simulate":
+        argv += ["--t-end", "0.01", "--output", str(tmp_path / "t.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert "error:" in err
+
+
 # (times, H, [H,H]) of three rows, and the error the audit must report
 CORRUPT_SERIES = {
     "repeated-time": (([0.0, 1.0, 1.0], [1.0, 0.5, 0.25], [-1.0, -0.5, -0.25]),

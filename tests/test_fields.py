@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import product_field, random_quadratic
-from ldkit import (AdmissibilityError, ConstraintField, InputError, LDField,
-                   RegularityError, ScalarField, Subspace, TensorField,
-                   bracket, carrier_at, damped_particle, pointwise,
-                   regularity_scan, tangent_part)
+from ldkit import (AdmissibilityError, ConstraintField, DIHSystem, InputError,
+                   IntegratorConfig, LDField, RegularityError, ScalarField,
+                   Subspace, TensorField, bracket, carrier_at,
+                   damped_particle, kernel_form, pointwise, regularity_scan,
+                   simulate, tangent_part)
 
 CANONICAL_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -195,20 +196,21 @@ def test_bracket_pure_metric_is_negative_gradient_inner_product():
 
 def test_bracket_particle_momentum_table():
     # symmetric part [p_i, p_j] = -delta_ij * mu_i; skew part {q_i, p_j} =
-    # delta_ij, evaluated away from the constraint surface restriction by
-    # disabling the admissibility gate
+    # delta_ij, tabulated on the field with the particle's Pi and no
+    # constraint, whose every function is admissible
     mu = (2.0, 1.0, 0.5)
     sys = damped_particle(mu)
+    table = LDField(sys.ld.pi, ConstraintField.none(6))
     x = np.array([0.1, 0.4, -0.2, 0.3, 0.8, -0.5])
     for i in range(3):
         for j in range(3):
             p_i = coordinate(6, 3 + i)
             p_j = coordinate(6, 3 + j)
-            val = bracket(sys.ld, p_i, p_j, x, check_admissibility=False)
+            val = bracket(table, p_i, p_j, x)
             expected = -mu[i] if i == j else 0.0
             assert val.sym == pytest.approx(expected, abs=1e-12)
             q_i = coordinate(6, i)
-            qp = bracket(sys.ld, q_i, p_j, x, check_admissibility=False)
+            qp = bracket(table, q_i, p_j, x)
             assert qp.skew == pytest.approx(1.0 if i == j else 0.0,
                                             abs=1e-12)
             assert qp.sym == pytest.approx(0.0, abs=1e-12)
@@ -322,3 +324,64 @@ def test_bracket_symmetry_split_on_random_tensors(seed):
     scale = max(1.0, abs(fg.skew), abs(fg.sym))
     assert abs(fg.skew + gf.skew) <= 1e-12 * scale
     assert abs(fg.sym - gf.sym) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the fixed cutoffs: one rank rule for G, one admissibility bound
+
+
+def graded_system(sigma: float) -> DIHSystem:
+    """A system on R^3 whose constant G has singular values 1 and sigma;
+    (0, 0, 1) is consistent, and x3 is admissible there."""
+    g = np.array([[1.0, 0.0], [0.0, sigma], [0.0, 0.0]])
+    h = ScalarField(3, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    return DIHSystem(3, LDField(TensorField.constant(np.zeros((3, 3))),
+                                ConstraintField.constant(g)), h)
+
+
+RANK_CHECKS = {
+    "ConstraintField.__call__": lambda sys, x: sys.ld.forces(x),
+    "carrier_at": lambda sys, x: carrier_at(sys.ld, x),
+    "pointwise": lambda sys, x: pointwise(sys.ld, x),
+    "kernel_form": lambda sys, x: kernel_form(sys, x),
+    "bracket": lambda sys, x: bracket(sys.ld, coordinate(3, 2),
+                                      sys.hamiltonian, x),
+    "simulate set-up": lambda sys, x: simulate(
+        sys, x, IntegratorConfig(dt=0.1, t_end=0.0)),
+}
+
+
+@pytest.mark.parametrize("check", RANK_CHECKS.values(), ids=RANK_CHECKS)
+def test_g_has_full_rank_down_to_1e_9_of_its_largest_singular_value(check):
+    x = np.array([0.0, 0.0, 1.0])
+    check(graded_system(2e-9), x)
+    with pytest.raises(RegularityError):
+        check(graded_system(5e-10), x)
+
+
+def test_regularity_scan_uses_the_same_rank_rule():
+    field = LDField(TensorField.constant(np.zeros((3, 3))), ConstraintField(
+        3, 2, lambda x: np.array([[1.0, 0.0], [0.0, x[0]], [0.0, 0.0]])))
+    report = regularity_scan(field, [[2e-9, 0.0, 0.0], [2e-9, 0.0, 0.0],
+                                     [5e-10, 0.0, 0.0]])
+    assert report.g_ranks == (2, 2, 1)
+    assert report.jumps == (2,)
+
+
+@pytest.mark.parametrize("violation", [5e-9, 2e-8])
+def test_bracket_admits_a_normalized_violation_up_to_1e_8(violation):
+    # df = (v, 1) against G = e1: the normalized violation is
+    # v / |(v, 1)|, which is v to within 1e-16 relative
+    field = LDField(TensorField.constant(CANONICAL_2),
+                    ConstraintField.constant([[1.0], [0.0]]))
+    f = ScalarField(2, value=lambda x: float(violation * x[0] + x[1]),
+                    gradient=lambda x: np.array([violation, 1.0]))
+    x = np.array([0.3, -0.2])
+    if violation < 1e-8:
+        assert bracket(field, f, f, x).skew == 0.0
+        return
+    with pytest.raises(AdmissibilityError) as err:
+        bracket(field, f, f, x)
+    assert err.value.component == 0
+    assert err.value.residual == pytest.approx(violation, rel=1e-12)

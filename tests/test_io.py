@@ -467,3 +467,91 @@ def test_trajectory_json_rejects_future_version(tmp_path):
         "energy_rates": [0.0]})
     with pytest.raises(SpecFormatError, match="schema_version"):
         read_trajectory(path)
+
+
+def two_sample_trajectory(**fields):
+    """A two-sample, n = 2, k = 0 trajectory document with ``fields``
+    replaced."""
+    doc = {"times": [0.0, 0.1], "states": [[1.0, 2.0], [3.0, 4.0]],
+           "multipliers": [[], []], "residuals": [0.0, 0.0],
+           "energies": [1.0, 0.5], "energy_rates": [-1.0, -0.5]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("states", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    ("states", [1.0, 2.0, 3.0, 4.0]),
+    ("states", [[[1.0], [2.0]], [[3.0], [4.0]]]),
+    ("multipliers", [0.5, 0.25]),
+    ("multipliers", []),
+    ("multipliers", [[], [], []]),
+], ids=["three-rows", "flat-states", "3d-states", "flat-multipliers",
+        "empty-multipliers", "three-empty-rows"])
+def test_trajectory_json_needs_one_row_per_sample(tmp_path, field, value):
+    # a reshape would read [[1,2],[3,4],[5,6]] as [[1,2,3],[4,5,6]]
+    path = dump(tmp_path / "t.json", two_sample_trajectory(**{field: value}))
+    with pytest.raises(SpecFormatError,
+                       match=f"field '{field}' must have one row per sample"):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_of_k_0_round_trips_with_empty_multiplier_rows(tmp_path,
+                                                                   fmt):
+    sys, x0 = build_system(SystemSpec(name="harmonic_oscillator"))
+    traj = simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.05))
+    path = str(tmp_path / f"traj.{fmt}")
+    (write_trajectory_csv if fmt == "csv" else write_trajectory_json)(
+        traj, path)
+    if fmt == "json":
+        assert json.loads(open(path, encoding="utf-8").read())[
+            "multipliers"] == [[]] * 6
+    back = read_trajectory(path)
+    assert back.multipliers.shape == (6, 0)
+    assert trajectories_equal(back, traj)
+
+
+AB_SPEC = {"kind": "ab", "n": 2, "a": [[1.0, 0.0], [0.0, 1.0]], "b": POISSON}
+PAIR_SPEC = {"kind": "pair", "n": 2, "orientation": "forward",
+             "carrier": [[1.0, 0.0]], "map": [[0.0]]}
+RUN_SPEC = {"name": "damped_oscillator", "parameters": {"mu": 0.5},
+            "initial_state": [1.0, 0.0]}
+BOOLEANS = {
+    "n": (load_structure_spec, {"kind": "ab", "a": [[1.0]], "b": [[0.0]]},
+          {"n": True}),
+    "version": (load_structure_spec, AB_SPEC, {"schema_version": True}),
+    "a-entry": (load_structure_spec, AB_SPEC,
+                {"a": [[True, 0.0], [0.0, 1.0]]}),
+    "carrier-entry": (load_structure_spec, PAIR_SPEC,
+                      {"carrier": [[True, False]]}),
+    "map-entry": (load_structure_spec, PAIR_SPEC, {"map": [[False]]}),
+    "parameter": (load_system_spec, RUN_SPEC, {"parameters": {"omega": True}}),
+    "initial-state": (load_system_spec, RUN_SPEC,
+                      {"initial_state": [True, False]}),
+    "time": (read_trajectory, two_sample_trajectory(), {"times": [0.0, True]}),
+    "state": (read_trajectory, two_sample_trajectory(),
+              {"states": [[1.0, 2.0], [False, 4.0]]}),
+    "energy-rate": (read_trajectory, two_sample_trajectory(),
+                    {"energy_rates": [False, -0.5]}),
+}
+
+
+@pytest.mark.parametrize("case", BOOLEANS)
+def test_a_json_boolean_is_not_read_as_a_number(tmp_path, case):
+    load, doc, change = BOOLEANS[case]
+    key = next(iter(change))
+    path = dump(tmp_path / "doc.json", {**doc, **change})
+    with pytest.raises(SpecFormatError,
+                       match=f"field '{key}' holds a boolean, not a number"):
+        load(path)
+
+
+@pytest.mark.parametrize("load, doc", [
+    (load_structure_spec, AB_SPEC), (load_system_spec, RUN_SPEC),
+    (read_trajectory, two_sample_trajectory())],
+    ids=["structure", "run", "trajectory"])
+def test_a_json_boolean_under_an_unknown_key_is_ignored(tmp_path, load, doc):
+    path = dump(tmp_path / "doc.json",
+                {**doc, "stats": {"complete": True, "flags": [False]}})
+    load(path)

@@ -104,7 +104,7 @@ def test_compare_trajectories_finds_a_tree_equal_to_itself():
         timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == (
-        "48 trajectory arrays, 45 one-point arrays and 8 files compared: "
+        "48 trajectory arrays, 60 one-point arrays and 8 files compared: "
         "0 differ")
 
 

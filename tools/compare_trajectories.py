@@ -18,9 +18,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
 - one-point values of the 4 catalog systems at their default states and
   of the particle at PARTICLE_X0: ``multipliers`` (lambda and its
   residual), ``rhs``, ``energy_rate``, the ``check_consistency`` residual,
-  the three arrays of ``kernel_form`` and the basis of
-  ``fields.pointwise``.  These reach the catalog callables by paths that
-  no trajectory covers.
+  the three arrays of ``kernel_form``, ``bracket(H, H)`` as (full, skew,
+  sym), the basis of ``carrier_at``, and the basis and five flags of
+  ``fields.pointwise``.  These reach the catalog callables, and the
+  field layer's fixed cutoffs, by paths that no trajectory covers.
 
 Every array of every trajectory and every one-point array must be bitwise
 equal and every file byte-identical.  Each one that is not is printed with
@@ -105,6 +106,7 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
         report = ldkit.check_consistency(system, x)
         form = ldkit.kernel_form(system, x)
         structure = ldkit.fields.pointwise(system.ld, x)
+        h = system.hamiltonian
         values = {
             "multipliers": lam, "multipliers residual": residual,
             "rhs": ldkit.rhs(system, x),
@@ -113,7 +115,10 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
             "kernel_form k_matrix": form.k_matrix,
             "kernel_form reduced_lhs": form.reduced_lhs,
             "kernel_form reduced_rhs": form.reduced_rhs,
+            "bracket (full, skew, sym)": ldkit.bracket(system.ld, h, h, x),
+            "carrier_at basis": ldkit.carrier_at(system.ld, x).basis,
             "pointwise basis": structure.space.basis,
+            "pointwise flags": dataclasses.astuple(structure.flags),
         }
         for name, value in values.items():
             runs[f"point {label}: {name}"] = np.asarray(value)
