@@ -55,9 +55,9 @@ _MAX_PROJECTION_ITERS = 25
 # the multiplier of every k = 0 state
 _NO_LAM = np.zeros(0)
 _NO_LAM.setflags(write=False)
-# the recorder peaks at about 420 B per row for the 2-d harmonic oscillator and
-# 523 B per row for the particle (tracemalloc over 10,001 rows): a run of more
-# than 10^8 steps needs over 40 GB and could only end by exhausting memory
+# the recorder allocates 8(n + k + 4) B per grid row when the run starts
+# (10^8 particle steps: 8.8 GB); an allocation that fails raises InputError
+# before the first step
 _MAX_STEPS = 10**8
 
 # audit verdict cutoffs: a rate counts as nonpositive up to round-off, and a
@@ -451,41 +451,50 @@ def _project(c: _Compiled, x: np.ndarray
 
 
 class _Recorder:
-    def __init__(self, c: _Compiled):
+    """The run's six arrays, allocated for every grid row at set-up; row i
+    is written in place, and the first ``m`` rows are written."""
+
+    def __init__(self, c: _Compiled, rows: int):
         self.c = c
-        self.times: list[float] = []
-        self.states: list[np.ndarray] = []
-        self.lams: list[np.ndarray] = []
-        self.residuals: list[float] = []
-        self.energies: list[float] = []
-        self.rates: list[float] = []
+        self.m = 0
+        try:
+            self.arrays = (np.empty(rows), np.empty((rows, c.n)),
+                           np.empty((rows, c.k)), np.empty(rows),
+                           np.empty(rows), np.empty(rows))
+        except MemoryError as exc:
+            raise InputError(
+                f"cannot allocate the trajectory: {rows:,} rows of "
+                f"{8 * (c.n + c.k + 4)} B need {8 * rows * (c.n + c.k + 4):,} "
+                f"bytes") from exc
+        (self.times, self.states, self.lams, self.residuals, self.energies,
+         self.rates) = self.arrays
 
     def record(self, t: float, x: np.ndarray, grad: np.ndarray,
                pi: np.ndarray, lam: np.ndarray, resid: float,
                energy: float) -> None:
-        # evaluate before appending: a failure leaves no half-written row
+        # evaluate before writing: a failure leaves no half-written row
         rate = _bracket_hh(grad, pi, self.c.sym_fixed)
         if not (math.isfinite(energy) and math.isfinite(rate)):
             # mid-run this fails the step; at the start, the input
-            raise (ValueError if self.times else InputError)(
+            raise (ValueError if self.m else InputError)(
                 f"H = {energy} and [H, H] = {rate} at t = {t:.6g} are not "
                 f"both finite")
-        self.times.append(t)
-        self.states.append(x)
-        self.lams.append(lam)
-        self.residuals.append(resid)
-        self.energies.append(energy)
-        self.rates.append(rate)
+        i = self.m
+        self.times[i] = t
+        self.states[i] = x
+        self.lams[i] = lam
+        self.residuals[i] = resid
+        self.energies[i] = energy
+        self.rates[i] = rate
+        self.m = i + 1
 
     def build(self) -> Trajectory:
-        return Trajectory(
-            times=np.asarray(self.times),
-            states=np.asarray(self.states).reshape(len(self.times), self.c.n),
-            multipliers=np.asarray(self.lams).reshape(len(self.times), self.c.k),
-            residuals=np.asarray(self.residuals),
-            energies=np.asarray(self.energies),
-            energy_rates=np.asarray(self.rates),
-        )
+        return Trajectory(*self.arrays)
+
+    def partial(self) -> Trajectory:
+        """Copies of the rows written, so that a failed run does not keep
+        its whole allocation alive."""
+        return Trajectory(*(a[:self.m].copy() for a in self.arrays))
 
 
 def _run(sys: DIHSystem, x0, config: IntegratorConfig,
@@ -500,7 +509,7 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     """
     dt = config.dt
     c = _Compiled(sys, x0)
-    rec = _Recorder(c)
+    rec = _Recorder(c, config.steps + 1)
     f = partial(_rhs_raw, c)
 
     x, grad, g, pi, jac, resid, h0 = c.start
@@ -527,8 +536,8 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
             # the hot loop, or from numpy (LinAlgError too)
             raise StepFailureError(
                 f"step to t = {i * dt:.6g} failed: {exc}",
-                time=t_prev, state=rec.states[-1],
-                partial=rec.build()) from exc
+                time=t_prev, state=rec.states[rec.m - 1].copy(),
+                partial=rec.partial()) from exc
     return rec.build()
 
 

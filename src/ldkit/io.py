@@ -34,6 +34,19 @@ __all__ = [
 SCHEMA_VERSION = 1
 _FIELDS = ("times", "states", "multipliers", "residuals", "energies",
            "energy_rates")
+_ROW_FIELDS = ("states", "multipliers")
+
+
+def _read_text(path: str, size: int = -1) -> str:
+    """The first ``size`` characters (all, by default) of the UTF-8 text
+    file ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(size)
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _holds_bool(value) -> bool:
@@ -48,12 +61,9 @@ def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
     """The JSON object in ``path``.  Its schema_version and each field named
     in ``numeric`` must hold numbers only: Python would read a true or
     false there as 1 or 0."""
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         doc = json.loads(text)
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -182,34 +192,45 @@ def write_trajectory_json(trajectory: Trajectory, path: str) -> None:
         fh.write(json.dumps(doc) + "\n")
 
 
+def _misshapen(name: str, path: str) -> SpecFormatError:
+    return SpecFormatError(
+        f"{path}: field {name!r} must have one "
+        f"{'row' if name in _ROW_FIELDS else 'value'} per sample")
+
+
+def _field_array(fields: dict, name: str, path: str) -> np.ndarray:
+    """Field ``name`` of ``fields`` as floats.  A value that numpy cannot
+    convert is misshapen when it nests too shallow (ragged rows) or holds
+    a list where a number belongs; otherwise it holds a non-number."""
+    value = fields[name]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        cells = np.asarray(value, dtype=object)
+        if (cells.ndim < 1 + (name in _ROW_FIELDS)
+                or any(isinstance(cell, list) for cell in cells.flat)):
+            raise _misshapen(name, path) from exc
+        raise SpecFormatError(
+            f"{path}: field {name!r} holds a non-number") from exc
+
+
 def _trajectory_from_arrays(fields: dict, path: str) -> Trajectory:
     """The trajectory of ``fields`` (holding each of _FIELDS): states and
     multipliers one row per sample (a k = 0 row is empty), the rest one
     value per sample."""
-    try:
-        arrays = {name: np.asarray(fields[name], dtype=float)
-                  for name in _FIELDS}
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"{path}: non-numeric trajectory data") from exc
+    arrays = {name: _field_array(fields, name, path) for name in _FIELDS}
     t = arrays["times"]
     m = t.shape[0] if t.ndim == 1 else -1
     if m < 1:
         raise SpecFormatError(f"{path}: trajectory needs at least one sample")
     for name, arr in arrays.items():
-        rows = name in ("states", "multipliers")
-        if arr.ndim != 1 + rows or arr.shape[0] != m:
-            raise SpecFormatError(
-                f"{path}: field {name!r} must have one "
-                f"{'row' if rows else 'value'} per sample")
+        if arr.ndim != 1 + (name in _ROW_FIELDS) or arr.shape[0] != m:
+            raise _misshapen(name, path)
     return Trajectory(**arrays)
 
 
 def _read_trajectory_csv(path: str) -> Trajectory:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     lines = [(lineno, line) for lineno, line
              in enumerate(text.split("\n"), start=1) if line]
     if not lines:
@@ -268,11 +289,6 @@ def read_trajectory(path: str) -> Trajectory:
         return _read_trajectory_json(path)
     if ext == ".csv":
         return _read_trajectory_csv(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(1).strip()
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-    if head == "{":
+    if _read_text(path, 1).strip() == "{":
         return _read_trajectory_json(path)
     return _read_trajectory_csv(path)

@@ -260,6 +260,27 @@ def test_simulate_step_count_above_the_ceiling_exits_before_a_run(
     assert not out_path.exists()
 
 
+def test_simulate_of_a_trajectory_too_big_to_allocate_exits_spec_error(
+        tmp_path, capsys, monkeypatch):
+    empty = np.empty
+
+    def no_memory(shape, *args, **kwargs):
+        # only the recorder asks for rows of the whole 10,001-row run
+        if (shape if isinstance(shape, int) else shape[0]) == 10_001:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(ldkit.dynamics.np, "empty", no_memory)
+    spec = write_json(tmp_path, "run.json", {
+        "name": "harmonic_oscillator", "initial_state": []})
+    out_path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", spec, "--output", str(out_path))
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert "cannot allocate the trajectory: 10,001 rows" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name", sorted(ldkit.CATALOG))
 def test_simulate_csv_and_json_read_back_equal_and_audit(tmp_path, capsys,
                                                          name):
@@ -398,6 +419,22 @@ def test_a_boolean_or_misshapen_field_exits_spec_error(tmp_path, capsys,
     assert code == EXIT_SPEC
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("verify", "spec.json"), ("simulate", "run.json"),
+    ("audit", "t.json"), ("audit", "t.csv"), ("audit", "trajectory")])
+def test_a_file_that_is_not_utf8_exits_spec_error(tmp_path, capsys, command,
+                                                  name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}\n")
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--t-end", "0.01", "--output", str(tmp_path / "out.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
 # (times, H, [H,H]) of three rows, and the error the audit must report

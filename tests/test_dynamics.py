@@ -2,6 +2,8 @@
 energy audits."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from _gen import (linear_constraint, particle_consistent_state,
                   particle_multiplier, particle_rhs)
 from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    DIHSystem, InputError, IntegratorConfig, LDField,
-                   ScalarField, StepFailureError, Subspace, TensorField,
-                   audit_series, check_consistency, damped_particle,
-                   energy_audit, energy_rate, fields, kernel_form, multipliers,
-                   oracle_simulate, rhs, simulate)
+                   ScalarField, StepFailureError, Subspace, SystemSpec,
+                   TensorField, audit_series, build_system, check_consistency,
+                   damped_particle, dynamics, energy_audit, energy_rate,
+                   fields, kernel_form, multipliers, oracle_simulate, rhs,
+                   simulate)
 from ldkit.dynamics import RATE_TOL
 
 
@@ -517,20 +520,24 @@ def test_simulate_checks_the_tensor_field_shape_up_front():
         simulate(sys, np.array([1.0, 0.0]), config)
 
 
-def test_simulate_wraps_a_callable_that_goes_bad_mid_run():
-    # Pi is well formed at x0 and passes the up-front check, but returns a
-    # vector once x[0] < 0.5; numpy then raises ValueError deep in a step
+def rotation_that_goes_bad(threshold: float) -> DIHSystem:
+    # the rotation x = (cos t, -sin t) from (1, 0); Pi is well formed at x0
+    # and passes the up-front check, but returns a vector once
+    # x[0] < threshold, and numpy then raises ValueError deep in a step
     h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
                     gradient=lambda x: x.copy())
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     def pi_eval(x):
-        return rot if x[0] >= 0.5 else np.array([x[1], -x[0]])
+        return rot if x[0] >= threshold else np.array([x[1], -x[0]])
 
-    sys = DIHSystem(2, LDField(TensorField(2, pi_eval),
-                               ConstraintField.none(2)), h)
+    return DIHSystem(2, LDField(TensorField(2, pi_eval),
+                                ConstraintField.none(2)), h)
+
+
+def test_simulate_wraps_a_callable_that_goes_bad_mid_run():
     with pytest.raises(StepFailureError) as err:
-        simulate(sys, np.array([1.0, 0.0]),
+        simulate(rotation_that_goes_bad(0.5), np.array([1.0, 0.0]),
                  IntegratorConfig(dt=1e-2, t_end=2.0))
     partial = err.value.partial
     assert isinstance(err.value.__cause__, ValueError)
@@ -538,6 +545,100 @@ def test_simulate_wraps_a_callable_that_goes_bad_mid_run():
     assert err.value.time == partial.times[-1]
     assert np.array_equal(err.value.state, partial.states[-1])
     assert partial.states[-1][0] >= 0.5
+
+
+TRAJECTORY_FIELDS = ("times", "states", "multipliers", "residuals",
+                     "energies", "energy_rates")
+
+
+def test_a_failed_run_keeps_copies_of_its_recorded_rows_only():
+    # the recorder allocates 201 rows; the partial trajectory and the state
+    # must not be views that keep that allocation alive
+    with pytest.raises(StepFailureError) as err:
+        simulate(rotation_that_goes_bad(0.5), np.array([1.0, 0.0]),
+                 IntegratorConfig(dt=1e-2, t_end=2.0))
+    partial = err.value.partial
+    m = partial.times.shape[0]
+    assert 1 < m < 201
+    for name in TRAJECTORY_FIELDS:
+        array = getattr(partial, name)
+        assert array.shape[0] == m, name
+        assert array.base is None and array.flags.owndata, name
+    assert partial.multipliers.shape == (m, 0)
+    state = err.value.state
+    assert state.base is None and state.flags.owndata
+    assert state.tobytes() == partial.states[-1].tobytes()
+
+
+@given(bad=st.integers(1, 59), oracle=st.booleans())
+@settings(max_examples=30)
+def test_a_run_that_goes_bad_at_step_m_records_m_rows_on_the_grid(bad,
+                                                                  oracle):
+    # Pi goes bad between the accepted states of steps bad - 1 and bad
+    # (x[0] = cos t is monotone on the run's [0, 3]), so step ``bad`` fails
+    dt = 0.05
+    system = rotation_that_goes_bad(math.cos((bad - 0.5) * dt))
+    x0 = np.array([1.0, 0.0])
+    with pytest.raises(StepFailureError) as err:
+        if oracle:
+            oracle_simulate(system, x0, dt, 3.0)
+        else:
+            simulate(system, x0, IntegratorConfig(dt=dt, t_end=3.0))
+    partial = err.value.partial
+    assert partial.times.tobytes() == (dt * np.arange(bad)).tobytes()
+    assert partial.states.shape == (bad, 2)
+    assert err.value.time == partial.times[-1]
+
+
+@pytest.mark.parametrize("name, integrate, bound", [
+    ("damped_particle", "simulate", 100),
+    ("damped_particle", "oracle_simulate", 100),
+    ("harmonic_oscillator", "simulate", 60),
+])
+def test_a_run_peaks_near_the_bytes_its_trajectory_holds(name, integrate,
+                                                          bound):
+    # the six arrays hold 8(n + k + 4) B per row: 88 for the particle
+    # (n = 6, k = 1), 48 for the oscillator (n = 2, k = 0)
+    system, x0 = build_system(SystemSpec(name))
+    tracemalloc.start()
+    try:
+        if integrate == "simulate":
+            traj = simulate(system, x0, IntegratorConfig(dt=1e-3, t_end=10.0))
+        else:
+            traj = oracle_simulate(system, x0, 1e-3, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.shape == (10_001,)
+    assert peak / 10_001 <= bound
+
+
+@pytest.mark.parametrize("integrate", ["simulate", "oracle_simulate"])
+def test_a_trajectory_too_big_to_allocate_fails_before_the_first_step(
+        monkeypatch, integrate):
+    empty = np.empty
+
+    def no_memory(shape, *args, **kwargs):
+        # only the recorder asks for rows of the whole 10,001-row run
+        if (shape if isinstance(shape, int) else shape[0]) == 10_001:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(dynamics, "_rk4_step", no_step)
+    monkeypatch.setattr(dynamics, "_gbs_step", no_step)
+    monkeypatch.setattr(dynamics.np, "empty", no_memory)
+    x0 = np.array([1.0, 0.0])
+    # 10,001 rows of 8 (n + k + 4) = 48 B
+    with pytest.raises(InputError, match=r"10,001 rows of 48 B need "
+                                         r"480,048 bytes"):
+        if integrate == "simulate":
+            simulate(harmonic_system(), x0,
+                     IntegratorConfig(dt=1e-3, t_end=10.0))
+        else:
+            oracle_simulate(harmonic_system(), x0, 1e-3, 10.0)
 
 
 @pytest.mark.parametrize("gradient", [lambda x: x.copy(), None],

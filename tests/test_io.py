@@ -496,6 +496,41 @@ def test_trajectory_json_needs_one_row_per_sample(tmp_path, field, value):
         read_trajectory(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("states", [[1.0, 2.0], [3.0]], "must have one row per sample"),
+    ("states", [[1.0, 2.0], 3.0], "must have one row per sample"),
+    ("states", [[1.0, 2.0], [3.0, "four"]], "holds a non-number"),
+    ("multipliers", [[], [0.5]], "must have one row per sample"),
+    ("multipliers", [[0.5], [{"x": 1}]], "holds a non-number"),
+    ("energies", [1.0, [0.5, 0.25]], "must have one value per sample"),
+    ("energies", [1.0, "half"], "holds a non-number"),
+], ids=["ragged-states", "scalar-row", "string-state", "ragged-multipliers",
+        "object-multiplier", "list-energy", "string-energy"])
+def test_trajectory_json_names_the_field_numpy_cannot_convert(
+        tmp_path, field, value, message):
+    path = dump(tmp_path / "t.json", two_sample_trajectory(**{field: value}))
+    with pytest.raises(SpecFormatError,
+                       match=re.escape(f"field '{field}' {message}")):
+        read_trajectory(path)
+
+
+NOT_UTF8 = b"\xff\xfe{}\n"
+
+
+@pytest.mark.parametrize("load, name", [
+    (load_structure_spec, "spec.json"), (load_system_spec, "run.json"),
+    (read_trajectory, "t.json"), (read_trajectory, "t.csv"),
+    (read_trajectory, "trajectory")],
+    ids=["structure", "run", "trajectory-json", "trajectory-csv",
+         "trajectory-sniffed"])
+def test_a_file_that_is_not_utf8_is_a_spec_error(tmp_path, load, name):
+    path = tmp_path / name
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(SpecFormatError,
+                       match=re.escape(f"{path}: not UTF-8 text")):
+        load(str(path))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trajectory_of_k_0_round_trips_with_empty_multiplier_rows(tmp_path,
                                                                    fmt):

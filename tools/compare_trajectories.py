@@ -15,6 +15,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``simulate`` and ``oracle_simulate`` to t = 2;
 - the particle with a friction entry that is a callable of q (so Pi is
   evaluated per call), under ``simulate`` to t = 2;
+- a failing run: the particle whose G turns malformed once y passes its
+  value at 60 % of the horizon (t = 1.2 of 2), under ``simulate``; its
+  ``StepFailureError`` gives the six arrays of the partial trajectory and
+  the last accepted state;
 - one-point values of the 4 catalog systems at their default states and
   of the particle at PARTICLE_X0: ``multipliers`` (lambda and its
   residual), ``rhs``, ``energy_rate``, the ``check_consistency`` residual,
@@ -23,10 +27,11 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``fields.pointwise``.  These reach the catalog callables, and the
   field layer's fixed cutoffs, by paths that no trajectory covers.
 
-Every array of every trajectory and every one-point array must be bitwise
-equal and every file byte-identical.  Each one that is not is printed with
-its max |delta|, and the exit status is 1 (2 when a tree fails to make its
-runs).  ``--t-end`` caps every horizon, for a quick check.
+Every array of every trajectory, of the failing run and every one-point
+array must be bitwise equal and every file byte-identical.  Each one that
+is not is printed with its max |delta|, and the exit status is 1 (2 when a
+tree fails to make its runs).  ``--t-end`` caps every horizon, for a quick
+check.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -97,6 +103,23 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
     friction = ldkit.damped_particle((lambda q: 1.0 + q[1] ** 2, 1.0, 0.5))
     keep("simulate particle with callable friction",
          ldkit.simulate(friction, x0, c))
+    # with mu_y = 1, y = y0 + p_y0 (1 - e^-t) increases monotonically
+    y_bad = PARTICLE_X0[1] + PARTICLE_X0[4] * (1.0 - math.exp(-0.6 * c.t_end))
+    forces = particle.ld.forces.evaluate
+
+    def going_bad(x):
+        g = forces(x)
+        return g if x[1] <= y_bad else g[:, 0]
+
+    failing = dataclasses.replace(particle, ld=ldkit.LDField(
+        particle.ld.pi, ldkit.ConstraintField(6, 1, going_bad)))
+    try:
+        ldkit.simulate(failing, x0, c)
+    except ldkit.StepFailureError as exc:
+        keep("failed particle with G going bad", exc.partial)
+        runs["failed particle with G going bad: state"] = exc.state
+    else:
+        raise SystemExit("the particle with G going bad did not fail")
 
     points = {name: ldkit.build_system(ldkit.SystemSpec(name, {}, ()))
               for name in sorted(ldkit.CATALOG)}
@@ -174,8 +197,10 @@ def main(argv=None) -> int:
         print(line)
     files = sum(key.startswith("file ") for key in parent)
     points = sum(key.startswith("point ") for key in parent)
-    print(f"{len(parent) - files - points} trajectory arrays, {points} "
-          f"one-point arrays and {files} files compared: {len(lines)} differ")
+    failed = sum(key.startswith("failed ") for key in parent)
+    print(f"{len(parent) - files - points - failed} trajectory arrays, "
+          f"{failed} failing-run arrays, {points} one-point arrays and "
+          f"{files} files compared: {len(lines)} differ")
     return 1 if lines else 0
 
 
