@@ -1,18 +1,29 @@
 """File formats: structure specs, system specs, trajectory CSV/JSON.
 
 JSON documents carry ``"schema_version": 1`` (absent is read as 1, any other
-value is rejected).  The trajectory CSV has the fixed column layout
+value is rejected); a NaN or Infinity literal anywhere in one is refused.
+The trajectory CSV has the fixed column layout
 
     t,x1..xn,lambda1..lambdak,constraint_residual,H,bracket_HH
 
 and is identified by that header; it carries no version field.  Floats are
 written with 17 significant digits so both formats round-trip exactly.
+
+Trajectory files are written and read a block of rows at a time: a writer's
+memory does not grow with the trajectory, and the CSV reader's stays within
+a small multiple of the arrays it returns (the JSON reader also holds the
+file's text, which stdlib json cannot decode piecewise).  A writer fills a
+new file next to its output and moves it onto the output only once the last
+row is written.  The readers refuse non-finite data.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
+import re
 
 import numpy as np
 
@@ -35,18 +46,50 @@ SCHEMA_VERSION = 1
 _FIELDS = ("times", "states", "multipliers", "residuals", "energies",
            "energy_rates")
 _ROW_FIELDS = ("states", "multipliers")
+_BLOCK = 2048  # rows formatted, parsed or converted at a time
+
+
+@contextlib.contextmanager
+def _text_file(path: str):
+    """``path`` open as UTF-8 text.  Failing to open, read or decode it,
+    also in the body of the ``with``, is a SpecFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _read_text(path: str, size: int = -1) -> str:
     """The first ``size`` characters (all, by default) of the UTF-8 text
     file ``path``."""
+    with _text_file(path) as fh:
+        return fh.read(size)
+
+
+class _NonFinite(ValueError):
+    """A NaN, Infinity or -Infinity literal: Python's json reads them, but
+    they are not JSON and no ldkit field may hold them."""
+
+
+def _refuse_constant(literal: str):
+    raise _NonFinite(f"non-finite number {literal}")
+
+
+# every JSON file is decoded with this parse_constant: member by member
+# through _DECODER, whole by json.loads (which also refuses a UTF-8 BOM)
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
+
+
+def _decode(text: str, path: str):
+    """The JSON document ``text`` of the file ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(size)
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SpecFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        return json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:  # a JSONDecodeError or _NonFinite
+        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _holds_bool(value) -> bool:
@@ -57,15 +100,11 @@ def _holds_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
-    """The JSON object in ``path``.  Its schema_version and each field named
-    in ``numeric`` must hold numbers only: Python would read a true or
-    false there as 1 or 0."""
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
+def _checked(doc, text: str, path: str, numeric: tuple[str, ...]) -> dict:
+    """``doc``, decoded from ``text``, once it is an object of this
+    schema_version.  Its schema_version and each field named in ``numeric``
+    must hold numbers only: Python would read a true or false there as 1
+    or 0."""
     if not isinstance(doc, dict):
         raise SpecFormatError(f"{path}: top level must be a JSON object")
     if "true" in text or "false" in text:  # else no field holds a boolean
@@ -79,6 +118,12 @@ def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
             f"{path}: unsupported schema_version {version!r}; "
             f"this build reads version {SCHEMA_VERSION}")
     return doc
+
+
+def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``, checked as :func:`_checked` says."""
+    text = _read_text(path)
+    return _checked(_decode(text, path), text, path, numeric)
 
 
 def _matrix_from(doc: dict, key: str, path: str) -> np.ndarray:
@@ -171,31 +216,75 @@ def _csv_header(n: int, k: int) -> list[str]:
             + ["constraint_residual", "H", "bracket_HH"])
 
 
+def _write_replacing(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to a new file next to ``path`` and
+    move it onto ``path`` once the last is written.  A failed write removes
+    the new file and leaves ``path`` as it was; an OSError is an
+    InputError."""
+    part = f"{path}.{os.urandom(4).hex()}.part"
+    created = False
+    try:
+        with open(part, "x", newline="", encoding="utf-8") as fh:
+            created = True
+            fh.writelines(chunks)
+        os.replace(part, path)
+    except BaseException as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(part)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    """Write the fixed-layout trajectory CSV."""
-    block = np.column_stack([getattr(trajectory, name) for name in _FIELDS])
+    """Write the fixed-layout trajectory CSV, a block of rows at a time."""
+    fields = [getattr(trajectory, name) for name in _FIELDS]
+    n, k = trajectory.n, trajectory.k
     # the spreadsheet ("excel") CSV dialect: CRLF line ends; no number
     # needs quoting
-    row = ",".join(["%.17g"] * block.shape[1]) + "\r\n"
-    text = "".join([row % tuple(values) for values in block.tolist()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_csv_header(trajectory.n, trajectory.k)) + "\r\n"
-                 + text)
+    row = ",".join(["%.17g"] * (n + k + 4)) + "\r\n"
+
+    def chunks():
+        yield ",".join(_csv_header(n, k)) + "\r\n"
+        for start in range(0, trajectory.times.shape[0], _BLOCK):
+            block = np.column_stack([f[start:start + _BLOCK] for f in fields])
+            yield "".join([row % tuple(values) for values in block.tolist()])
+
+    _write_replacing(path, chunks())
 
 
 def write_trajectory_json(trajectory: Trajectory, path: str) -> None:
-    """Write the JSON mirror of the trajectory fields."""
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update((name, getattr(trajectory, name).tolist()) for name in _FIELDS)
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    """Write the JSON mirror of the trajectory fields, a block of rows at a
+    time: the bytes of ``json.dumps(doc) + "\\n"``."""
+
+    def chunks():
+        yield f'{{"schema_version": {SCHEMA_VERSION}'
+        for name in _FIELDS:
+            values = getattr(trajectory, name)
+            yield f', "{name}": ['
+            for start in range(0, values.shape[0], _BLOCK):
+                if start:
+                    yield ", "
+                # json.dumps runs the C encoder; json.dump, the Python one
+                yield json.dumps(values[start:start + _BLOCK].tolist())[1:-1]
+            yield "]"
+        yield "}\n"
+
+    _write_replacing(path, chunks())
 
 
 def _misshapen(name: str, path: str) -> SpecFormatError:
     return SpecFormatError(
         f"{path}: field {name!r} must have one "
         f"{'row' if name in _ROW_FIELDS else 'value'} per sample")
+
+
+def _first_non_finite(arr: np.ndarray):
+    """The index of the first entry of ``arr`` that is nan or infinite, or
+    None."""
+    finite = np.isfinite(arr)
+    return None if finite.all() else tuple(np.argwhere(~finite)[0])
 
 
 def _field_array(fields: dict, name: str, path: str) -> np.ndarray:
@@ -217,7 +306,7 @@ def _field_array(fields: dict, name: str, path: str) -> np.ndarray:
 def _trajectory_from_arrays(fields: dict, path: str) -> Trajectory:
     """The trajectory of ``fields`` (holding each of _FIELDS): states and
     multipliers one row per sample (a k = 0 row is empty), the rest one
-    value per sample."""
+    finite value per sample."""
     arrays = {name: _field_array(fields, name, path) for name in _FIELDS}
     t = arrays["times"]
     m = t.shape[0] if t.ndim == 1 else -1
@@ -226,56 +315,130 @@ def _trajectory_from_arrays(fields: dict, path: str) -> Trajectory:
     for name, arr in arrays.items():
         if arr.ndim != 1 + (name in _ROW_FIELDS) or arr.shape[0] != m:
             raise _misshapen(name, path)
+        bad = _first_non_finite(arr)
+        if bad:
+            raise SpecFormatError(f"{path}: {name} must be finite; sample "
+                                  f"{bad[0]} holds {arr[bad]}")
     return Trajectory(**arrays)
 
 
-def _read_trajectory_csv(path: str) -> Trajectory:
-    text = _read_text(path)
-    lines = [(lineno, line) for lineno, line
-             in enumerate(text.split("\n"), start=1) if line]
-    if not lines:
-        raise SpecFormatError(f"{path}: empty trajectory file")
-    header = [h.strip() for h in lines[0][1].split(",")]
-    if (len(header) < 4 or header[0] != "t"
-            or header[-3:] != ["constraint_residual", "H", "bracket_HH"]):
-        raise SpecFormatError(
-            f"{path}: not a trajectory CSV (unexpected header)")
-    middle = header[1:-3]
-    n = sum(1 for name in middle if name.startswith("x"))
-    k = len(middle) - n
-    if middle != [f"x{i}" for i in range(1, n + 1)] + \
-            [f"lambda{i}" for i in range(1, k + 1)]:
-        raise SpecFormatError(
-            f"{path}: not a trajectory CSV (unexpected state/multiplier "
-            f"columns)")
-    body = lines[1:]
-    if not body:
-        raise SpecFormatError(f"{path}: trajectory has no samples")
-    width = len(header)
-    for lineno, line in body:
+def _csv_block(block: list, columns: tuple, path: str) -> np.ndarray:
+    """The (line number, line) pairs of ``block`` as a float array, one row
+    per line and one column per entry of ``columns``, the column's field."""
+    width = len(columns)
+    for lineno, line in block:
         if line.count(",") != width - 1:
             raise SpecFormatError(
                 f"{path}: line {lineno} has {line.count(',') + 1} fields, "
                 f"expected {width}")
     try:
-        arr = np.array(",".join([line for _, line in body]).split(","),
-                       dtype=float).reshape(len(body), width)
+        arr = np.array(",".join([line for _, line in block]).split(","),
+                       dtype=float).reshape(len(block), width)
     except ValueError:
         # name the first line that the same parser rejects
-        for lineno, line in body:
+        for lineno, line in block:
             try:
                 np.array(line.split(","), dtype=float)
             except ValueError as exc:
                 raise SpecFormatError(
                     f"{path}: line {lineno} has non-numeric data") from exc
         raise
-    return _trajectory_from_arrays(dict(zip(_FIELDS, (
-        arr[:, 0], arr[:, 1:1 + n], arr[:, 1 + n:1 + n + k],
-        arr[:, 1 + n + k], arr[:, 2 + n + k], arr[:, 3 + n + k]))), path)
+    bad = _first_non_finite(arr)
+    if bad:
+        row, col = bad
+        raise SpecFormatError(f"{path}: {columns[col]} must be finite; line "
+                              f"{block[row][0]} holds {arr[bad]}")
+    return arr
+
+
+def _read_trajectory_csv(path: str) -> Trajectory:
+    with _text_file(path) as fh:
+        # the non-blank lines, numbered as in the file and read as needed
+        lines = ((lineno, line.rstrip("\n"))
+                 for lineno, line in enumerate(fh, start=1) if line != "\n")
+        _, first = next(lines, (0, ""))
+        if not first:
+            raise SpecFormatError(f"{path}: empty trajectory file")
+        header = [h.strip() for h in first.split(",")]
+        if (len(header) < 4 or header[0] != "t"
+                or header[-3:] != ["constraint_residual", "H", "bracket_HH"]):
+            raise SpecFormatError(
+                f"{path}: not a trajectory CSV (unexpected header)")
+        middle = header[1:-3]
+        n = sum(1 for name in middle if name.startswith("x"))
+        k = len(middle) - n
+        if middle != [f"x{i}" for i in range(1, n + 1)] + \
+                [f"lambda{i}" for i in range(1, k + 1)]:
+            raise SpecFormatError(
+                f"{path}: not a trajectory CSV (unexpected state/multiplier "
+                f"columns)")
+        columns = (("times",) + ("states",) * n + ("multipliers",) * k
+                   + _FIELDS[3:])
+        blocks = []
+        while block := list(itertools.islice(lines, _BLOCK)):
+            blocks.append(_csv_block(block, columns, path))
+    if not blocks:
+        raise SpecFormatError(f"{path}: trajectory has no samples")
+    keys = (0, slice(1, 1 + n), slice(1 + n, 1 + n + k), 1 + n + k,
+            2 + n + k, 3 + n + k)
+    return Trajectory(**{name: np.concatenate([b[:, key] for b in blocks])
+                         for name, key in zip(_FIELDS, keys)})
+
+
+def _trajectory_members(text: str) -> dict | None:
+    """The schema_version and trajectory fields of the JSON object
+    ``text``, decoded one member at a time.  Each field becomes a float
+    array before the next member is decoded, unless it holds a boolean or
+    a value numpy cannot convert: the checks after decoding name those.
+    None unless ``text`` is one well-formed JSON object with a member."""
+    bools = "true" in text or "false" in text
+    space = _SPACE.match
+    doc = {}
+    pos = space(text).end()
+    if not text.startswith("{", pos):
+        return None
+    pos = space(text, pos + 1).end()
+    try:
+        while True:
+            if not text.startswith('"', pos):
+                return None
+            key, pos = _DECODER.raw_decode(text, pos)
+            pos = space(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            pos = space(text, pos + 1).end()
+            try:
+                value, pos = _DECODER.raw_decode(text, pos)
+            except _NonFinite:
+                if key not in _FIELDS:
+                    raise
+                # read as Python's json reads it, so that the finite check
+                # names the sample
+                value, pos = json.JSONDecoder().raw_decode(text, pos)
+            if key in _FIELDS and not (bools and _holds_bool(value)):
+                try:
+                    value = np.asarray(value, dtype=float)
+                except (TypeError, ValueError):
+                    pass
+            if key in _FIELDS or key == "schema_version":
+                doc[key] = value
+            pos = space(text, pos).end()
+            if text.startswith("}", pos):
+                break
+            if not text.startswith(",", pos):
+                return None
+            pos = space(text, pos + 1).end()
+    except ValueError:  # a JSONDecodeError, or _NonFinite outside a field
+        return None
+    return doc if space(text, pos + 1).end() == len(text) else None
 
 
 def _read_trajectory_json(path: str) -> Trajectory:
-    doc = _load_json(path, _FIELDS)
+    text = _read_text(path)
+    doc = _trajectory_members(text)
+    if doc is None:  # json.loads names the fault
+        doc = _decode(text, path)
+    doc = _checked(doc, text, path, _FIELDS)
     missing = [key for key in _FIELDS if key not in doc]
     if missing:
         raise SpecFormatError(f"{path}: missing trajectory fields {missing}")
@@ -283,12 +446,13 @@ def _read_trajectory_json(path: str) -> Trajectory:
 
 
 def read_trajectory(path: str) -> Trajectory:
-    """Read a trajectory in either format, chosen by extension or content."""
+    """Read a trajectory in either format, chosen by extension or else by
+    the first character that is not whitespace."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".json":
         return _read_trajectory_json(path)
     if ext == ".csv":
         return _read_trajectory_csv(path)
-    if _read_text(path, 1).strip() == "{":
+    if _read_text(path, 256).lstrip(" \t\n\r").startswith("{"):
         return _read_trajectory_json(path)
     return _read_trajectory_csv(path)

@@ -195,6 +195,20 @@ def test_simulate_default_output_path_uses_format(tmp_path, capsys,
     assert (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_to_an_unwritable_output_exits_spec_error(tmp_path, capsys,
+                                                          fmt):
+    spec = write_json(tmp_path, "run.json", {
+        "name": "gradient_flow", "initial_state": []})
+    out_path = str(tmp_path / "missing" / f"traj.{fmt}")
+    code, out, err = run(capsys, "simulate", spec, "--dt", "1e-2",
+                         "--t-end", "0.1", "--format", fmt,
+                         "--output", out_path)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: [Errno 2] ")
+
+
 def test_simulate_particle_summary_shows_decay_and_small_residual(tmp_path,
                                                                   capsys):
     spec = write_json(tmp_path, "run.json", {

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 from _gen import subspace_residual
 from ldkit.catalog import CATALOG, SystemSpec, build_system, damped_particle
 from ldkit.dynamics import IntegratorConfig, Trajectory, simulate
-from ldkit.errors import (DegenerateRepresentationError, NotLDStructureError,
-                          SpecFormatError)
-from ldkit.io import (SCHEMA_VERSION, load_structure_spec, load_system_spec,
-                      read_trajectory, write_trajectory_csv,
+from ldkit.errors import (DegenerateRepresentationError, InputError,
+                          NotLDStructureError, SpecFormatError)
+from ldkit.io import (_BLOCK, SCHEMA_VERSION, load_structure_spec,
+                      load_system_spec, read_trajectory, write_trajectory_csv,
                       write_trajectory_json)
 from ldkit.linear import ABRep, classify, from_ab
 
@@ -365,6 +367,11 @@ def test_read_trajectory_sniffs_format_without_extension(tmp_path):
     write_trajectory_csv(traj, as_csv)
     assert trajectories_equal(read_trajectory(as_json), traj)
     assert trajectories_equal(read_trajectory(as_csv), traj)
+    # the first character that is not whitespace decides
+    padded = tmp_path / "c"
+    padded.write_text("\n \t\r\n" + open(as_json, encoding="utf-8").read(),
+                      encoding="utf-8", newline="")
+    assert trajectories_equal(read_trajectory(str(padded)), traj)
 
 
 def test_read_trajectory_rejects_unrelated_header(tmp_path):
@@ -590,3 +597,254 @@ def test_a_json_boolean_under_an_unknown_key_is_ignored(tmp_path, load, doc):
     path = dump(tmp_path / "doc.json",
                 {**doc, "stats": {"complete": True, "flags": [False]}})
     load(path)
+
+
+# -- block paths ------------------------------------------------------------
+
+
+def random_trajectory(m, n, k, seed=0):
+    """m rows of seeded normal draws, with -0.0 and subnormals among them."""
+    block = np.random.default_rng(seed).standard_normal((m, n + k + 4))
+    block.flat[::7] = -0.0
+    block.flat[3::11] = 5e-324
+    block.flat[5::13] = -2.2250738585072e-309
+    return Trajectory(times=block[:, 0].copy(),
+                      states=block[:, 1:1 + n].copy(),
+                      multipliers=block[:, 1 + n:1 + n + k].copy(),
+                      residuals=block[:, -3].copy(),
+                      energies=block[:, -2].copy(),
+                      energy_rates=block[:, -1].copy())
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK + 1],
+                         ids=["1", "B-1", "B", "B+1", "2B+1"])
+def test_block_paths_match_the_reference_writers_at_block_edges(tmp_path, m,
+                                                                 k):
+    traj = random_trajectory(m, 3, k)
+    for writer, reference, ext in (
+            (write_trajectory_csv, reference_csv, "csv"),
+            (write_trajectory_json, reference_json, "json")):
+        path = tmp_path / f"a.{ext}"
+        assert (written_bytes(writer, traj, path)
+                == written_bytes(reference, traj, tmp_path / f"b.{ext}"))
+        back = read_trajectory(str(path))
+        for name in FIELDS:
+            assert (getattr(back, name).tobytes()
+                    == getattr(traj, name).tobytes()), name
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("bad,message", [
+    ("0.1,1.0,0.0", "has 3 fields, expected 5"),
+    ("0.1,one,0.0,0.5,0.0", "has non-numeric data"),
+    ("0.1,1.0,0.0,0.5,nan", "bracket_HH"),
+], ids=["short", "non-numeric", "non-finite"])
+def test_read_trajectory_csv_names_the_file_line_after_the_first_block(
+        tmp_path, eol, bad, message):
+    # one blank line after every 100 rows: the bad row is on line
+    # 1 + B + 1 + B // 100 + 1
+    rows = []
+    for i in range(_BLOCK + 1):
+        rows += [ROWS[0]] + [""] * (i % 100 == 99)
+    path = tmp_path / "t.csv"
+    path.write_text(eol.join([HEADER, *rows, bad, ROWS[1], ""]),
+                    encoding="utf-8", newline="")
+    lineno = 1 + len(rows) + 1
+    if message == "bracket_HH":
+        message = f"energy_rates must be finite; line {lineno} holds nan"
+    else:
+        message = f"line {lineno} {message}"
+    with pytest.raises(SpecFormatError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_trajectory(str(path))
+
+
+def test_read_trajectory_csv_that_stops_being_utf8_is_a_spec_error(tmp_path):
+    path = tmp_path / "t.csv"
+    # the bad byte lies beyond the reader's first buffer and first block
+    path.write_bytes("\r\n".join([HEADER] + [ROWS[1]] * (2 * _BLOCK)).encode()
+                     + b"\r\n\xff\r\n")
+    with pytest.raises(SpecFormatError,
+                       match=re.escape(f"{path}: not UTF-8 text")):
+        read_trajectory(str(path))
+
+
+GOOD = two_sample_trajectory()
+PARITY = {
+    "duplicate-key": '{"times": [7, 8], "states": "x", '
+                     + json.dumps(GOOD)[1:],
+    "whitespace": "\n \t" + json.dumps(GOOD, indent="\t").replace(
+        ":", " \r\n:\t").replace(",", "\r\n ,") + " \r\n",
+    "unknown-keys": json.dumps({
+        "note": {"a": [1, "x", None, {"b": []}]}, **GOOD,
+        "text": 'holds "}", ", " and ": "', "n": None}),
+    "empty-object": "{ }",
+    "truncated": json.dumps(GOOD)[:-20],
+    "trailing-garbage": json.dumps(GOOD) + " x",
+    "two-objects": json.dumps(GOOD) + json.dumps(GOOD),
+    "trailing-comma": json.dumps(GOOD)[:-1] + ", }",
+    "missing-colon": '{"times" [0.0]}',
+    "number-key": "{1: [0.0]}",
+    "unterminated-key": '{"times',
+    "byte-order-mark": "\ufeff" + json.dumps(GOOD),
+    "list": "[1, 2]",
+    "string": '"{}"',
+    "empty": "",
+}
+
+
+def json_loads_reader(text, path):
+    """What the reader built on json.loads gave for ``text``: the arrays,
+    or the text of its SpecFormatError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"{path}: invalid JSON: {exc}"
+    if not isinstance(doc, dict):
+        return f"{path}: top level must be a JSON object"
+    missing = [name for name in FIELDS if name not in doc]
+    if missing:
+        return f"{path}: missing trajectory fields {missing}"
+    return {name: np.asarray(doc[name], dtype=float) for name in FIELDS}
+
+
+@pytest.mark.parametrize("case", PARITY)
+def test_trajectory_json_reader_matches_json_loads(tmp_path, case):
+    path = tmp_path / "t.json"
+    path.write_text(PARITY[case], encoding="utf-8", newline="")
+    expected = json_loads_reader(PARITY[case], path)
+    if isinstance(expected, str):
+        with pytest.raises(SpecFormatError) as info:
+            read_trajectory(str(path))
+        assert str(info.value) == expected
+    else:
+        back = read_trajectory(str(path))
+        for name in FIELDS:
+            assert getattr(back, name).tobytes() == expected[name].tobytes()
+
+
+# one bad entry, in sample 1, per field of a k = 1 document
+BAD_SAMPLE = {"times": [0.0, 7.5], "states": [[1.0, 2.0], [3.0, 7.5]],
+              "multipliers": [[0.5], [7.5]], "residuals": [0.0, 7.5],
+              "energies": [1.0, 7.5], "energy_rates": [-1.0, 7.5]}
+
+
+@pytest.mark.parametrize("literal,value", [
+    ("null", "nan"), ("NaN", "nan"), ("Infinity", "inf"),
+    ("-Infinity", "-inf")])
+@pytest.mark.parametrize("field", FIELDS)
+def test_trajectory_json_refuses_a_non_finite_entry(tmp_path, field, literal,
+                                                    value):
+    doc = {**two_sample_trajectory(multipliers=[[0.5], [0.25]]),
+           field: BAD_SAMPLE[field]}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc).replace("7.5", literal),
+                    encoding="utf-8")
+    message = f"{path}: {field} must be finite; sample 1 holds {value}"
+    with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
+        read_trajectory(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field,column", [
+    ("times", 0), ("states", 2), ("multipliers", 3), ("residuals", 4),
+    ("energies", 5), ("energy_rates", 6)])
+def test_trajectory_csv_refuses_a_non_finite_cell(tmp_path, field, column,
+                                                  cell):
+    row = ["0.5", "0.25", "1", "0.5", "0", "0.03125", "-0.0625"]
+    row[column] = cell
+    path = tmp_path / "t.csv"
+    path.write_text("t,x1,x2,lambda1,constraint_residual,H,bracket_HH\n"
+                    "0,1,1,0,0,0.5,0\n\n" + ",".join(row) + "\n",
+                    encoding="utf-8")
+    message = f"{path}: {field} must be finite; line 4 holds {cell}"
+    with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
+        read_trajectory(str(path))
+
+
+@pytest.mark.parametrize("load, doc", [
+    (load_structure_spec, AB_SPEC), (load_system_spec, RUN_SPEC),
+    (read_trajectory, two_sample_trajectory())],
+    ids=["structure", "run", "trajectory"])
+def test_a_json_nan_literal_is_refused_under_any_key(tmp_path, load, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**doc, "note": float("nan")}),
+                    encoding="utf-8")
+    with pytest.raises(SpecFormatError, match=re.escape(
+            f"{path}: invalid JSON: non-finite number NaN")):
+        load(str(path))
+
+
+class Interrupted(Exception):
+    pass
+
+
+class FailsAfterTheFirstBlock:
+    """An array whose rows past the first block cannot be read."""
+
+    def __init__(self, values):
+        self.values, self.shape = values, values.shape
+
+    def __getitem__(self, rows):
+        if rows.start:
+            raise Interrupted
+        return self.values[rows]
+
+
+@pytest.mark.parametrize("writer", [write_trajectory_csv,
+                                    write_trajectory_json])
+def test_a_failed_write_leaves_the_old_file_and_no_other(tmp_path, writer):
+    traj = random_trajectory(2 * _BLOCK, 2, 1)
+    path = tmp_path / "t.out"
+    path.write_bytes(b"old")
+    fields = {name: getattr(traj, name) for name in FIELDS}
+    fields["energies"] = FailsAfterTheFirstBlock(traj.energies)
+    failing = Trajectory(**fields)
+    with pytest.raises(Interrupted):
+        writer(failing, str(path))
+    assert os.listdir(tmp_path) == ["t.out"]
+    assert path.read_bytes() == b"old"
+    writer(traj, str(path))
+    assert os.listdir(tmp_path) == ["t.out"]
+    assert trajectories_equal(read_trajectory(str(path)), traj)
+
+
+@pytest.mark.parametrize("writer", [write_trajectory_csv,
+                                    write_trajectory_json])
+def test_an_unwritable_output_is_an_input_error(tmp_path, writer):
+    path = tmp_path / "missing" / "t.out"
+    with pytest.raises(InputError,
+                       match=f"^cannot write {re.escape(str(path))}: "):
+        writer(particle_trajectory(), str(path))
+    (tmp_path / "folder").mkdir()
+    with pytest.raises(InputError, match="cannot write"):
+        writer(particle_trajectory(), str(tmp_path / "folder"))
+    assert os.listdir(tmp_path / "folder") == []
+    assert sorted(os.listdir(tmp_path)) == ["folder"]
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory that ``fn(*args)`` allocates, as tracemalloc
+    sees it (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_paths_bound_their_memory(tmp_path):
+    small = random_trajectory(5_000, 6, 1)
+    big = random_trajectory(40_000, 6, 1)
+    for writer, ext in ((write_trajectory_csv, "csv"),
+                        (write_trajectory_json, "json")):
+        path = str(tmp_path / f"t.{ext}")
+        ratio = (traced_peak(writer, big, path)
+                 / traced_peak(writer, small, path))
+        assert ratio <= 1.5, writer.__name__
+    arrays = sum(getattr(big, name).nbytes for name in FIELDS)
+    assert (traced_peak(read_trajectory, str(tmp_path / "t.csv"))
+            < 3 * arrays + 4e6)

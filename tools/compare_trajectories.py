@@ -8,8 +8,9 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
 ``ldkit`` package).  Each tree runs in its own Python process and makes:
 
 - ``simulate`` of the 4 catalog systems from their default states at
-  dt = 1e-3 to t = 10, and the CSV and JSON files ``ldkit simulate`` writes
-  for them;
+  dt = 1e-3 to t = 10, the CSV and JSON files ``ldkit simulate`` writes
+  for them, the six arrays ``read_trajectory`` reads back from each file
+  and the output of ``ldkit audit`` of each file;
 - ``oracle_simulate`` of ``damped_particle`` to t = 10;
 - the particle without its analytic constraint Jacobian, under
   ``simulate`` and ``oracle_simulate`` to t = 2;
@@ -27,8 +28,9 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``fields.pointwise``.  These reach the catalog callables, and the
   field layer's fixed cutoffs, by paths that no trajectory covers.
 
-Every array of every trajectory, of the failing run and every one-point
-array must be bitwise equal and every file byte-identical.  Each one that
+Every array of every trajectory, of the failing run, of every read-back
+and every one-point array must be bitwise equal, and every file and audit
+output byte-identical.  Each one that
 is not is printed with its max |delta|, and the exit status is 1 (2 when a
 tree fails to make its runs).  ``--t-end`` caps every horizon, for a quick
 check.
@@ -89,6 +91,14 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
                     raise SystemExit(f"ldkit simulate {name} exited {code}")
                 runs[f"file {path.name}"] = np.frombuffer(path.read_bytes(),
                                                           dtype=np.uint8)
+                keep(f"read {path.name}", ldkit.read_trajectory(str(path)))
+                audit = io.StringIO()
+                with contextlib.redirect_stdout(audit):
+                    code = cli_main(["audit", str(path)])
+                if code != 0:
+                    raise SystemExit(f"ldkit audit {path.name} exited {code}")
+                runs[f"audit {path.name}"] = np.frombuffer(
+                    audit.getvalue().encode(), dtype=np.uint8)
 
     x0 = np.array(PARTICLE_X0)
     particle = ldkit.damped_particle()
@@ -195,12 +205,13 @@ def main(argv=None) -> int:
     lines = differences(parent, change)
     for line in lines:
         print(line)
-    files = sum(key.startswith("file ") for key in parent)
-    points = sum(key.startswith("point ") for key in parent)
-    failed = sum(key.startswith("failed ") for key in parent)
-    print(f"{len(parent) - files - points - failed} trajectory arrays, "
-          f"{failed} failing-run arrays, {points} one-point arrays and "
-          f"{files} files compared: {len(lines)} differ")
+    counts = {kind: sum(key.startswith(kind + " ") for key in parent)
+              for kind in ("failed", "point", "file", "read", "audit")}
+    print(f"{len(parent) - sum(counts.values())} trajectory arrays, "
+          f"{counts['failed']} failing-run arrays, {counts['point']} "
+          f"one-point arrays, {counts['file']} files, {counts['read']} "
+          f"read-back arrays and {counts['audit']} audit outputs compared: "
+          f"{len(lines)} differ")
     return 1 if lines else 0
 
 
