@@ -1,7 +1,8 @@
 """File formats: structure specs, system specs, trajectory CSV/JSON.
 
 JSON documents carry ``"schema_version": 1`` (absent is read as 1, any other
-value is rejected); a NaN or Infinity literal anywhere in one is refused.
+value is rejected); a NaN or Infinity literal anywhere in one is refused,
+and so is a boolean or a string in a numeric field.
 The trajectory CSV has the fixed column layout
 
     t,x1..xn,lambda1..lambdak,constraint_residual,H,bracket_HH
@@ -92,26 +93,32 @@ def _decode(text: str, path: str):
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _holds_bool(value) -> bool:
-    """Whether ``value`` is, or holds at any depth, a JSON true or false."""
+def _holds(value, kind: type) -> bool:
+    """Whether ``value`` is, or holds at any depth, an instance of
+    ``kind``."""
     if isinstance(value, (list, dict)):
-        return any(map(_holds_bool, value.values()
-                       if isinstance(value, dict) else value))
-    return isinstance(value, bool)
+        return any(_holds(item, kind) for item in (
+            value.values() if isinstance(value, dict) else value))
+    return isinstance(value, kind)
 
 
 def _checked(doc, text: str, path: str, numeric: tuple[str, ...]) -> dict:
     """``doc``, decoded from ``text``, once it is an object of this
     schema_version.  Its schema_version and each field named in ``numeric``
     must hold numbers only: Python would read a true or false there as 1
-    or 0."""
+    or 0, and numpy and float() a string such as "0.5" as 0.5."""
     if not isinstance(doc, dict):
         raise SpecFormatError(f"{path}: top level must be a JSON object")
     if "true" in text or "false" in text:  # else no field holds a boolean
         for key in ("schema_version",) + numeric:
-            if _holds_bool(doc.get(key)):
+            if _holds(doc.get(key), bool):
                 raise SpecFormatError(
                     f"{path}: field {key!r} holds a boolean, not a number")
+    for key in numeric:
+        if _holds(doc.get(key), str):
+            raise SpecFormatError(
+                f"{path}: field {key!r} holds a non-number: a string where "
+                f"numbers belong")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SpecFormatError(
@@ -388,9 +395,10 @@ def _read_trajectory_csv(path: str) -> Trajectory:
 def _trajectory_members(text: str) -> dict | None:
     """The schema_version and trajectory fields of the JSON object
     ``text``, decoded one member at a time.  Each field becomes a float
-    array before the next member is decoded, unless it holds a boolean or
-    a value numpy cannot convert: the checks after decoding name those.
-    None unless ``text`` is one well-formed JSON object with a member."""
+    array before the next member is decoded, unless it holds a boolean, a
+    string (its text holds a quote) or a value numpy cannot convert: the
+    checks after decoding name those.  None unless ``text`` is one
+    well-formed JSON object with a member."""
     bools = "true" in text or "false" in text
     space = _SPACE.match
     doc = {}
@@ -407,6 +415,7 @@ def _trajectory_members(text: str) -> dict | None:
             if not text.startswith(":", pos):
                 return None
             pos = space(text, pos + 1).end()
+            start = pos
             try:
                 value, pos = _DECODER.raw_decode(text, pos)
             except _NonFinite:
@@ -415,7 +424,8 @@ def _trajectory_members(text: str) -> dict | None:
                 # read as Python's json reads it, so that the finite check
                 # names the sample
                 value, pos = json.JSONDecoder().raw_decode(text, pos)
-            if key in _FIELDS and not (bools and _holds_bool(value)):
+            if (key in _FIELDS and not (bools and _holds(value, bool))
+                    and text.find('"', start, pos) < 0):
                 try:
                     value = np.asarray(value, dtype=float)
                 except (TypeError, ValueError):

@@ -421,8 +421,17 @@ def test_audit_malformed_file_exits_spec_error(tmp_path, capsys):
     ("audit", {"times": [0.0, 0.1], "states": [[1, 2], [3, 4], [5, 6]],
                "multipliers": [[], []], "residuals": [0.0, 0.0],
                "energies": [1.0, 0.5], "energy_rates": [0.0, 0.0]}),
+    ("simulate", {"name": "damped_oscillator", "parameters": {"mu": "0.5"},
+                  "initial_state": []}),
+    ("simulate", {"name": "damped_oscillator",
+                  "initial_state": ["1.0", "0.0"]}),
+    ("audit", {"times": ["0.0", "0.1"], "states": [[1.0], [0.5]],
+               "multipliers": [[], []], "residuals": [0.0, 0.0],
+               "energies": [1.0, 0.5], "energy_rates": [0.0, 0.0]}),
 ], ids=["verify-n", "verify-version", "simulate-parameter",
-        "simulate-state", "audit-energy", "audit-three-state-rows"])
+        "simulate-state", "audit-energy", "audit-three-state-rows",
+        "simulate-string-parameter", "simulate-string-state",
+        "audit-string-times"])
 def test_a_boolean_or_misshapen_field_exits_spec_error(tmp_path, capsys,
                                                        command, doc):
     path = write_json(tmp_path, "doc.json", doc)

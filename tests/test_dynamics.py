@@ -1081,3 +1081,132 @@ def test_short_runs_stay_on_the_constraint_surface(seed):
     traj = simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.2))
     assert traj.residuals.max() <= 1e-10
     assert np.all(np.diff(traj.energies) <= 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# hot-loop forms: each must give the result of the plain numpy form it
+# replaces, bit for bit
+
+
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0,
+    -1.0, 1.4e154, -1.4e154, 1e308, -1e308, math.inf, -math.inf, math.nan])
+ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats())
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == \
+        np.asarray(b, dtype=float).tobytes()
+
+
+@given(x=st.lists(ANY_FLOAT, min_size=1, max_size=8))
+@example(x=[1e308, 1e308])  # finite, but the sum overflows
+@example(x=[1.7e308, 1.7e308, -1.7e308])  # overflows midway
+@example(x=[math.inf, -math.inf])  # the sum is nan
+@example(x=[-0.0, 5e-324])
+def test_the_finite_state_check_gives_the_verdict_of_isfinite(x):
+    x = np.array(x)
+    assert dynamics._all_finite(x) is bool(np.isfinite(x).all())
+
+
+@given(a=ANY_FLOAT, b=ANY_FLOAT)
+@example(a=-0.0, b=1.0)
+@example(a=5e-324, b=1e308)
+@example(a=math.nan, b=1.0)
+def test_the_one_by_one_multiplier_solve_is_the_plain_quotient(a, b):
+    matrix, rhs_vec = np.array([[a]]), np.array([b])
+    with np.errstate(all="ignore"):
+        z, resid = dynamics._solve_constraint(matrix, rhs_vec)
+        expected = rhs_vec / matrix[0, 0]
+    if a != 0.0:
+        assert same_bits(z, expected)
+        assert resid == 0.0
+    else:
+        assert same_bits(z, [0.0])
+        assert same_bits(resid, abs(b))
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=200)
+def test_the_hot_loop_products_match_their_matmul_forms(data, n):
+    k = data.draw(st.integers(1, n))
+
+    def matrix(rows, cols):
+        entries = data.draw(st.lists(st.one_of(EDGE_FLOATS,
+                                               st.floats(-1e3, 1e3)),
+                                     min_size=rows * cols,
+                                     max_size=rows * cols))
+        return np.array(entries).reshape(rows, cols)
+
+    g, pi, grad = matrix(n, k), matrix(n, n), matrix(n, 1)[:, 0]
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (pi + pi.T)
+        assert same_bits(dynamics._bracket_hh(grad, pi),
+                         float(grad @ (sym @ grad)))
+        dot, matmul = g.T.dot(grad), g.T @ grad
+        norm = float(np.abs(matmul).max(initial=0.0))
+    # the residual G^T grad H: .dot and @ run one BLAS kernel, except that
+    # at n = 1 .dot multiplies where @ adds the product to +0.0
+    if n == 1:
+        assert same_bits(np.abs(dot), np.abs(matmul))
+    else:
+        assert same_bits(dot, matmul)
+    if k == 1:
+        assert same_bits(abs(dot.item()), norm)
+
+
+@pytest.mark.parametrize("k, poison", [(1, "grad"), (1, "g"), (2, "grad"),
+                                       (2, "g")])
+def test_a_nan_residual_fails_the_step(monkeypatch, k, poison):
+    # grad H or G turns nan right after the first step is taken, so the
+    # projection meets a nan residual; nan <= tol is false, so the Newton
+    # steps cannot accept it
+    sys, x0 = quadratic_system(np.random.default_rng(5), 4, k)
+    poisoned = [False]
+    step = dynamics._rk4_step
+
+    def step_then_poison(*args):
+        x_new = step(*args)
+        poisoned[0] = True
+        return x_new
+
+    def nan_once_poisoned(evaluate, shape):
+        def poisoned_evaluate(x):
+            return np.full(shape, np.nan) if poisoned[0] else evaluate(x)
+        return poisoned_evaluate
+
+    if poison == "grad":
+        ham = sys.hamiltonian
+        sys = dataclasses.replace(sys, hamiltonian=dataclasses.replace(
+            ham, gradient=nan_once_poisoned(ham.gradient, (4,))))
+    else:
+        forces = dataclasses.replace(sys.ld.forces, evaluate=nan_once_poisoned(
+            sys.ld.forces.evaluate, (4, k)))
+        sys = dataclasses.replace(sys, ld=LDField(sys.ld.pi, forces))
+    monkeypatch.setattr(dynamics, "_rk4_step", step_then_poison)
+    with pytest.raises(StepFailureError) as err:
+        simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.1))
+    assert err.value.time == 0.0
+    assert err.value.partial.times.shape == (1,)
+    if k == 1:  # k = 2 may fail first in the least-squares solve
+        assert "projection stalled at residual nan" in str(err.value)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda sys, x0: simulate(sys, x0, IntegratorConfig(dt=1e-3, t_end=0.01)),
+    lambda sys, x0: oracle_simulate(sys, x0, 1e-3, 0.01)],
+    ids=["simulate", "oracle"])
+def test_a_finite_state_whose_sum_overflows_still_steps(integrate):
+    # H = x1 - x2 stays finite where |x| does not: x drifts by -t (1, 1, 0),
+    # which 7e307 absorbs.  The entries' sum overflows at every step; no
+    # operation of either integrator does
+    h = ScalarField(3, value=lambda x: float(x[0] - x[1]),
+                    gradient=lambda x: np.array([1.0, -1.0, 0.0]))
+    pi = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    sys = DIHSystem(3, LDField(TensorField.constant(pi),
+                               ConstraintField.none(3)), h)
+    with np.errstate(all="raise"):  # the check itself raises no flag
+        traj = integrate(sys, np.full(3, 7e307))
+    assert traj.times.shape == (11,)
+    assert np.all(traj.states == 7e307)
+    assert np.all(traj.energies == 0.0)

@@ -599,6 +599,48 @@ def test_a_json_boolean_under_an_unknown_key_is_ignored(tmp_path, load, doc):
     load(path)
 
 
+# numpy and float() read each of these strings as a number
+STRINGS = {
+    "n": (load_structure_spec, {"kind": "ab", "a": [[1.0]], "b": [[0.0]]},
+          {"n": "1"}),
+    "a-entry": (load_structure_spec, AB_SPEC, {"a": [["1", 0.0], [0.0, 1.0]]}),
+    "carrier-entry": (load_structure_spec, PAIR_SPEC,
+                      {"carrier": [["1.0", "0.0"]]}),
+    "map-entry": (load_structure_spec, PAIR_SPEC, {"map": [["0"]]}),
+    "parameter": (load_system_spec, RUN_SPEC, {"parameters": {"mu": "0.5"}}),
+    "initial-state": (load_system_spec, RUN_SPEC,
+                      {"initial_state": ["1.0", "0.0"]}),
+    "time": (read_trajectory, two_sample_trajectory(),
+             {"times": ["0.0", "0.1"]}),
+    "state": (read_trajectory, two_sample_trajectory(),
+              {"states": [[1.0, 2.0], [" 3e0 ", 4.0]]}),
+    "residual-nan": (read_trajectory, two_sample_trajectory(),
+                     {"residuals": [0.0, "nan"]}),
+    "energy-rate": (read_trajectory, two_sample_trajectory(),
+                    {"energy_rates": ["-0.25", -0.5]}),
+}
+
+
+@pytest.mark.parametrize("case", STRINGS)
+def test_a_json_string_is_not_read_as_a_number(tmp_path, case):
+    load, doc, change = STRINGS[case]
+    key = next(iter(change))
+    path = dump(tmp_path / "doc.json", {**doc, **change})
+    with pytest.raises(SpecFormatError,
+                       match=f"field '{key}' holds a non-number: a string"):
+        load(path)
+
+
+@pytest.mark.parametrize("load, doc", [
+    (load_structure_spec, AB_SPEC), (load_system_spec, RUN_SPEC),
+    (read_trajectory, two_sample_trajectory())],
+    ids=["structure", "run", "trajectory"])
+def test_a_json_string_under_an_unknown_key_is_ignored(tmp_path, load, doc):
+    path = dump(tmp_path / "doc.json",
+                {**doc, "note": "0.5", "stats": {"rows": ["1", "2"]}})
+    load(path)
+
+
 # -- block paths ------------------------------------------------------------
 
 

@@ -16,6 +16,11 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``simulate`` and ``oracle_simulate`` to t = 2;
 - the particle with a friction entry that is a callable of q (so Pi is
   evaluated per call), under ``simulate`` to t = 2;
+- a dense k = 2 system (``dense_system``), under ``simulate`` with and
+  without its analytic constraint Jacobian and under ``oracle_simulate``,
+  to t = 2: its G has no zero entry, so a reordered sum in G^T grad H or
+  in the multiplier solve shows, where the particle's two nonzero entries
+  hide it;
 - a failing run: the particle whose G turns malformed once y passes its
   value at 60 % of the horizon (t = 1.2 of 2), under ``simulate``; its
   ``StepFailureError`` gives the six arrays of the partial trajectory and
@@ -54,6 +59,24 @@ import numpy as np
 FIELDS = ("times", "states", "multipliers", "residuals", "energies",
           "energy_rates")
 PARTICLE_X0 = (0.0, 0.3, 0.0, 1.0, 0.5, 0.3)
+DENSE_SEED = 20240917
+
+
+def dense_system(ldkit):
+    """n = 6, k = 2: constant Pi = S - 0.1 B B^T (S skew), H = |x|^2 / 2,
+    a constant G with orthonormal columns and J = G^T, all drawn from
+    DENSE_SEED; returns the system and a start state with G^T x = 0."""
+    rng = np.random.default_rng(DENSE_SEED)
+    a, b = rng.standard_normal((2, 6, 6))
+    g = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+    v = rng.standard_normal(6)
+    hamiltonian = ldkit.ScalarField(6, value=lambda x: 0.5 * float(x @ x),
+                                    gradient=lambda x: x.copy())
+    field = ldkit.LDField(ldkit.TensorField.constant(a - a.T - 0.1 * b @ b.T),
+                          ldkit.ConstraintField.constant(g))
+    system = ldkit.DIHSystem(6, field, hamiltonian,
+                             constraint_jacobian=lambda x: g.T)
+    return system, v - g @ (g.T @ v)
 
 
 def record_runs(src: str, t_end: float, out: Path) -> None:
@@ -113,6 +136,12 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
     friction = ldkit.damped_particle((lambda q: 1.0 + q[1] ** 2, 1.0, 0.5))
     keep("simulate particle with callable friction",
          ldkit.simulate(friction, x0, c))
+    dense, dense_x0 = dense_system(ldkit)
+    keep("simulate dense k=2", ldkit.simulate(dense, dense_x0, c))
+    keep("simulate dense k=2 without J", ldkit.simulate(
+        dataclasses.replace(dense, constraint_jacobian=None), dense_x0, c))
+    keep("oracle dense k=2",
+         ldkit.oracle_simulate(dense, dense_x0, c.dt, c.t_end))
     # with mu_y = 1, y = y0 + p_y0 (1 - e^-t) increases monotonically
     y_bad = PARTICLE_X0[1] + PARTICLE_X0[4] * (1.0 - math.exp(-0.6 * c.t_end))
     forces = particle.ld.forces.evaluate
