@@ -6,7 +6,11 @@ The package splits into layers: tolerance-aware subspace linear algebra
 (:mod:`ldkit.fields`), constrained dissipative simulation
 (:mod:`ldkit.dynamics`), a catalog of ready-made systems
 (:mod:`ldkit.catalog`), file formats (:mod:`ldkit.io`), and the command line
-(:mod:`ldkit.cli`).
+(:mod:`ldkit.cli`).  Numerical cutoffs are fixed, ``DEFAULT_TOLERANCE``'s
+for the subspace and linear layers, except on the path of ``ldkit verify``:
+``load_structure_spec``, ``from_ab``, ``from_pair``, ``from_subspace``,
+``classification_residuals``, ``to_pair`` and ``split_pairing`` take a
+:class:`Tolerance`.
 """
 
 from __future__ import annotations

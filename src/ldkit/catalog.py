@@ -17,6 +17,7 @@ specified by (name, parameters, initial_state) triples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -321,6 +322,8 @@ def build_system(spec: SystemSpec) -> tuple[DIHSystem, np.ndarray]:
         except (TypeError, ValueError) as exc:
             raise SpecFormatError(
                 f"parameter {key!r} must be a number") from exc
+        if not math.isfinite(params[key]):
+            raise SpecFormatError(f"parameter {key!r} must be finite")
     system = entry.builder(**params)
     state = spec.initial_state
     if state is None or len(tuple(state)) == 0:

@@ -590,7 +590,9 @@ def _midpoint_chain(f: Callable, y0: np.ndarray, big_h: float, nsub: int,
     z = y0 + h * f0
     for _ in range(nsub - 1):
         z_prev, z = z, z_prev + (2.0 * h) * f(z)
-    return 0.5 * (z + z_prev + h * f(z))
+    # halving each term first keeps a sum of values near the float
+    # maximum finite; halving is exact, so the result is otherwise the same
+    return 0.5 * z + 0.5 * z_prev + (0.5 * h) * f(z)
 
 
 def _gbs_step(f: Callable, y: np.ndarray, f0: np.ndarray,

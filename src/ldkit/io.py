@@ -2,7 +2,9 @@
 
 JSON documents carry ``"schema_version": 1`` (absent is read as 1, any other
 value is rejected); a NaN or Infinity literal anywhere in one is refused,
-and so is a boolean or a string in a numeric field.
+and so is a boolean or a string in a numeric field.  A number beyond the
+float range, 1e400 or an integer of 400 digits, reads as infinite and is
+refused as non-finite by the field that holds it.
 The trajectory CSV has the fixed column layout
 
     t,x1..xn,lambda1..lambdak,constraint_residual,H,bracket_HH
@@ -23,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import re
 
@@ -79,16 +82,29 @@ def _refuse_constant(literal: str):
     raise _NonFinite(f"non-finite number {literal}")
 
 
-# every JSON file is decoded with this parse_constant: member by member
-# through _DECODER, whole by json.loads (which also refuses a UTF-8 BOM)
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+def _parse_int(literal: str):
+    """A JSON integer as an int; one beyond the float range as the infinity
+    that a decimal literal such as 1e400 reads as, so that the readers'
+    finite checks name its field instead of float() overflowing."""
+    value = int(literal)
+    try:
+        float(value)
+    except OverflowError:
+        return -math.inf if value < 0 else math.inf
+    return value
+
+
+# every JSON file is decoded with these hooks: member by member through
+# _DECODER, whole by json.loads (which also refuses a UTF-8 BOM)
+_HOOKS = {"parse_constant": _refuse_constant, "parse_int": _parse_int}
+_DECODER = json.JSONDecoder(**_HOOKS)
 _SPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
 
 
 def _decode(text: str, path: str):
     """The JSON document ``text`` of the file ``path``."""
     try:
-        return json.loads(text, parse_constant=_refuse_constant)
+        return json.loads(text, **_HOOKS)
     except ValueError as exc:  # a JSONDecodeError or _NonFinite
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -423,7 +439,8 @@ def _trajectory_members(text: str) -> dict | None:
                     raise
                 # read as Python's json reads it, so that the finite check
                 # names the sample
-                value, pos = json.JSONDecoder().raw_decode(text, pos)
+                value, pos = json.JSONDecoder(
+                    parse_int=_parse_int).raw_decode(text, pos)
             if (key in _FIELDS and not (bools and _holds(value, bool))
                     and text.find('"', start, pos) < 0):
                 try:

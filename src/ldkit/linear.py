@@ -69,7 +69,7 @@ class LinearLD:
             dimension 2n and the subspace has dimension n.
         space: the subspace of R^{2n}.
         flags: classification at the tolerance used during construction;
-            recompute with :func:`classify` to use a different tolerance.
+            build again with another tolerance to classify at it.
     """
 
     n: int
@@ -153,12 +153,12 @@ def _halves(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _meet(range_half: np.ndarray, other_half: np.ndarray,
-          tol: Tolerance) -> np.ndarray:
+          rank_eps: float) -> np.ndarray:
     """Basis of L ∩ V* from (qv, qeta) or L ∩ V from (qeta, qv), orthonormal
     to within rank_eps ** 2: L's orthonormal basis makes other_half an
     isometry on ker(range_half), its rank cut at rank_eps in absolute terms."""
     _, s, vt = np.linalg.svd(range_half)
-    return other_half @ vt[numerical_rank(s, tol.rank_eps, scale=1.0):].T
+    return other_half @ vt[numerical_rank(s, rank_eps, scale=1.0):].T
 
 
 def classification_residuals(space: Subspace,
@@ -179,7 +179,7 @@ def classification_residuals(space: Subspace,
                           other_half: np.ndarray) -> float:
         if space.dim == 0:
             return 0.0
-        w = _meet(range_half, other_half, tol)
+        w = _meet(range_half, other_half, tol.rank_eps)
         if w.shape[1] == 0:
             # trivial intersection; the annihilator side must then be full
             # rank on range_half, which holds by dimension count.
@@ -202,20 +202,15 @@ def classification_residuals(space: Subspace,
     }
 
 
-def _flags_from_residuals(res: dict, tol: Tolerance) -> LDFlags:
-    eps = tol.residual_eps
-    return LDFlags(
-        forward=res["forward"] <= eps,
-        backward=res["backward"] <= eps,
-        dirac=res["dirac"] <= eps,
-        symmetric_dirac=res["symmetric_dirac"] <= eps,
-        separable=res["separable"] <= eps,
-    )
+def _flags_from_residuals(res: dict, residual_eps: float) -> LDFlags:
+    return LDFlags(**{name: value <= residual_eps
+                      for name, value in res.items()})
 
 
-def classify(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> LDFlags:
-    """Recompute the classification flags of ``l`` at the given tolerance."""
-    return _flags_from_residuals(classification_residuals(l.space, tol), tol)
+def classify(l: LinearLD) -> LDFlags:
+    """The classification flags of ``l`` at the default tolerance."""
+    return _flags_from_residuals(classification_residuals(l.space),
+                                 DEFAULT_TOLERANCE.residual_eps)
 
 
 def from_subspace(space: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
@@ -232,7 +227,7 @@ def from_subspace(space: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Linear
             f"an LD structure on R^{n} must have dimension {n}, "
             f"got {space.dim}")
     res = classification_residuals(space, tol)
-    flags = _flags_from_residuals(res, tol)
+    flags = _flags_from_residuals(res, tol.residual_eps)
     if not (flags.forward or flags.backward):
         raise NotLDStructureError(
             "subspace satisfies neither characteristic equation "
@@ -345,8 +340,7 @@ def split_pairing(l: LinearLD, orientation: Orientation,
     return SplitPairing(gram, (pos, neg))
 
 
-def deform(l: LinearLD, form, direction: Orientation,
-           tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
+def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     """Deform a Dirac structure by a symmetric bilinear form.
 
     direction "forward" shears covectors, (v, η) -> (v, η + ψ v), and yields
@@ -362,26 +356,27 @@ def deform(l: LinearLD, form, direction: Orientation,
     if psi.shape != (l.n, l.n):
         raise InputError(f"form must be {l.n}x{l.n}, got {psi.shape}")
     scale = max(1.0, float(np.abs(psi).max()))
-    if float(np.abs(psi - psi.T).max()) > tol.residual_eps * scale:
+    if (float(np.abs(psi - psi.T).max())
+            > DEFAULT_TOLERANCE.residual_eps * scale):
         raise InputError("form must be symmetric")
     qv, qeta = _halves(l.space)
     if direction == "forward":
         stacked = np.vstack([qv, qeta + psi @ qv])
     else:
         stacked = np.vstack([qv + psi @ qeta, qeta])
-    space = Subspace(2 * l.n, orthonormal_columns(stacked, tol.rank_eps))
-    return from_subspace(space, tol)
+    return from_subspace(Subspace(2 * l.n, orthonormal_columns(
+        stacked, DEFAULT_TOLERANCE.rank_eps)))
 
 
-def tangent_part(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
+def tangent_part(l: LinearLD) -> Subspace:
     """L ∩ V as a subspace of R^n (vectors paired with the zero covector)."""
     qv, qeta = _halves(l.space)
-    return Subspace(l.n, orthonormal_columns(_meet(qeta, qv, tol),
-                                             tol.rank_eps))
+    eps = DEFAULT_TOLERANCE.rank_eps
+    return Subspace(l.n, orthonormal_columns(_meet(qeta, qv, eps), eps))
 
 
-def cotangent_part(l: LinearLD, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
+def cotangent_part(l: LinearLD) -> Subspace:
     """L ∩ V* as a subspace of R^n (covectors paired with the zero vector)."""
     qv, qeta = _halves(l.space)
-    return Subspace(l.n, orthonormal_columns(_meet(qv, qeta, tol),
-                                             tol.rank_eps))
+    eps = DEFAULT_TOLERANCE.rank_eps
+    return Subspace(l.n, orthonormal_columns(_meet(qv, qeta, eps), eps))

@@ -4,10 +4,13 @@ Subspaces are stored as orthonormal column bases produced by a rank-revealing
 SVD.  Every rank decision uses a cutoff relative to the largest singular
 value, so decisions are stable under uniform rescaling of the data, and every
 membership or equality check is a residual test against an explicit bound.
+The cutoffs here are ``DEFAULT_TOLERANCE``'s: only ``ldkit verify``'s path,
+from its spec loader into :mod:`ldkit.linear`, takes a :class:`Tolerance`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -31,16 +34,20 @@ class Tolerance:
     """Numerical cutoffs shared by all rank and residual decisions.
 
     Attributes:
-        rank_eps: relative singular-value cutoff for rank decisions.
-        residual_eps: bound on membership / equation residuals.
+        rank_eps: relative singular-value cutoff for rank decisions, below
+            1 (at 1 every rank would be 0).
+        residual_eps: finite bound on membership / equation residuals.
     """
 
     rank_eps: float = 1e-9
     residual_eps: float = 1e-8
 
     def __post_init__(self):
-        if not (self.rank_eps > 0.0 and self.residual_eps > 0.0):
-            raise InputError("tolerance cutoffs must be strictly positive")
+        if not (0.0 < self.rank_eps < 1.0
+                and 0.0 < self.residual_eps < math.inf):
+            raise InputError(
+                "tolerance cutoffs must be finite and positive, rank_eps "
+                f"below 1: got {self.rank_eps!r} and {self.residual_eps!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -156,12 +163,12 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_spanning(cls, vectors,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> "Subspace":
+    def from_spanning(cls, vectors) -> "Subspace":
         """Subspace spanned by the columns of the matrix ``vectors``: any
         matrix-like input, so ``[[1, 0, 0], [0, 1, 0]]`` spans R^2."""
         m = as_matrix(vectors, "spanning set")
-        return cls(m.shape[0], orthonormal_columns(m, tol.rank_eps))
+        return cls(m.shape[0],
+                   orthonormal_columns(m, DEFAULT_TOLERANCE.rank_eps))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -191,49 +198,46 @@ class Subspace:
         resid = vec - self.basis @ (self.basis.T @ vec)
         return float(np.linalg.norm(resid)) / scale
 
-    def contains(self, v, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        return self.membership_residual(v) <= tol.residual_eps
+    def contains(self, v) -> bool:
+        return self.membership_residual(v) <= DEFAULT_TOLERANCE.residual_eps
 
-    def contains_subspace(self, other: "Subspace",
-                          tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    def contains_subspace(self, other: "Subspace") -> bool:
         """True when every basis vector of ``other`` lies in ``self``."""
         if other.ambient_dim != self.ambient_dim:
             raise InputError("subspaces live in different ambient spaces")
         if other.dim == 0:
             return True
         resid = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return float(np.abs(resid).max(initial=0.0)) <= tol.residual_eps
+        return (float(np.abs(resid).max(initial=0.0))
+                <= DEFAULT_TOLERANCE.residual_eps)
 
-    def equals(self, other: "Subspace",
-               tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    def equals(self, other: "Subspace") -> bool:
         """Mutual-inclusion equality test at the residual tolerance."""
         return (self.dim == other.dim
-                and self.contains_subspace(other, tol)
-                and other.contains_subspace(self, tol))
+                and self.contains_subspace(other)
+                and other.contains_subspace(self))
 
     def __repr__(self) -> str:  # keep reprs short; bases can be large
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
-def rank_kernel(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, Subspace]:
+def rank_kernel(m) -> tuple[int, Subspace]:
     """Numerical rank and kernel of a matrix.
 
     Args:
         m: (rows, cols) matrix with rows, cols >= 1.
-        tol: rank cutoff is tol.rank_eps relative to the top singular value.
 
     Returns:
         (rank, kernel) with kernel a Subspace of R^cols; rank + kernel.dim
         equals cols, and every kernel basis column z satisfies
-        |m z| <= tol.residual_eps * |m|.
+        |m z| <= DEFAULT_TOLERANCE.rank_eps * |m|.
     """
     arr = as_matrix(m)
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InputError("rank_kernel needs a nonempty matrix")
     _, s, vt = np.linalg.svd(arr)
-    rank = numerical_rank(s, tol.rank_eps)
-    kernel = Subspace(arr.shape[1], vt[rank:].T)
-    return rank, kernel
+    rank = numerical_rank(s, DEFAULT_TOLERANCE.rank_eps)
+    return rank, Subspace(arr.shape[1], vt[rank:].T)
 
 
 def annihilator(w: Subspace) -> Subspace:
@@ -244,8 +248,7 @@ def annihilator(w: Subspace) -> Subspace:
     return Subspace(w.ambient_dim, complement_columns(w.basis, w.dim))
 
 
-def intersect(a: Subspace, b: Subspace,
-              tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
+def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Computed from the kernel of the stacked basis [Qa | -Qb]: a kernel vector
@@ -257,16 +260,16 @@ def intersect(a: Subspace, b: Subspace,
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     stacked = np.hstack([a.basis, -b.basis])
-    _, kernel = rank_kernel(stacked, tol)
+    _, kernel = rank_kernel(stacked)
     if kernel.dim == 0:
         return Subspace.zero(a.ambient_dim)
     combo = a.basis @ kernel.basis[: a.dim, :]
     return Subspace(a.ambient_dim,
-                    orthonormal_columns(combo, tol.rank_eps))
+                    orthonormal_columns(combo, DEFAULT_TOLERANCE.rank_eps))
 
 
-def project_factor(l: Subspace, which: Literal["first", "second"],
-                   tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
+def project_factor(l: Subspace,
+                   which: Literal["first", "second"]) -> Subspace:
     """Image of a subspace of R^n ⊕ R^n under a factor projection.
 
     Args:
@@ -289,4 +292,5 @@ def project_factor(l: Subspace, which: Literal["first", "second"],
         raise InputError(f"unknown factor {which!r}; use 'first' or 'second'")
     # the basis columns are unit vectors, so singular values of a half block
     # below rank_eps are projection noise, not genuine image directions
-    return Subspace(n, orthonormal_columns(rows, tol.rank_eps, scale=1.0))
+    return Subspace(n, orthonormal_columns(rows, DEFAULT_TOLERANCE.rank_eps,
+                                           scale=1.0))

@@ -50,7 +50,7 @@ def test_the_integrator_settings_are_dt_and_t_end_only():
 
 def test_fields_and_dynamics_take_no_tolerance_and_no_admissibility_switch():
     # the rank rule on G and the admissibility bound are fixed cutoffs; a
-    # Tolerance reaches only the subspace and linear layers
+    # Tolerance reaches only the path of ldkit verify
     expected = {
         ldkit.ConstraintField.__call__: ["self", "x"],
         ldkit.carrier_at: ["field", "x"],
@@ -60,3 +60,44 @@ def test_fields_and_dynamics_take_no_tolerance_and_no_admissibility_switch():
     }
     for fn, parameters in expected.items():
         assert list(inspect.signature(fn).parameters) == parameters, fn
+
+
+def test_a_tolerance_is_taken_only_on_the_path_of_verify():
+    # --tol-rank and --tol-residual decide every verdict that ldkit verify
+    # prints; everything else decides at DEFAULT_TOLERANCE
+    taking = sorted(
+        f"{module.__name__}.{qualname}" for module in MODULES
+        for qualname, fn in _public_functions(module)
+        if "tol" in inspect.signature(fn).parameters)
+    assert taking == [
+        "ldkit.io.load_structure_spec",
+        "ldkit.linear.classification_residuals",
+        "ldkit.linear.from_ab",
+        "ldkit.linear.from_pair",
+        "ldkit.linear.from_subspace",
+        "ldkit.linear.split_pairing",
+        "ldkit.linear.to_pair",
+    ]
+    at_default = [ldkit.Subspace.from_spanning, ldkit.Subspace.contains,
+                 ldkit.Subspace.contains_subspace, ldkit.Subspace.equals,
+                 ldkit.rank_kernel, ldkit.intersect, ldkit.project_factor,
+                 ldkit.classify, ldkit.deform, ldkit.tangent_part,
+                 ldkit.cotangent_part]
+    for fn in at_default:
+        assert "tol" not in inspect.signature(fn).parameters, fn
+
+
+def _public_functions(module):
+    """(qualified name, function) of each public function and public method
+    of a public class that ``module`` defines."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != \
+                module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member

@@ -140,6 +140,20 @@ def test_verify_reads_the_rank_tolerance_from_its_flag_only(tmp_path, capsys,
         assert run(capsys, "verify", spec) == (EXIT_OK, default, "")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-residual", "inf"), ("--tol-residual", "nan"),
+    ("--tol-rank", "inf"), ("--tol-rank", "1")])
+def test_verify_refuses_a_non_finite_or_all_cutting_tolerance(tmp_path, capsys,
+                                                              flag, value):
+    # --tol-residual inf would pass every flag; --tol-rank 1 or above would
+    # make every rank 0 and the pair degenerate
+    spec = write_json(tmp_path, "s.json", CANONICAL_AB)
+    code, out, err = run(capsys, "verify", spec, flag, value)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert "tolerance cutoffs must be finite and positive" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit"])
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-residual"])
 def test_tolerance_flags_belong_to_verify_only(tmp_path, capsys, command,
@@ -458,6 +472,35 @@ def test_a_file_that_is_not_utf8_exits_spec_error(tmp_path, capsys, command,
     assert code == EXIT_SPEC
     assert out == ""
     assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
+HUGE = 10 ** 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("verify", {**CANONICAL_AB, "a": [[HUGE, 0], [0, 1]]},
+     "field 'a' has non-finite entries"),
+    ("simulate", {"name": "harmonic_oscillator", "initial_state": [HUGE, 0]},
+     "initial_state has non-finite entries"),
+    ("simulate", {"name": "damped_oscillator", "parameters": {"mu": -HUGE},
+                  "initial_state": []},
+     "parameter 'mu' must be finite"),
+    ("audit", {"times": [0.0, HUGE], "states": [[1.0], [0.5]],
+               "multipliers": [[], []], "residuals": [0.0, 0.0],
+               "energies": [1.0, 0.5], "energy_rates": [0.0, 0.0]},
+     "times must be finite; sample 1 holds inf"),
+], ids=["verify-a", "simulate-state", "simulate-parameter", "audit-times"])
+def test_an_integer_beyond_the_float_range_exits_spec_error(tmp_path, capsys,
+                                                            command, doc,
+                                                            message):
+    path = write_json(tmp_path, "doc.json", doc)
+    argv = [command, path]
+    if command == "simulate":
+        argv += ["--t-end", "0.01", "--output", str(tmp_path / "t.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 # (times, H, [H,H]) of three rows, and the error the audit must report

@@ -849,6 +849,20 @@ def test_oracle_matches_simulate_on_the_harmonic_oscillator():
     assert np.abs(a.states - b.states).max() <= 1e-8
 
 
+def test_oracle_integrates_states_near_the_float_maximum_as_simulate_does():
+    # z + z_prev of the midpoint chain would overflow at 2e308; halving each
+    # term first keeps the oracle's sum finite
+    h = ScalarField(2, value=lambda x: float(x[0] - x[1]),
+                    gradient=lambda x: np.array([1.0, -1.0]))
+    sys = DIHSystem(2, LDField(TensorField.constant(
+        np.array([[0.0, 1.0], [-1.0, 0.0]])), ConstraintField.none(2)), h)
+    x0 = np.array([1e308, 1e308])
+    a = simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.1))
+    b = oracle_simulate(sys, x0, dt=1e-2, t_end=0.1)
+    for name in ("times", "states", "energies", "energy_rates"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_oracle_matches_exponential_decay():
     sys = gradient_flow_system()
     traj = oracle_simulate(sys, np.array([1.0, 1.0]), dt=1e-2, t_end=1.0)

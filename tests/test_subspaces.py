@@ -1,5 +1,7 @@
 """Tolerance-aware subspace algebra: ranks, kernels, annihilators, factors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,14 @@ def test_tolerance_requires_positive_entries():
         Tolerance(rank_eps=0.0, residual_eps=1e-8)
     with pytest.raises(InputError):
         Tolerance(rank_eps=1e-9, residual_eps=-1.0)
+    # finite too, and rank_eps below 1: at 1 or above the relative cutoff
+    # reaches the top singular value and every rank is 0
+    for rank_eps, residual_eps in [(math.inf, 1e-8), (math.nan, 1e-8),
+                                   (1.0, 1e-8), (2.0, 1e-8),
+                                   (1e-9, math.inf), (1e-9, math.nan)]:
+        with pytest.raises(InputError, match="finite"):
+            Tolerance(rank_eps=rank_eps, residual_eps=residual_eps)
+    assert Tolerance(rank_eps=0.5, residual_eps=1e300).rank_eps == 0.5
 
 
 def test_subspace_rejects_non_orthonormal_basis():

@@ -31,11 +31,18 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   the three arrays of ``kernel_form``, ``bracket(H, H)`` as (full, skew,
   sym), the basis of ``carrier_at``, and the basis and five flags of
   ``fields.pointwise``.  These reach the catalog callables, and the
-  field layer's fixed cutoffs, by paths that no trajectory covers.
+  field layer's fixed cutoffs, by paths that no trajectory covers;
+- the linear layer on fixed inputs drawn from LINEAR_SEED (``linear_runs``):
+  the bases and flags of ``from_ab``, ``from_pair`` and ``deform``, and the
+  bases of ``tangent_part``, ``cotangent_part``, ``intersect``,
+  ``rank_kernel`` and ``project_factor``;
+- the exit code, stdout and stderr of ``ldkit verify`` of the structure
+  specs of VERIFY_SPECS, at the default cutoffs and with
+  ``--tol-rank 1e-6 --tol-residual 1e-6``.
 
-Every array of every trajectory, of the failing run, of every read-back
-and every one-point array must be bitwise equal, and every file and audit
-output byte-identical.  Each one that
+Every array of every trajectory, of the failing run, of every read-back,
+every one-point array and every linear-layer array must be bitwise equal,
+and every file, audit and verify output byte-identical.  Each one that
 is not is printed with its max |delta|, and the exit status is 1 (2 when a
 tree fails to make its runs).  ``--t-end`` caps every horizon, for a quick
 check.
@@ -60,6 +67,24 @@ FIELDS = ("times", "states", "multipliers", "residuals", "energies",
           "energy_rates")
 PARTICLE_X0 = (0.0, 0.3, 0.0, 1.0, 0.5, 0.3)
 DENSE_SEED = 20240917
+LINEAR_SEED = 20241020
+# structure specs for ldkit verify: a skew graph, one forward only at the
+# default rank cutoff (A = diag(1, 1e-7)), a pair of each orientation and
+# one that is not LD (exit 3)
+VERIFY_SPECS = {
+    "ab": {"kind": "ab", "n": 2, "a": [[1.0, 0.0], [0.0, 1.0]],
+           "b": [[0.0, 1.0], [-1.0, 0.0]]},
+    "near": {"kind": "ab", "n": 2, "a": [[1.0, 0.0], [0.0, 1e-7]],
+             "b": [[0.0, 1.0], [-1.0, 0.0]]},
+    "forward": {"kind": "pair", "n": 3, "orientation": "forward",
+                "carrier": [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
+                "map": [[0.5, 2.0], [-1.0, 0.25]]},
+    "backward": {"kind": "pair", "n": 3, "orientation": "backward",
+                 "carrier": [[0.0, 0.6, 0.8]], "map": [[-3.0]]},
+    "not_ld": {"kind": "ab", "n": 2, "a": [[1.0, 0.0], [0.0, 0.0]],
+               "b": [[0.0, 1.0], [0.0, 0.0]]},
+}
+VERIFY_FLAGS = ((), ("--tol-rank", "1e-6", "--tol-residual", "1e-6"))
 
 
 def dense_system(ldkit):
@@ -77,6 +102,62 @@ def dense_system(ldkit):
     system = ldkit.DIHSystem(6, field, hamiltonian,
                              constraint_jacobian=lambda x: g.T)
     return system, v - g @ (g.T @ v)
+
+
+def linear_runs(ldkit) -> dict:
+    """The linear-layer arrays, by name, on inputs drawn from
+    LINEAR_SEED."""
+    rng = np.random.default_rng(LINEAR_SEED)
+    a, b, s, f = rng.standard_normal((4, 4, 4))
+    structures = {
+        "from_ab generic": ldkit.from_ab(ldkit.ABRep(a, b)),
+        "from_ab skew graph": ldkit.from_ab(ldkit.ABRep(np.eye(4), s - s.T)),
+    }
+    for orientation in ("forward", "backward"):
+        carrier = ldkit.Subspace.from_spanning(rng.standard_normal((4, 2)))
+        structures[f"from_pair {orientation}"] = ldkit.from_pair(
+            ldkit.PairRep(orientation, carrier, rng.standard_normal((2, 2))))
+    for direction in ("forward", "backward"):
+        structures[f"deform {direction}"] = ldkit.deform(
+            structures["from_ab skew graph"], f + f.T, direction)
+    runs = {}
+    for label, structure in structures.items():
+        runs[f"{label}: basis"] = structure.space.basis
+        runs[f"{label}: flags"] = np.array(dataclasses.astuple(
+            structure.flags))
+        runs[f"{label}: tangent_part"] = ldkit.tangent_part(structure).basis
+        runs[f"{label}: cotangent_part"] = ldkit.cotangent_part(
+            structure).basis
+        for which in ("first", "second"):
+            runs[f"{label}: project_factor {which}"] = ldkit.project_factor(
+                structure.space, which).basis
+    # rank 2 of 5 columns, and two 3-dimensional subspaces of R^4
+    planted = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5))
+    rank, kernel = ldkit.rank_kernel(planted)
+    runs["rank_kernel: rank"] = np.array(rank)
+    runs["rank_kernel: kernel"] = kernel.basis
+    u, v = (ldkit.Subspace.from_spanning(rng.standard_normal((4, 3)))
+            for _ in range(2))
+    runs["intersect"] = ldkit.intersect(u, v).basis
+    return runs
+
+
+def verify_runs(cli_main, tmp: str) -> dict:
+    """The exit code, stdout and stderr of ``ldkit verify`` of each spec of
+    VERIFY_SPECS with each of VERIFY_FLAGS, as bytes, by command line."""
+    runs = {}
+    for name, doc in VERIFY_SPECS.items():
+        spec = Path(tmp, f"{name}.json")
+        spec.write_text(json.dumps(doc))
+        for flags in VERIFY_FLAGS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli_main(["verify", str(spec), *flags])
+            text = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+            runs[" ".join(["verify", spec.name, *flags])] = np.frombuffer(
+                text.replace(tmp, "TMP").encode(), dtype=np.uint8)
+    return runs
 
 
 def record_runs(src: str, t_end: float, out: Path) -> None:
@@ -122,6 +203,7 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
                     raise SystemExit(f"ldkit audit {path.name} exited {code}")
                 runs[f"audit {path.name}"] = np.frombuffer(
                     audit.getvalue().encode(), dtype=np.uint8)
+        runs.update(verify_runs(cli_main, tmp))
 
     x0 = np.array(PARTICLE_X0)
     particle = ldkit.damped_particle()
@@ -184,6 +266,8 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
         }
         for name, value in values.items():
             runs[f"point {label}: {name}"] = np.asarray(value)
+    for name, value in linear_runs(ldkit).items():
+        runs[f"linear {name}"] = value
     np.savez(out, **runs)
 
 
@@ -235,12 +319,14 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     counts = {kind: sum(key.startswith(kind + " ") for key in parent)
-              for kind in ("failed", "point", "file", "read", "audit")}
+              for kind in ("failed", "point", "file", "read", "audit",
+                           "linear", "verify")}
     print(f"{len(parent) - sum(counts.values())} trajectory arrays, "
           f"{counts['failed']} failing-run arrays, {counts['point']} "
           f"one-point arrays, {counts['file']} files, {counts['read']} "
-          f"read-back arrays and {counts['audit']} audit outputs compared: "
-          f"{len(lines)} differ")
+          f"read-back arrays, {counts['audit']} audit outputs, "
+          f"{counts['linear']} linear-layer arrays and {counts['verify']} "
+          f"verify outputs compared: {len(lines)} differ")
     return 1 if lines else 0
 
 
