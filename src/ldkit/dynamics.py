@@ -224,11 +224,14 @@ class _Compiled:
     Per step and per right-hand side, these checks and the products next
     to them take the cheapest call with the same IEEE result:
     ``ndarray.dot`` where it runs the BLAS kernel of ``@`` (G^T grad H,
-    sym(Pi) grad H), a Python float for the k = 1 residual norm and the
-    1×1 multiplier matrix, and a Python sum before ``np.isfinite``.  At
-    n = 1, ``.dot`` multiplies where ``@`` adds the product to +0.0, so a
-    zero residual may carry the other sign; :func:`_project` reads only
-    its magnitude, or a nonzero residual.
+    sym(Pi) grad H), Python floats for the k = 1 residual norm and the
+    whole 1×1 multiplier solve -c / a, a Python sum before
+    ``np.isfinite``, and, without an analytic J, the directions [G, Pi
+    grad H] joined by ``np.concatenate``, with each probe offset of the
+    directional differences formed once.  At n = 1, ``.dot``
+    multiplies where ``@`` adds the product to +0.0, so a zero residual
+    may carry the other sign; :func:`_project` reads only its magnitude,
+    or a nonzero residual.
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
@@ -285,20 +288,25 @@ class _Compiled:
         self.residual = lambda y: np.asarray(g_eval(y)).T.dot(grad_eval(y))
 
 
-def _solve_constraint(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the k×k system a·z = b, min-norm least squares when singular.
+def _solve_constraint(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve the k×k system a·z = -c, min-norm least squares when singular.
 
-    Returns (z, residual) with residual the max-norm of a·z - b.  Raises
+    Returns (z, residual) with residual the max-norm of a·z + c.  The 1×1
+    system is solved in Python floats: negating then dividing is the same
+    IEEE operation there as in numpy, at less call overhead.  An
+    overflowing quotient is ±inf with no numpy warning or error; the
+    step then fails on the non-finite right-hand side or state.  Raises
     ValueError when a is not k×k, which only a malformed G or J produces.
     """
     if a.shape == (1, 1):
         if a.item() != 0.0:
-            return b / a[0], 0.0
-        return np.zeros(1), float(abs(b[0]))
-    if a.shape != b.shape * 2:
+            return np.array([-c.item() / a.item()]), 0.0
+        return np.zeros(1), abs(c.item())
+    if a.shape != c.shape * 2:
         raise ValueError(f"G or J returned a malformed result mid-run: "
                          f"multiplier matrix of shape {a.shape} for "
-                         f"{b.shape[0] if b.ndim else 0} constraints")
+                         f"{c.shape[0] if c.ndim else 0} constraints")
+    b = -c
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.abs(a @ sol - b).max(initial=0.0))
     return sol, resid
@@ -313,15 +321,19 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
                pi_grad: np.ndarray, jac) -> tuple[np.ndarray, float]:
     if jac is not None:
         jac = np.asarray(jac, dtype=float)
-        b = -jac.dot(pi_grad)
-        lam, resid = _solve_constraint(jac.dot(g), b)
+        cval = jac.dot(pi_grad)
+        lam, resid = _solve_constraint(jac.dot(g), cval)
     else:
-        jv = central_directional(c.residual, x,
-                                 np.column_stack([g, pi_grad]), c.k)
-        b = -jv[:, -1]
-        lam, resid = _solve_constraint(jv[:, :-1], b)
+        # [G, Pi grad H] in the memory order of np.column_stack: C order,
+        # unless G is in F order.  The order decides whether a column is a
+        # strided or a contiguous view, and with it the last bit of the
+        # column's norm
+        v = np.concatenate((g, pi_grad[:, None]), axis=1)
+        jv = central_directional(c.residual, x, v, c.k)
+        cval = jv[:, -1]
+        lam, resid = _solve_constraint(jv[:, :-1], cval)
     if resid and resid > _PROJECTION_TOL * max(
-            1.0, float(np.abs(b).max(initial=0.0))):
+            1.0, float(np.abs(cval).max(initial=0.0))):
         raise DegenerateMultiplierError(
             f"multiplier system is singular and inconsistent (least-squares "
             f"residual {resid:.3e})", ls_residual=resid)
@@ -457,7 +469,7 @@ def _project(c: _Compiled, x: np.ndarray
             a = np.asarray(c.jac(x), dtype=float) @ g
         else:
             a = central_directional(c.residual, x, g, c.k)
-        delta, _ = _solve_constraint(a, -cval)
+        delta, _ = _solve_constraint(a, cval)
         x = x + g @ delta
 
 

@@ -10,10 +10,25 @@ import numpy as np
 __all__ = ["gradient_step", "central_gradient", "central_jacobian"]
 
 
+# where |x| <= 1e154, no partial sum of x·x exceeds 1e308, the largest
+# power of ten below the float maximum
+_SQUARES_SAFE = 1e154
+
+
 def gradient_step(x: np.ndarray) -> float:
-    """Step size 1e-6 * max(1, |x|) used for all first derivatives."""
+    """Step size 1e-6 * max(1, |x|) used for all first derivatives.
+
+    |x| is first taken by ``math.hypot``, which scales the entries and so
+    is infinite only where |x| is.  Up to 1e154, where x·x cannot
+    overflow, it is taken again as sqrt(x·x) by BLAS, whose last bit every
+    finite difference and trajectory depends on.  Neither raises a numpy
+    floating-point warning or error.
+    """
     x = np.asarray(x, dtype=float).ravel()
-    return 1e-6 * max(1.0, math.sqrt(x.dot(x)))
+    norm = math.hypot(*x.tolist())
+    if norm <= _SQUARES_SAFE:
+        norm = math.sqrt(x.dot(x))
+    return 1e-6 * max(1.0, norm)
 
 
 def central_gradient(fn: Callable[[np.ndarray], float],
@@ -61,8 +76,9 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         if norm == 0.0:
             continue
         s = h / norm
-        hi = np.asarray(fn(x + s * vj), dtype=float)
-        lo = np.asarray(fn(x - s * vj), dtype=float)
+        d = s * vj
+        hi = np.asarray(fn(x + d), dtype=float)
+        lo = np.asarray(fn(x - d), dtype=float)
         if hi.shape != (m,) or lo.shape != (m,):
             raise ValueError(f"expected {m} values, got shapes {hi.shape} "
                              f"and {lo.shape}")

@@ -20,6 +20,7 @@ from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    fields, kernel_form, multipliers, oracle_simulate, rhs,
                    simulate)
 from ldkit.dynamics import RATE_TOL
+from ldkit.numdiff import central_directional
 
 
 def harmonic_system() -> DIHSystem:
@@ -285,6 +286,92 @@ def test_multipliers_degenerate_but_consistent_direction_yields_min_norm():
     lam, resid = multipliers(sys, np.array([1.0, 3.0]))
     assert lam == pytest.approx([0.0], abs=1e-12)
     assert resid <= 1e-12
+
+
+def constrained_linear(rng) -> tuple[DIHSystem, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+    """n = 6, k = 2: constant Pi = S - 0.1 B B^T (S skew), H = |x|^2 / 2 and
+    a constant G with orthonormal columns and a zero last row, so that e6
+    is exactly orthogonal to G; J = G^T.  Returns the system, G, Pi and a
+    state with G^T x = 0."""
+    a, b = rng.standard_normal((2, 6, 6))
+    pi = a - a.T - 0.1 * b @ b.T
+    g = np.vstack([np.linalg.qr(rng.standard_normal((5, 2)))[0],
+                   np.zeros((1, 2))])
+    h = ScalarField(6, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    field = LDField(TensorField.constant(pi), ConstraintField.constant(g))
+    sys = DIHSystem(6, field, h, constraint_jacobian=lambda x: g.T)
+    v = rng.standard_normal(6)
+    return sys, g, pi, v - g @ (g.T @ v)
+
+
+@pytest.mark.parametrize("analytic", [True, False],
+                         ids=["analytic J", "directional J"])
+def test_k2_multipliers_have_the_closed_form(analytic):
+    # J G = G^T G is regular: lambda = -(G^T G)^-1 G^T Pi grad H
+    sys, g, pi, x = constrained_linear(np.random.default_rng(11))
+    if not analytic:
+        sys = dataclasses.replace(sys, constraint_jacobian=None)
+    lam, resid = multipliers(sys, x)
+    exact = -np.linalg.solve(g.T @ g, g.T @ (pi @ x))
+    assert np.abs(lam - exact).max() <= (1e-13 if analytic else 1e-8)
+    assert resid <= 1e-13
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", range(20))
+def test_directional_multipliers_take_the_directions_as_column_stack_does(
+        order, seed):
+    # the reference builds [G, Pi grad H] by np.column_stack; a G in F order
+    # makes each column a contiguous view there, and a C-ordered copy would
+    # move the column norms, and so lambda, by an ulp
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    k = int(rng.integers(2, n))
+    g = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    g = np.asfortranarray(g) if order == "F" else np.ascontiguousarray(g)
+    a = rng.standard_normal((n, n))
+    h = ScalarField(n, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    sys = DIHSystem(n, LDField(TensorField.constant(a - a.T - 0.1 * a @ a.T),
+                               ConstraintField(n, k, lambda x: g)), h)
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    x = v - g @ (g.T @ v)
+    c = dynamics._Compiled(sys, x)
+    point, grad, g_x, pi = c.start[:4]
+    pi_grad = pi.dot(grad)
+    jv = central_directional(c.residual, point,
+                             np.column_stack([g_x, pi_grad]), k)
+    expected = np.linalg.lstsq(jv[:, :-1], -jv[:, -1], rcond=None)[0]
+    assert same_bits(multipliers(sys, x)[0], expected)
+
+
+def test_k2_singular_consistent_multipliers_are_the_min_norm_solution():
+    # rows u^T and 2 u^T: J G has rank 1 exactly and -J Pi grad H lies in
+    # its range, so every lambda with r . lambda = -u^T Pi x solves it
+    # (r = G^T u); the least-squares branch returns the shortest
+    sys, g, pi, x = constrained_linear(np.random.default_rng(12))
+    u = np.random.default_rng(13).standard_normal(6)
+    jac = np.vstack([u, 2.0 * u])
+    lam, resid = multipliers(
+        dataclasses.replace(sys, constraint_jacobian=lambda y: jac), x)
+    r = g.T @ u
+    assert np.abs(lam - (-(u @ (pi @ x)) / (r @ r)) * r).max() <= 1e-13
+    assert resid <= 1e-13
+
+
+def test_k2_singular_inconsistent_multipliers_raise():
+    # the second row adds e6, which is orthogonal to G: J G keeps rank 1,
+    # while -J Pi grad H gains (Pi x)_6 outside its range
+    sys, g, pi, x = constrained_linear(np.random.default_rng(12))
+    u = np.random.default_rng(13).standard_normal(6)
+    jac = np.vstack([u, 2.0 * u + np.eye(6)[5]])
+    assert abs((pi @ x)[5]) > 0.1
+    with pytest.raises(DegenerateMultiplierError) as err:
+        multipliers(dataclasses.replace(sys, constraint_jacobian=lambda y: jac),
+                    x)
+    assert err.value.ls_residual > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +950,32 @@ def test_oracle_integrates_states_near_the_float_maximum_as_simulate_does():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+@pytest.mark.parametrize("integrate", [
+    lambda sys, x0: simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.1)),
+    lambda sys, x0: oracle_simulate(sys, x0, dt=1e-2, t_end=0.1)],
+    ids=["simulate", "oracle"])
+def test_a_finite_difference_gradient_steps_where_x_dot_x_overflows(
+        integrate):
+    # at (1e160, 1e160) the sum of squares in the difference step
+    # overflows; the run must match its analytic-gradient twin, whose
+    # states do not move at this scale
+    pi = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def system(gradient):
+        h = ScalarField(2, value=lambda x: float(x[0] - x[1]),
+                        gradient=gradient)
+        return DIHSystem(2, LDField(pi, ConstraintField.none(2)), h)
+
+    x0 = np.array([1e160, 1e160])
+    with np.errstate(all="raise"):
+        numeric = integrate(system(None), x0)
+    analytic = integrate(system(lambda x: np.array([1.0, -1.0])), x0)
+    assert numeric.times.shape == (11,)
+    for name in ("times", "states", "energies", "energy_rates"):
+        assert np.array_equal(getattr(numeric, name),
+                              getattr(analytic, name)), name
+
+
 def test_oracle_matches_exponential_decay():
     sys = gradient_flow_system()
     traj = oracle_simulate(sys, np.array([1.0, 1.0]), dt=1e-2, t_end=1.0)
@@ -1123,21 +1236,56 @@ def test_the_finite_state_check_gives_the_verdict_of_isfinite(x):
     assert dynamics._all_finite(x) is bool(np.isfinite(x).all())
 
 
-@given(a=ANY_FLOAT, b=ANY_FLOAT)
-@example(a=-0.0, b=1.0)
-@example(a=5e-324, b=1e308)
-@example(a=math.nan, b=1.0)
-def test_the_one_by_one_multiplier_solve_is_the_plain_quotient(a, b):
-    matrix, rhs_vec = np.array([[a]]), np.array([b])
+@given(a=ANY_FLOAT, c=ANY_FLOAT)
+@example(a=-0.0, c=1.0)
+@example(a=5e-324, c=1e308)
+@example(a=math.nan, c=1.0)
+def test_the_one_by_one_multiplier_solve_is_the_plain_quotient(a, c):
+    # a z = -c, solved in Python floats: the bits of numpy's -c / a, and
+    # no floating-point error even where numpy's quotient would raise one
+    matrix, cval = np.array([[a]]), np.array([c])
     with np.errstate(all="ignore"):
-        z, resid = dynamics._solve_constraint(matrix, rhs_vec)
-        expected = rhs_vec / matrix[0, 0]
+        expected = -cval / matrix[0, 0]
+    with np.errstate(all="raise"):
+        z, resid = dynamics._solve_constraint(matrix, cval)
     if a != 0.0:
         assert same_bits(z, expected)
         assert resid == 0.0
     else:
         assert same_bits(z, [0.0])
-        assert same_bits(resid, abs(b))
+        assert same_bits(resid, abs(c))
+
+
+def quotient_overflow_system() -> DIHSystem:
+    """n = 2, k = 1: H = |x|^2 / 2, G = e2 and Pi = [[-1, 1], [-1, 0]], so
+    that on x2 = 0 the state decays as x1 = e^-t.  The given J is the true
+    one, (0, 1), while x1 > 0.7; below, it is (1, 1e-320), so that
+    J G = 1e-320 while J Pi grad H is near -x1, and the multiplier
+    -J Pi grad H / J G overflows."""
+    h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    field = LDField(TensorField.constant(np.array([[-1.0, 1.0],
+                                                   [-1.0, 0.0]])),
+                    ConstraintField.constant(np.array([[0.0], [1.0]])))
+
+    def jac(x):
+        return np.array([[0.0, 1.0]] if x[0] > 0.7 else [[1.0, 1e-320]])
+
+    return DIHSystem(2, field, h, constraint_jacobian=jac)
+
+
+@pytest.mark.parametrize("errors", ["default", "raise"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_one_by_one_multiplier_fails_the_step(errors):
+    # the quotient is inf in Python floats where numpy would raise under
+    # "raise"; either way the step fails, at x1 = 0.7 (t = ln(1/0.7))
+    strict = {} if errors == "default" else {"all": "raise"}
+    with np.errstate(**strict), pytest.raises(StepFailureError) as err:
+        simulate(quotient_overflow_system(), np.array([1.0, 0.0]),
+                 IntegratorConfig(dt=1e-2, t_end=1.0))
+    assert err.value.time == pytest.approx(0.35)
+    assert err.value.partial.times.shape == (36,)
+    assert err.value.state[0] == pytest.approx(math.exp(-0.35))
 
 
 @given(data=st.data(), n=st.integers(1, 6))

@@ -1,5 +1,7 @@
 """Central finite differences: directional derivatives against closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,3 +101,66 @@ def test_gradient_step_accepts_a_sequence():
     assert gradient_step([3.0, 4.0]) == gradient_step(np.array([3.0, 4.0]))
     assert gradient_step((3, 4)) == pytest.approx(5e-6, rel=1e-15)
     assert gradient_step([0.1, 0.2]) == 1e-6
+
+
+@given(x=st.lists(st.one_of(st.floats(-1e150, 1e150),
+                            st.sampled_from([0.0, -0.0, 5e-324, -1e-310,
+                                             1e150, -1e150])),
+                  min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_gradient_step_is_the_plain_formula_up_to_1e150(x):
+    x = np.array(x)
+    assert gradient_step(x) == 1e-6 * max(1.0, math.sqrt(x.dot(x)))
+
+
+@pytest.mark.parametrize("x, norm", [
+    ([1e200, 1e200], math.sqrt(2.0) * 1e200),
+    ([3e160, 0.0, -4e160], 5e160),
+    ([1.2e154, 1.0, 1e-300], 1.2e154),
+    ([1.7e308, 1.7e308], math.inf)])
+def test_gradient_step_of_a_state_whose_squares_overflow(x, norm):
+    # x.dot(x) would overflow; |x| itself overflows only in the last case
+    with np.errstate(all="raise"):
+        h = gradient_step(x)
+    assert h == pytest.approx(1e-6 * norm, rel=1e-15)
+
+
+def reference_directional(fn, x, v, m):
+    """A plain reference for the directional differences: each probe
+    offset s v_j formed twice, and the step taken as sqrt(x·x)."""
+    h = 1e-6 * max(1.0, math.sqrt(x.dot(x)))
+    out = np.zeros((m, v.shape[1]))
+    for j in range(v.shape[1]):
+        vj = v[:, j]
+        norm = math.sqrt(vj.dot(vj))
+        if norm == 0.0:
+            continue
+        s = h / norm
+        hi = np.asarray(fn(x + s * vj), dtype=float)
+        lo = np.asarray(fn(x - s * vj), dtype=float)
+        out[:, j] = (hi - lo) / (2.0 * s)
+    return out
+
+
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 3),
+       cols=st.integers(1, 4), stacked=st.booleans())
+@settings(max_examples=300)
+def test_central_directional_matches_the_reference_loop_bit_for_bit(
+        data, n, m, cols, stacked):
+    def vector(size, bound):
+        return np.array(data.draw(st.lists(st.floats(-bound, bound),
+                                           min_size=size, max_size=size)))
+
+    x = vector(n, 1e3)
+    weights = vector(m * n, 2.0).reshape(m, n)
+    columns = [np.zeros(n) if data.draw(st.booleans()) else vector(n, 1e3)
+               for _ in range(cols)]
+    # column-stacked directions are C-ordered, so each column is a strided
+    # view; the transpose of stacked rows gives contiguous columns
+    v = np.column_stack(columns) if stacked else np.array(columns).T
+
+    def fn(y):
+        return np.tanh(weights @ y) + y[:1] * y[-1:]
+
+    out = central_directional(fn, x, v, m)
+    assert out.tobytes() == reference_directional(fn, x, v, m).tobytes()

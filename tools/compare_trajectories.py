@@ -16,11 +16,19 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``simulate`` and ``oracle_simulate`` to t = 2;
 - the particle with a friction entry that is a callable of q (so Pi is
   evaluated per call), under ``simulate`` to t = 2;
+- the particle at the coarse step COARSE_DT = 0.05 to t = 2, with and
+  without its analytic constraint Jacobian, under ``simulate``: there each
+  step leaves chi_c by more than the projection tolerance, so every step
+  takes a Newton solve, which the runs at dt = 1e-3 never do;
+- the particle with no analytic gradient of H, under ``simulate`` to
+  t = 2, so that ``central_gradient`` and ``gradient_step`` run;
 - a dense k = 2 system (``dense_system``), under ``simulate`` with and
   without its analytic constraint Jacobian and under ``oracle_simulate``,
   to t = 2: its G has no zero entry, so a reordered sum in G^T grad H or
   in the multiplier solve shows, where the particle's two nonzero entries
-  hide it;
+  hide it; and once more without J, with G a callable that returns it in
+  F order, since the memory order of the difference directions decides
+  the last bit of their norms;
 - a failing run: the particle whose G turns malformed once y passes its
   value at 60 % of the horizon (t = 1.2 of 2), under ``simulate``; its
   ``StepFailureError`` gives the six arrays of the partial trajectory and
@@ -66,6 +74,7 @@ import numpy as np
 FIELDS = ("times", "states", "multipliers", "residuals", "energies",
           "energy_rates")
 PARTICLE_X0 = (0.0, 0.3, 0.0, 1.0, 0.5, 0.3)
+COARSE_DT = 0.05
 DENSE_SEED = 20240917
 LINEAR_SEED = 20241020
 # structure specs for ldkit verify: a skew graph, one forward only at the
@@ -218,12 +227,27 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
     friction = ldkit.damped_particle((lambda q: 1.0 + q[1] ** 2, 1.0, 0.5))
     keep("simulate particle with callable friction",
          ldkit.simulate(friction, x0, c))
+    # whole coarse steps within the horizon cap
+    coarse = ldkit.IntegratorConfig(
+        dt=COARSE_DT,
+        t_end=COARSE_DT * math.floor(min(2.0, t_end) / COARSE_DT + 1e-9))
+    keep("simulate particle at dt 0.05", ldkit.simulate(particle, x0, coarse))
+    keep("simulate particle without J at dt 0.05",
+         ldkit.simulate(no_jac, x0, coarse))
+    no_grad = dataclasses.replace(particle, hamiltonian=dataclasses.replace(
+        particle.hamiltonian, gradient=None))
+    keep("simulate particle without grad H", ldkit.simulate(no_grad, x0, c))
     dense, dense_x0 = dense_system(ldkit)
     keep("simulate dense k=2", ldkit.simulate(dense, dense_x0, c))
     keep("simulate dense k=2 without J", ldkit.simulate(
         dataclasses.replace(dense, constraint_jacobian=None), dense_x0, c))
     keep("oracle dense k=2",
          ldkit.oracle_simulate(dense, dense_x0, c.dt, c.t_end))
+    g_f = np.asfortranarray(dense.ld.forces(dense_x0))
+    keep("simulate dense k=2 without J, G in F order", ldkit.simulate(
+        dataclasses.replace(dense, constraint_jacobian=None, ld=ldkit.LDField(
+            dense.ld.pi, ldkit.ConstraintField(6, 2, lambda x: g_f))),
+        dense_x0, c))
     # with mu_y = 1, y = y0 + p_y0 (1 - e^-t) increases monotonically
     y_bad = PARTICLE_X0[1] + PARTICLE_X0[4] * (1.0 - math.exp(-0.6 * c.t_end))
     forces = particle.ld.forces.evaluate
