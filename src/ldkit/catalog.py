@@ -218,11 +218,12 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
         jac[0, 3] = x[1]
         return jac
 
-    hamiltonian = ScalarField(
-        6,
-        value=lambda x: 0.5 * float(x[3] * x[3] + x[4] * x[4] + x[5] * x[5]),
-        gradient=gradient,
-    )
+    def value(x: np.ndarray) -> float:
+        # in Python floats: an overflow is inf, not a numpy error
+        _, _, _, px, py, pz = x.tolist()
+        return 0.5 * (px * px + py * py + pz * pz)
+
+    hamiltonian = ScalarField(6, value=value, gradient=gradient)
     # Pi and the probe checks of friction and H come from damped_mechanical
     system = damped_mechanical(TensorField(3, r_eval), None, hamiltonian)
     system = replace(system, ld=LDField(system.ld.pi,
@@ -256,17 +257,14 @@ class CatalogEntry:
 def _build_oscillator(omega: float = 1.0, mu: float = 0.0) -> DIHSystem:
     """Pi = P - diag(0, mu), H = (omega^2 q^2 + p^2) / 2."""
     w2 = float(omega) ** 2
+    scale = np.array([w2, 1.0])
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = x.copy()  # scaled in place: a third of np.array([w2 * q, p])
-        g[0] *= w2
-        return g
+    def value(x: np.ndarray) -> float:
+        # in Python floats: an overflow is inf, not a numpy error
+        q, p = x.tolist()
+        return 0.5 * (w2 * q * q + p * p)
 
-    h = ScalarField(
-        2,
-        value=lambda x: 0.5 * float(w2 * x[0] * x[0] + x[1] * x[1]),
-        gradient=gradient,
-    )
+    h = ScalarField(2, value=value, gradient=lambda x: x * scale)
     poisson = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     metric = TensorField.constant(np.diag([0.0, float(mu)]))
     return _frozen_pi(metriplectic_system(poisson, metric, h))
@@ -274,11 +272,13 @@ def _build_oscillator(omega: float = 1.0, mu: float = 0.0) -> DIHSystem:
 
 def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
     metric = TensorField.constant(np.diag([float(g1), float(g2)]))
-    entropy = ScalarField(
-        2,
-        value=lambda x: 0.5 * float(x[0] * x[0] + x[1] * x[1]),
-        gradient=lambda x: x.copy(),
-    )
+
+    def value(x: np.ndarray) -> float:
+        # in Python floats: an overflow is inf, not a numpy error
+        a, b = x.tolist()
+        return 0.5 * (a * a + b * b)
+
+    entropy = ScalarField(2, value=value, gradient=lambda x: x.copy())
     return _frozen_pi(gradient_system(metric, entropy))
 
 

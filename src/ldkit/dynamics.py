@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
 from .fields import LDField, ScalarField, _checked, _Constant
-from .numdiff import central_directional, central_gradient
+from .numdiff import _FLOAT, central_directional, central_gradient
 from .subspaces import as_vector, complement_columns
 
 __all__ = [
@@ -52,7 +52,8 @@ __all__ = [
 # least-squares residual of a singular multiplier system that counts as solved
 _PROJECTION_TOL = 1e-10
 _MAX_PROJECTION_ITERS = 25
-# the multiplier of every k = 0 state
+# the multiplier of every k = 0 state; the recorder's k = 0 multiplier
+# array has no entries, so it writes none
 _NO_LAM = np.zeros(0)
 _NO_LAM.setflags(write=False)
 # the recorder allocates 8(n + k + 4) B per grid row when the run starts
@@ -224,14 +225,17 @@ class _Compiled:
     Per step and per right-hand side, these checks and the products next
     to them take the cheapest call with the same IEEE result:
     ``ndarray.dot`` where it runs the BLAS kernel of ``@`` (G^T grad H,
-    sym(Pi) grad H), Python floats for the k = 1 residual norm and the
-    whole 1×1 multiplier solve -c / a, a Python sum before
-    ``np.isfinite``, and, without an analytic J, the directions [G, Pi
-    grad H] joined by ``np.concatenate``, with each probe offset of the
-    directional differences formed once.  At n = 1, ``.dot``
-    multiplies where ``@`` adds the product to +0.0, so a zero residual
-    may carry the other sign; :func:`_project` reads only its magnitude,
-    or a nonzero residual.
+    sym(Pi) grad H and the [H, H] product after it), Python floats for
+    the k = 1 residual norm and the whole 1×1 multiplier solve -c / a, a
+    Python sum before ``np.isfinite``, and, without an analytic J, the
+    directions [G, Pi grad H] joined by ``np.concatenate``, with each
+    probe offset of the directional differences formed once.  Constants
+    that numpy would convert on every call are made once: the float
+    dtype passed to ``np.asarray``, and the steppers' coefficients, 0-d
+    float64 arrays made per run.  At n = 1, ``.dot`` multiplies where
+    ``@`` adds the product to +0.0, so a zero residual may carry the
+    other sign; :func:`_project` reads only its magnitude, or a nonzero
+    residual, and [H, H] adds +0.0.
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
@@ -320,7 +324,7 @@ def _malformed(name: str, value: np.ndarray, shape: tuple) -> ValueError:
 def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
                pi_grad: np.ndarray, jac) -> tuple[np.ndarray, float]:
     if jac is not None:
-        jac = np.asarray(jac, dtype=float)
+        jac = np.asarray(jac, dtype=_FLOAT)
         cval = jac.dot(pi_grad)
         lam, resid = _solve_constraint(jac.dot(g), cval)
     else:
@@ -371,7 +375,7 @@ def _checked_pi(c: _Compiled, x: np.ndarray) -> np.ndarray:
     evaluation."""
     if c.pi_fixed is not None:
         return c.pi_fixed
-    pi = np.asarray(c.pi(x), dtype=float)
+    pi = np.asarray(c.pi(x), dtype=_FLOAT)
     if pi.shape != c.matrix_shape:
         raise _malformed("Pi", pi, c.matrix_shape)
     return pi
@@ -395,10 +399,10 @@ def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
 
 
 def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
-    grad = np.asarray(c.grad(x), dtype=float)
+    grad = np.asarray(c.grad(x), dtype=_FLOAT)
     g = c.g_fixed
     if g is None:
-        g = np.asarray(c.g(x), dtype=float)
+        g = np.asarray(c.g(x), dtype=_FLOAT)
     return _terms(c, x, grad, g, _checked_pi(c, x),
                   None if c.jac is None else c.jac(x))[1]
 
@@ -430,11 +434,12 @@ def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
                 sym: np.ndarray | None = None) -> float:
     # through sym(Pi), not grad·(Pi grad): a skew Pi then gives exactly 0.0;
     # ``sym``, when given, is sym(Pi) formed once for a constant Pi.  The
-    # outer product stays ``@``: at n = 1, ``.dot`` turns a zero rate into
-    # -0.0, where ``@`` adds the product to +0.0
+    # outer product is ``.dot``, which at n = 1 multiplies where ``@`` adds
+    # the product to +0.0; adding +0.0 turns its -0.0 into the +0.0 of
+    # ``@`` and leaves every other value as it is
     if sym is None:
         sym = 0.5 * (pi + pi.T)
-    return float(grad @ sym.dot(grad))
+    return float(grad.dot(sym.dot(grad))) + 0.0
 
 
 def energy_rate(sys: DIHSystem, x) -> float:
@@ -451,10 +456,10 @@ def _project(c: _Compiled, x: np.ndarray
     residual there, so that the caller need not evaluate them again.
     """
     if c.k == 0:
-        return x, np.asarray(c.grad(x), dtype=float), c.g_fixed, 0.0
+        return x, np.asarray(c.grad(x), dtype=_FLOAT), c.g_fixed, 0.0
     for i in range(_MAX_PROJECTION_ITERS + 1):
-        g = np.asarray(c.g(x), dtype=float)
-        grad = np.asarray(c.grad(x), dtype=float)
+        g = np.asarray(c.g(x), dtype=_FLOAT)
+        grad = np.asarray(c.grad(x), dtype=_FLOAT)
         cval = g.T.dot(grad)
         if cval.shape != c.residual_shape:
             raise ValueError(f"G or grad H returned a malformed result "
@@ -466,7 +471,7 @@ def _project(c: _Compiled, x: np.ndarray
         if i == _MAX_PROJECTION_ITERS:
             raise ValueError(f"projection stalled at residual {worst:.3e}")
         if c.jac is not None:
-            a = np.asarray(c.jac(x), dtype=float) @ g
+            a = np.asarray(c.jac(x), dtype=_FLOAT) @ g
         else:
             a = central_directional(c.residual, x, g, c.k)
         delta, _ = _solve_constraint(a, cval)
@@ -505,7 +510,8 @@ class _Recorder:
         i = self.m
         self.times[i] = t
         self.states[i] = x
-        self.lams[i] = lam
+        if self.c.k:  # at k = 0 the row of multipliers has no entries
+            self.lams[i] = lam
         self.residuals[i] = resid
         self.energies[i] = energy
         self.rates[i] = rate
@@ -532,13 +538,16 @@ def _all_finite(x: np.ndarray) -> bool:
 
 def _run(sys: DIHSystem, x0, config: IntegratorConfig,
          stepper: Callable[..., np.ndarray],
+         coefficients: Callable[[float], tuple],
          substeps: int) -> Trajectory:
     """Drive a one-step map over the time grid, projecting and recording.
 
-    ``substeps`` macro applications of ``stepper`` with size dt/substeps
-    advance one grid interval; recording happens on the grid only.  Each
-    accepted state is evaluated once: the projection's grad H and G, and
-    the right-hand side there, serve both the record and the next step.
+    ``substeps`` macro applications of ``stepper`` with size
+    h = dt/substeps advance one grid interval; recording happens on the
+    grid only.  ``coefficients(h)`` gives the stepper's constants, made
+    once per run.  Each accepted state is evaluated once: the projection's
+    grad H and G, and the right-hand side there, serve both the record and
+    the next step.
     """
     dt = config.dt
     c = _Compiled(sys, x0)
@@ -548,12 +557,12 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     x, grad, g, pi, jac, resid, h0 = c.start
     lam, fx = _terms(c, x, grad, g, pi, jac)
     rec.record(0.0, x, grad, pi, lam, resid, h0)
-    h = dt / substeps
+    coeffs = coefficients(dt / substeps)
     for i in range(1, config.steps + 1):
         t_prev = (i - 1) * dt
         try:
             for _ in range(substeps):
-                x_new = stepper(f, x, fx, h)
+                x_new = stepper(f, x, fx, coeffs)
                 if not _all_finite(x_new):
                     raise ValueError(f"the step reached the non-finite "
                                      f"state {x_new}")
@@ -574,13 +583,23 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     return rec.build()
 
 
+def _rk4_coefficients(h: float) -> tuple:
+    """RK4's constants h/2, h, h/6 and 2 at step size h, as 0-d float64
+    arrays: numpy converts a Python float on every call with an array, a
+    0-d array it takes as it is, and the product is the same."""
+    return tuple(np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
+
+
 def _rk4_step(f: Callable, x: np.ndarray, fx: np.ndarray,
-              dt: float) -> np.ndarray:
+              coeffs: tuple) -> np.ndarray:
+    """One classical RK4 step; ``coeffs`` from :func:`_rk4_coefficients`
+    and ``fx`` = f(x)."""
+    half_h, h, sixth_h, two = coeffs
     k1 = fx
-    k2 = f(x + (0.5 * dt) * k1)
-    k3 = f(x + (0.5 * dt) * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 = f(x + half_h * k1)
+    k3 = f(x + half_h * k2)
+    k4 = f(x + h * k3)
+    return x + sixth_h * (k1 + two * (k2 + k3) + k4)
 
 
 def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
@@ -592,33 +611,47 @@ def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
     result of the wrong shape raises StepFailureError carrying the partial
     trajectory.
     """
-    return _run(sys, x0, config, _rk4_step, substeps=1)
+    return _run(sys, x0, config, _rk4_step, _rk4_coefficients,
+                substeps=1)
 
 
-def _midpoint_chain(f: Callable, y0: np.ndarray, big_h: float, nsub: int,
-                    f0: np.ndarray) -> np.ndarray:
-    h = big_h / nsub
+def _gbs_coefficients(h: float) -> tuple:
+    """The constants of a GBS step of size h, as 0-d float64 arrays (see
+    :func:`_rk4_coefficients`): for the chains of 2 and 4 substeps,
+    (nsub, h_c, 2 h_c, h_c / 2) with h_c = h / nsub, then 0.5 and 3."""
+    def chain(nsub: int) -> tuple:
+        h_c = h / nsub
+        return (nsub, np.array(h_c), np.array(2.0 * h_c),
+                np.array(0.5 * h_c))
+
+    return chain(2), chain(4), np.array(0.5), np.array(3.0)
+
+
+def _midpoint_chain(f: Callable, y0: np.ndarray, f0: np.ndarray,
+                    chain: tuple, half: np.ndarray) -> np.ndarray:
+    nsub, h, two_h, half_h = chain
     z_prev = y0
     z = y0 + h * f0
     for _ in range(nsub - 1):
-        z_prev, z = z, z_prev + (2.0 * h) * f(z)
+        z_prev, z = z, z_prev + two_h * f(z)
     # halving each term first keeps a sum of values near the float
     # maximum finite; halving is exact, so the result is otherwise the same
-    return 0.5 * z + 0.5 * z_prev + (0.5 * h) * f(z)
+    return half * z + half * z_prev + half_h * f(z)
 
 
 def _gbs_step(f: Callable, y: np.ndarray, f0: np.ndarray,
-              h: float) -> np.ndarray:
-    """One extrapolated Gragg modified-midpoint step of size h.
+              coeffs: tuple) -> np.ndarray:
+    """One extrapolated Gragg modified-midpoint step.
 
     Two smoothed modified-midpoint passes with 2 and 4 substeps are
     Richardson-extrapolated in the even h^2 error expansion, giving a
     4th-order one-step map built entirely from midpoint chains; ``f0`` is
-    f(y).
+    f(y) and ``coeffs`` comes from :func:`_gbs_coefficients`.
     """
-    t1 = _midpoint_chain(f, y, h, 2, f0)
-    t2 = _midpoint_chain(f, y, h, 4, f0)
-    return t2 + (t2 - t1) / 3.0
+    chain2, chain4, half, three = coeffs
+    t1 = _midpoint_chain(f, y, f0, chain2, half)
+    t2 = _midpoint_chain(f, y, f0, chain4, half)
+    return t2 + (t2 - t1) / three
 
 
 def oracle_simulate(sys: DIHSystem, x0, dt: float,
@@ -631,7 +664,7 @@ def oracle_simulate(sys: DIHSystem, x0, dt: float,
     the dt grid, so trajectories compare row by row.
     """
     return _run(sys, x0, IntegratorConfig(dt=dt, t_end=t_end), _gbs_step,
-                substeps=2)
+                _gbs_coefficients, substeps=2)
 
 
 def audit_series(times, energies, rates) -> EnergyAudit:

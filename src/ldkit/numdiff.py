@@ -13,6 +13,19 @@ __all__ = ["gradient_step", "central_gradient", "central_jacobian"]
 # where |x| <= 1e154, no partial sum of x·x exceeds 1e308, the largest
 # power of ten below the float maximum
 _SQUARES_SAFE = 1e154
+# numpy converts ``dtype=float`` to this on every call; given, it is not
+_FLOAT = np.dtype(float)
+
+
+def _squares(v: np.ndarray) -> float:
+    """v·v by BLAS.  A square that underflows is no error here: where
+    ``np.errstate(under="raise")`` makes it one, the sum is taken again
+    with underflow ignored, which gives the same bits."""
+    try:
+        return v.dot(v)
+    except FloatingPointError:
+        with np.errstate(under="ignore"):
+            return v.dot(v)
 
 
 def gradient_step(x: np.ndarray) -> float:
@@ -22,12 +35,12 @@ def gradient_step(x: np.ndarray) -> float:
     is infinite only where |x| is.  Up to 1e154, where x·x cannot
     overflow, it is taken again as sqrt(x·x) by BLAS, whose last bit every
     finite difference and trajectory depends on.  Neither raises a numpy
-    floating-point warning or error.
+    floating-point warning or error, an underflowing square included.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=_FLOAT).ravel()
     norm = math.hypot(*x.tolist())
     if norm <= _SQUARES_SAFE:
-        norm = math.sqrt(x.dot(x))
+        norm = math.sqrt(_squares(x))
     return 1e-6 * max(1.0, norm)
 
 
@@ -72,13 +85,13 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     out = np.zeros((m, v.shape[1]))
     for j in range(v.shape[1]):
         vj = v[:, j]
-        norm = math.sqrt(vj.dot(vj))
+        norm = math.sqrt(_squares(vj))
         if norm == 0.0:
             continue
         s = h / norm
         d = s * vj
-        hi = np.asarray(fn(x + d), dtype=float)
-        lo = np.asarray(fn(x - d), dtype=float)
+        hi = np.asarray(fn(x + d), dtype=_FLOAT)
+        lo = np.asarray(fn(x - d), dtype=_FLOAT)
         if hi.shape != (m,) or lo.shape != (m,):
             raise ValueError(f"expected {m} values, got shapes {hi.shape} "
                              f"and {lo.shape}")

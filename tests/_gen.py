@@ -16,6 +16,13 @@ from ldkit import (ABRep, PairRep, ScalarField, Subspace, annihilator,
 MAP_KINDS = ("generic", "skew", "sym", "zero")
 
 
+def same_bits(a, b) -> bool:
+    """Equal as float arrays bit for bit: signed zeros and nan payloads
+    included."""
+    return np.asarray(a, dtype=float).tobytes() == \
+        np.asarray(b, dtype=float).tobytes()
+
+
 def random_orthonormal(rng, n: int, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((n, 0))

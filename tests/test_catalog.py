@@ -1,19 +1,21 @@
 """Tests for the ready-made system constructors and the named catalog."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _gen import particle_multiplier
+from _gen import particle_multiplier, same_bits
 from ldkit.catalog import (CATALOG, SystemSpec, build_system, damped_mechanical,
                            damped_particle, gradient_system,
                            metriplectic_system)
 from ldkit.dynamics import (IntegratorConfig, check_consistency, energy_rate,
                             multipliers, oracle_simulate, rhs, simulate)
-from ldkit.errors import ConsistencyError, InputError, SpecFormatError
+from ldkit.errors import (ConsistencyError, InputError, SpecFormatError,
+                          StepFailureError)
 from ldkit.fields import (ConstraintField, LDField, ScalarField, TensorField,
                           regularity_scan)
 
@@ -463,3 +465,66 @@ def test_damped_particle_g_and_grad_are_fresh_arrays_of_the_closed_form(
         second = call(x)
         assert second is not first and not np.shares_memory(first, second)
         assert second.tobytes() == ref.tobytes()
+
+
+# ±0, subnormal and 1e±150 entries, ordinary ones and non-finite ones
+CALLABLE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e150, -1e150,
+                     1e-150, -1e-150, 1e200]),
+    st.floats())
+OMEGAS = (1.0, 0.3, 2.5, 0.0, 1e-160, 1e150)
+
+
+@functools.cache
+def catalog_system(name, **parameters):
+    # built once per name and parameters: systems are immutable
+    return build_system(SystemSpec(name, parameters))[0]
+
+
+@given(values=st.lists(CALLABLE_FLOATS, min_size=6, max_size=6),
+       omega=st.sampled_from(OMEGAS))
+def test_catalog_callables_are_the_numpy_expressions_they_replace(values,
+                                                                  omega):
+    # H in Python floats, and the oscillator's grad H as one product
+    x, x2 = np.array(values), np.array(values[:2])
+    w2 = omega ** 2
+    oscillator = catalog_system("harmonic_oscillator", omega=omega)
+    with np.errstate(all="ignore"):
+        grad_ref = x2.copy()
+        grad_ref[0] *= w2
+        assert same_bits(oscillator.hamiltonian.gradient(x2), grad_ref)
+        assert same_bits(oscillator.hamiltonian.value(x2),
+                         0.5 * float(w2 * x2[0] * x2[0] + x2[1] * x2[1]))
+        assert same_bits(
+            catalog_system("gradient_flow").hamiltonian.value(x2),
+            0.5 * float(x2[0] * x2[0] + x2[1] * x2[1]))
+        assert same_bits(
+            catalog_system("damped_particle").hamiltonian.value(x),
+            0.5 * float(x[3] * x[3] + x[4] * x[4] + x[5] * x[5]))
+
+
+@pytest.mark.parametrize("name, x0", [
+    ("harmonic_oscillator", (1e200, 0.0)),
+    ("gradient_flow", (0.0, -1e160)),
+    ("damped_particle", (0.0, 0.0, 0.0, 1e155, 1e155, 0.0))])
+def test_a_catalog_h_that_overflows_at_the_start_is_an_input_error(name, x0):
+    # H in Python floats overflows to inf and raises no numpy error, even
+    # under np.errstate(over="raise"); the start check refuses the inf
+    system = catalog_system(name)
+    with np.errstate(over="raise"), pytest.raises(
+            InputError, match="scalar field has non-finite entries"):
+        simulate(system, np.array(x0), IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
+def test_a_catalog_h_that_overflows_mid_run_fails_the_step():
+    # RK4 at h omega = 4 multiplies |x| by about 7.6 per step, so H passes
+    # the float maximum near |x| = 1.3e154, long before any state does
+    system, x0 = build_system(SystemSpec("harmonic_oscillator"))
+    with np.errstate(over="raise"), pytest.raises(StepFailureError) as err:
+        simulate(system, x0, IntegratorConfig(dt=4.0, t_end=4.0 * 300))
+    partial = err.value.partial
+    assert "H = inf" in str(err.value)
+    assert 100 < partial.times.shape[0] < 300
+    assert np.isfinite(partial.energies).all()
+    assert err.value.state.tobytes() == partial.states[-1].tobytes()
+    assert err.value.time == partial.times[-1]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (linear_constraint, particle_consistent_state,
-                  particle_multiplier, particle_rhs)
+                  particle_multiplier, particle_rhs, same_bits)
 from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    DIHSystem, InputError, IntegratorConfig, LDField,
                    ScalarField, StepFailureError, Subspace, SystemSpec,
@@ -950,30 +950,75 @@ def test_oracle_integrates_states_near_the_float_maximum_as_simulate_does():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-@pytest.mark.parametrize("integrate", [
+def linear_h_system(gradient) -> DIHSystem:
+    """H = x1 - x2 with canonical Pi and k = 0; ``gradient`` None takes
+    grad H by central differences."""
+    h = ScalarField(2, value=lambda x: float(x[0] - x[1]), gradient=gradient)
+    pi = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return DIHSystem(2, LDField(pi, ConstraintField.none(2)), h)
+
+
+SHORT_RUNS = [
     lambda sys, x0: simulate(sys, x0, IntegratorConfig(dt=1e-2, t_end=0.1)),
-    lambda sys, x0: oracle_simulate(sys, x0, dt=1e-2, t_end=0.1)],
-    ids=["simulate", "oracle"])
+    lambda sys, x0: oracle_simulate(sys, x0, dt=1e-2, t_end=0.1)]
+
+
+@pytest.mark.parametrize("integrate", SHORT_RUNS, ids=["simulate", "oracle"])
 def test_a_finite_difference_gradient_steps_where_x_dot_x_overflows(
         integrate):
     # at (1e160, 1e160) the sum of squares in the difference step
     # overflows; the run must match its analytic-gradient twin, whose
     # states do not move at this scale
-    pi = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-    def system(gradient):
-        h = ScalarField(2, value=lambda x: float(x[0] - x[1]),
-                        gradient=gradient)
-        return DIHSystem(2, LDField(pi, ConstraintField.none(2)), h)
-
     x0 = np.array([1e160, 1e160])
     with np.errstate(all="raise"):
-        numeric = integrate(system(None), x0)
-    analytic = integrate(system(lambda x: np.array([1.0, -1.0])), x0)
+        numeric = integrate(linear_h_system(None), x0)
+    analytic = integrate(linear_h_system(lambda x: np.array([1.0, -1.0])), x0)
     assert numeric.times.shape == (11,)
     for name in ("times", "states", "energies", "energy_rates"):
         assert np.array_equal(getattr(numeric, name),
                               getattr(analytic, name)), name
+
+
+@pytest.mark.parametrize("x0", [(1e-200, 1.0), (1e-200, 2.0)])
+@pytest.mark.parametrize("integrate", SHORT_RUNS, ids=["simulate", "oracle"])
+def test_a_finite_difference_gradient_steps_where_a_square_underflows(
+        integrate, x0):
+    # x·x of the difference step meets the square 1e-400 before the larger
+    # one, and np.errstate(under="raise") turns its underflow into an
+    # error; the run must be the one made without that setting, and stay
+    # close to its analytic-gradient twin
+    x0 = np.array(x0)
+    with np.errstate(all="raise"):
+        strict = integrate(linear_h_system(None), x0)
+    assert_bitwise_equal(strict, integrate(linear_h_system(None), x0))
+    analytic = integrate(linear_h_system(lambda x: np.array([1.0, -1.0])), x0)
+    assert strict.times.shape == (11,)
+    assert np.allclose(strict.states, analytic.states, rtol=0.0, atol=1e-9)
+    assert np.allclose(strict.energies, analytic.energies, rtol=0.0,
+                       atol=1e-9)
+
+
+def test_directional_differences_step_where_a_square_of_g_underflows():
+    # G = (1e-200, 1, 1): without J, the norm of G's column meets the
+    # square 1e-400 first; under np.errstate(all="raise") the run must be
+    # the one made without that setting, and close to its analytic-J twin
+    g = np.array([[1e-200], [1.0], [1.0]])
+    h = ScalarField(3, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    pi = np.array([[0.0, 1.0, 0.0], [-1.0, -0.5, 1.0], [0.0, -1.0, 0.0]])
+    sys = DIHSystem(3, LDField(TensorField.constant(pi),
+                               ConstraintField.constant(g)), h)
+    x0 = np.array([1.0, 1.0, -1.0])
+    config = IntegratorConfig(dt=1e-2, t_end=0.2)
+    with np.errstate(all="raise"):
+        strict = simulate(sys, x0, config)
+    assert_bitwise_equal(strict, simulate(sys, x0, config))
+    analytic = simulate(dataclasses.replace(
+        sys, constraint_jacobian=lambda x: g.T), x0, config)
+    assert strict.times.shape == (21,)
+    assert np.allclose(strict.states, analytic.states, rtol=0.0, atol=1e-8)
+    assert np.allclose(strict.multipliers, analytic.multipliers, rtol=0.0,
+                       atol=1e-8)
 
 
 def test_oracle_matches_exponential_decay():
@@ -1221,11 +1266,6 @@ EDGE_FLOATS = st.sampled_from([
 ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats())
 
 
-def same_bits(a, b) -> bool:
-    return np.asarray(a, dtype=float).tobytes() == \
-        np.asarray(b, dtype=float).tobytes()
-
-
 @given(x=st.lists(ANY_FLOAT, min_size=1, max_size=8))
 @example(x=[1e308, 1e308])  # finite, but the sum overflows
 @example(x=[1.7e308, 1.7e308, -1.7e308])  # overflows midway
@@ -1315,6 +1355,80 @@ def test_the_hot_loop_products_match_their_matmul_forms(data, n):
         assert same_bits(dot, matmul)
     if k == 1:
         assert same_bits(abs(dot.item()), norm)
+
+
+# ±0, subnormal and 1e±150 entries, and ordinary ones
+STEP_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e150, -1e150,
+                     1e-150, -1e-150]),
+    st.floats(-1e3, 1e3))
+
+
+def draw_array(data, *shape):
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(STEP_FLOATS, min_size=size,
+                                       max_size=size))).reshape(shape)
+
+
+@given(data=st.data(), n=st.integers(1, 6), formed_once=st.booleans())
+@settings(max_examples=500)
+def test_the_energy_rate_is_its_matmul_form_with_signed_zeros(
+        data, n, formed_once):
+    grad, pi = draw_array(data, n), draw_array(data, n, n)
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (pi + pi.T)
+        rate = dynamics._bracket_hh(grad, pi, sym if formed_once else None)
+        assert same_bits(rate, float(grad @ sym.dot(grad)))
+
+
+@pytest.mark.parametrize("grad, pi", [([1.0], [[-0.0]]), ([-0.0], [[2.0]]),
+                                      ([0.0], [[-3.0]]), ([-1.0], [[0.0]])])
+def test_a_zero_energy_rate_at_n_1_is_plus_zero(grad, pi):
+    # ``.dot`` alone gives -0.0 here; ``@`` adds the product to +0.0
+    rate = dynamics._bracket_hh(np.array(grad), np.array(pi))
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+
+
+def float_rk4_step(f, x, fx, dt):
+    """RK4 with its constants as Python floats: the plain formula."""
+    k2 = f(x + (0.5 * dt) * fx)
+    k3 = f(x + (0.5 * dt) * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (fx + 2.0 * (k2 + k3) + k4)
+
+
+def float_gbs_step(f, y, f0, big_h):
+    """GBS(2, 4) with its constants as Python floats: the plain formula."""
+    def chain(nsub):
+        h = big_h / nsub
+        z_prev, z = y, y + h * f0
+        for _ in range(nsub - 1):
+            z_prev, z = z, z_prev + (2.0 * h) * f(z)
+        return 0.5 * z + 0.5 * z_prev + (0.5 * h) * f(z)
+
+    t1, t2 = chain(2), chain(4)
+    return t2 + (t2 - t1) / 3.0
+
+
+@given(data=st.data(), n=st.integers(1, 6),
+       h=st.one_of(st.sampled_from([1e-3, 5e-4, 0.05, 0.1, 1.0]),
+                   st.floats(1e-9, 10.0)))
+@settings(max_examples=300)
+def test_the_steppers_with_0d_coefficients_are_their_python_float_forms(
+        data, n, h):
+    x, w = draw_array(data, n), draw_array(data, n, n)
+
+    def f(y):
+        return w.dot(y) + np.tanh(y)
+
+    with np.errstate(all="ignore"):
+        fx = f(x)
+        assert same_bits(
+            dynamics._rk4_step(f, x, fx, dynamics._rk4_coefficients(h)),
+            float_rk4_step(f, x, fx, h))
+        assert same_bits(
+            dynamics._gbs_step(f, x, fx, dynamics._gbs_coefficients(h)),
+            float_gbs_step(f, x, fx, h))
 
 
 @pytest.mark.parametrize("k, poison", [(1, "grad"), (1, "g"), (2, "grad"),

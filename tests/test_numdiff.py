@@ -125,6 +125,29 @@ def test_gradient_step_of_a_state_whose_squares_overflow(x, norm):
     assert h == pytest.approx(1e-6 * norm, rel=1e-15)
 
 
+@pytest.mark.parametrize("x", [[1e-200, 1.0], [1e-200, 1e-90],
+                               [1.0, 1e-200], [5e-324, -2.0, 3.0]])
+def test_gradient_step_of_a_state_whose_squares_underflow(x):
+    # np.errstate(under="raise") makes BLAS's underflowing square an error
+    # in x·x for some orders of the entries; the step is the same either way
+    with np.errstate(all="raise"):
+        h = gradient_step(x)
+    assert h == gradient_step(x) == 1e-6 * max(
+        1.0, math.sqrt(np.array(x).dot(np.array(x))))
+
+
+def test_central_directional_along_a_column_whose_squares_underflow():
+    v = np.array([[1e-200, 1.0], [1.0, 0.0], [1.0, 1e-200]])
+
+    def fn(y):
+        return np.array([y[0] + 2.0 * y[1] - y[2], y[1] * y[2]])
+
+    x = np.array([0.5, -1.0, 2.0])
+    with np.errstate(all="raise"):
+        strict = central_directional(fn, x, v, 2)
+    assert strict.tobytes() == central_directional(fn, x, v, 2).tobytes()
+
+
 def reference_directional(fn, x, v, m):
     """A plain reference for the directional differences: each probe
     offset s v_j formed twice, and the step taken as sqrt(x·x)."""

@@ -40,6 +40,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   sym), the basis of ``carrier_at``, and the basis and five flags of
   ``fields.pointwise``.  These reach the catalog callables, and the
   field layer's fixed cutoffs, by paths that no trajectory covers;
+- H, grad H, and G and J where the system has them, of the 4 catalog
+  systems at each state of EDGE_STATES (its first n entries): signed
+  zeros, subnormals and entries of 1e±150, which no run reaches, so that
+  a rewritten catalog callable is checked at them too;
 - the linear layer on fixed inputs drawn from LINEAR_SEED (``linear_runs``):
   the bases and flags of ``from_ab``, ``from_pair`` and ``deform``, and the
   bases of ``tangent_part``, ``cotangent_part``, ``intersect``,
@@ -49,7 +53,7 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``--tol-rank 1e-6 --tol-residual 1e-6``.
 
 Every array of every trajectory, of the failing run, of every read-back,
-every one-point array and every linear-layer array must be bitwise equal,
+every one-point, edge-state and linear-layer array must be bitwise equal,
 and every file, audit and verify output byte-identical.  Each one that
 is not is printed with its max |delta|, and the exit status is 1 (2 when a
 tree fails to make its runs).  ``--t-end`` caps every horizon, for a quick
@@ -77,6 +81,13 @@ PARTICLE_X0 = (0.0, 0.3, 0.0, 1.0, 0.5, 0.3)
 COARSE_DT = 0.05
 DENSE_SEED = 20240917
 LINEAR_SEED = 20241020
+# catalog callables are compared at the first n entries of each
+EDGE_STATES = (
+    (-0.0, 0.0, -0.0, 0.0, -0.0, 0.0),
+    (5e-324, -5e-324, 2.5e-310, -1e-310, 2.2250738585072014e-308, -0.0),
+    (1e150, -1e150, 1e-150, -1e-150, 1e150, 1.0),
+    (-1e-150, 1e150, -0.0, 5e-324, -1e150, -1e-150),
+)
 # structure specs for ldkit verify: a skew graph, one forward only at the
 # default rank cutoff (A = diag(1, 1e-7)), a pair of each orientation and
 # one that is not LD (exit 3)
@@ -148,6 +159,26 @@ def linear_runs(ldkit) -> dict:
     u, v = (ldkit.Subspace.from_spanning(rng.standard_normal((4, 3)))
             for _ in range(2))
     runs["intersect"] = ldkit.intersect(u, v).basis
+    return runs
+
+
+def edge_runs(ldkit) -> dict:
+    """H, grad H, G and J of each catalog system at each of EDGE_STATES,
+    by name; G and J only where the system has them."""
+    runs = {}
+    for name in sorted(ldkit.CATALOG):
+        system, _ = ldkit.build_system(ldkit.SystemSpec(name, {}, ()))
+        callables = {"H": system.hamiltonian.value,
+                     "grad H": system.hamiltonian.gradient,
+                     "G": system.ld.forces.evaluate,
+                     "J": system.constraint_jacobian}
+        for i, state in enumerate(EDGE_STATES):
+            x = np.array(state[:system.n])
+            for role, evaluate in callables.items():
+                if evaluate is not None:
+                    with np.errstate(all="ignore"):
+                        runs[f"{name} at EDGE_STATES[{i}]: {role}"] = \
+                            np.asarray(evaluate(x))
     return runs
 
 
@@ -290,6 +321,8 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
         }
         for name, value in values.items():
             runs[f"point {label}: {name}"] = np.asarray(value)
+    for name, value in edge_runs(ldkit).items():
+        runs[f"edge {name}"] = value
     for name, value in linear_runs(ldkit).items():
         runs[f"linear {name}"] = value
     np.savez(out, **runs)
@@ -343,11 +376,12 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     counts = {kind: sum(key.startswith(kind + " ") for key in parent)
-              for kind in ("failed", "point", "file", "read", "audit",
-                           "linear", "verify")}
+              for kind in ("failed", "point", "edge", "file", "read",
+                           "audit", "linear", "verify")}
     print(f"{len(parent) - sum(counts.values())} trajectory arrays, "
           f"{counts['failed']} failing-run arrays, {counts['point']} "
-          f"one-point arrays, {counts['file']} files, {counts['read']} "
+          f"one-point arrays, {counts['edge']} edge-state arrays, "
+          f"{counts['file']} files, {counts['read']} "
           f"read-back arrays, {counts['audit']} audit outputs, "
           f"{counts['linear']} linear-layer arrays and {counts['verify']} "
           f"verify outputs compared: {len(lines)} differ")
