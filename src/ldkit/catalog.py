@@ -58,11 +58,16 @@ def _check_symmetric_psd(tensor: TensorField, name: str,
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         if float(np.abs(m - m.T).max(initial=0.0)) > _SYMMETRY_TOL * scale:
             raise InputError(f"{name} is not symmetric at probe point {p}")
-        eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-        if eigs.size and float(eigs[0]) < -_PSD_TOL * scale:
+        # scaled, so that no entry near the float maximum overflows LAPACK
+        try:
+            eigs = np.linalg.eigvalsh(m / scale)
+        except np.linalg.LinAlgError as exc:
+            raise InputError(f"{name} has no eigenvalues at probe point {p}: "
+                             f"{exc}") from exc
+        if eigs.size and float(eigs[0]) < -_PSD_TOL:
             raise InputError(
                 f"{name} is not positive semidefinite at probe point {p} "
-                f"(eigenvalue {eigs[0]:.3e})")
+                f"(eigenvalue {eigs[0] * scale:.3e})")
 
 
 def _check_skew(tensor: TensorField, name: str, points: np.ndarray) -> None:
@@ -256,7 +261,8 @@ class CatalogEntry:
 
 def _build_oscillator(omega: float = 1.0, mu: float = 0.0) -> DIHSystem:
     """Pi = P - diag(0, mu), H = (omega^2 q^2 + p^2) / 2."""
-    w2 = float(omega) ** 2
+    omega = float(omega)
+    w2 = omega * omega  # inf above about 1.3e154, where ** 2 raises
     scale = np.array([w2, 1.0])
 
     def value(x: np.ndarray) -> float:
@@ -319,6 +325,8 @@ def build_system(spec: SystemSpec) -> tuple[DIHSystem, np.ndarray]:
                 f"expected a subset of {sorted(params)}")
         try:
             params[key] = float(value)
+        except OverflowError as exc:  # an int beyond the float range
+            raise SpecFormatError(f"parameter {key!r} must be finite") from exc
         except (TypeError, ValueError) as exc:
             raise SpecFormatError(
                 f"parameter {key!r} must be a number") from exc
@@ -332,6 +340,9 @@ def build_system(spec: SystemSpec) -> tuple[DIHSystem, np.ndarray]:
         try:
             x0 = as_vector(np.asarray(state, dtype=float), system.n,
                            "initial_state")
+        except OverflowError as exc:  # an int beyond the float range
+            raise SpecFormatError(
+                "initial_state entries must be finite") from exc
         except (InputError, TypeError, ValueError) as exc:
             raise SpecFormatError(str(exc)) from exc
     return system, x0

@@ -328,10 +328,6 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
         cval = jac.dot(pi_grad)
         lam, resid = _solve_constraint(jac.dot(g), cval)
     else:
-        # [G, Pi grad H] in the memory order of np.column_stack: C order,
-        # unless G is in F order.  The order decides whether a column is a
-        # strided or a contiguous view, and with it the last bit of the
-        # column's norm
         v = np.concatenate((g, pi_grad[:, None]), axis=1)
         jv = central_directional(c.residual, x, v, c.k)
         cval = jv[:, -1]

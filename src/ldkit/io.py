@@ -149,7 +149,9 @@ def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
     return _checked(_decode(text, path), text, path, numeric)
 
 
-def _matrix_from(doc: dict, key: str, path: str) -> np.ndarray:
+def _matrix_from(doc: dict, key: str, path: str, cols: int = 0) -> np.ndarray:
+    """The field ``key`` as a matrix of rows; ``[]`` has no rows and
+    ``cols`` columns."""
     if key not in doc:
         raise SpecFormatError(f"{path}: missing required field {key!r}")
     try:
@@ -157,6 +159,8 @@ def _matrix_from(doc: dict, key: str, path: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(
             f"{path}: field {key!r} is not a numeric array") from exc
+    if arr.shape == (0,):
+        arr = arr.reshape(0, cols)
     if arr.ndim != 2:
         raise SpecFormatError(
             f"{path}: field {key!r} must be a nested (row-major) array")
@@ -171,9 +175,10 @@ def load_structure_spec(path: str,
 
     ``kind: "ab"`` requires n×n fields "a" and "b"; ``kind: "pair"`` requires
     "orientation", a "carrier" whose rows are orthonormal vectors in R^n (by
-    the rule of :class:`Subspace`), and a k×k "map" in those carrier
-    coordinates.  Parse and shape problems raise SpecFormatError; degenerate
-    pairs and non-LD subspaces raise their own library errors.
+    the rule of :class:`Subspace`; ``[]`` for none), and a k×k "map" in
+    those carrier coordinates (``[]`` for k = 0).  Parse and shape problems
+    raise SpecFormatError; degenerate pairs and non-LD subspaces raise
+    their own library errors.
     """
     doc = _load_json(path, ("n", "a", "b", "carrier", "map"))
     n = doc.get("n")
@@ -192,13 +197,13 @@ def load_structure_spec(path: str,
         if orientation not in ("forward", "backward"):
             raise SpecFormatError(
                 f"{path}: field 'orientation' must be 'forward' or 'backward'")
-        carrier_rows = _matrix_from(doc, "carrier", path)
-        if carrier_rows.shape[0] and carrier_rows.shape[1] != n:
+        carrier_rows = _matrix_from(doc, "carrier", path, cols=n)
+        if carrier_rows.shape[1] != n:
             raise SpecFormatError(
                 f"{path}: carrier vectors must have length n = {n}")
         k = carrier_rows.shape[0]
         try:
-            carrier = Subspace(n, carrier_rows.T if k else np.zeros((n, 0)))
+            carrier = Subspace(n, carrier_rows.T)
         except InputError as exc:
             raise SpecFormatError(
                 f"{path}: carrier vectors must be orthonormal") from exc

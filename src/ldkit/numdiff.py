@@ -10,38 +10,19 @@ import numpy as np
 __all__ = ["gradient_step", "central_gradient", "central_jacobian"]
 
 
-# where |x| <= 1e154, no partial sum of x·x exceeds 1e308, the largest
-# power of ten below the float maximum
-_SQUARES_SAFE = 1e154
 # numpy converts ``dtype=float`` to this on every call; given, it is not
 _FLOAT = np.dtype(float)
-
-
-def _squares(v: np.ndarray) -> float:
-    """v·v by BLAS.  A square that underflows is no error here: where
-    ``np.errstate(under="raise")`` makes it one, the sum is taken again
-    with underflow ignored, which gives the same bits."""
-    try:
-        return v.dot(v)
-    except FloatingPointError:
-        with np.errstate(under="ignore"):
-            return v.dot(v)
 
 
 def gradient_step(x: np.ndarray) -> float:
     """Step size 1e-6 * max(1, |x|) used for all first derivatives.
 
-    |x| is first taken by ``math.hypot``, which scales the entries and so
-    is infinite only where |x| is.  Up to 1e154, where x·x cannot
-    overflow, it is taken again as sqrt(x·x) by BLAS, whose last bit every
-    finite difference and trajectory depends on.  Neither raises a numpy
-    floating-point warning or error, an underflowing square included.
+    |x| is taken by ``math.hypot``, which scales the entries: it is
+    infinite only where |x| is, raises no numpy floating-point warning or
+    error, and is the same for any memory order of ``x``.
     """
     x = np.asarray(x, dtype=_FLOAT).ravel()
-    norm = math.hypot(*x.tolist())
-    if norm <= _SQUARES_SAFE:
-        norm = math.sqrt(_squares(x))
-    return 1e-6 * max(1.0, norm)
+    return 1e-6 * max(1.0, math.hypot(*x.tolist()))
 
 
 def central_gradient(fn: Callable[[np.ndarray], float],
@@ -76,7 +57,10 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
     Column j is (fn(x + s v_j) - fn(x - s v_j)) / 2s with
     s = gradient_step(x) / |v_j|, so each probe lies as far from x as a
-    coordinate probe of :func:`central_jacobian` does.  A zero column is
+    coordinate probe of :func:`central_jacobian` does.  |v_j| is taken by
+    ``math.hypot`` as in :func:`gradient_step`, so a column far above
+    1e154 still gives a finite step, and ``v`` in C or F order gives the
+    same bits.  A zero column, or one so short that s overflows, is
     exactly 0 and costs no evaluation.  Returns an (m, v.shape[1]) matrix;
     raises ValueError when fn does not return m values, which numpy would
     otherwise broadcast into the column.
@@ -85,10 +69,10 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     out = np.zeros((m, v.shape[1]))
     for j in range(v.shape[1]):
         vj = v[:, j]
-        norm = math.sqrt(_squares(vj))
-        if norm == 0.0:
+        norm = math.hypot(*vj.tolist())
+        s = h / norm if norm else math.inf
+        if s == math.inf:  # no finite probe along v_j: J v_j is taken as 0
             continue
-        s = h / norm
         d = s * vj
         hi = np.asarray(fn(x + d), dtype=_FLOAT)
         lo = np.asarray(fn(x - d), dtype=_FLOAT)

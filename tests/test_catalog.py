@@ -248,6 +248,46 @@ def test_build_system_rejects_non_numeric_parameter():
         build_system(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    SystemSpec("damped_oscillator", {"mu": 10 ** 400}),
+    SystemSpec("damped_oscillator", {"mu": -10 ** 400}),
+    SystemSpec("gradient_flow", {}, (10 ** 400, 0))],
+    ids=["parameter", "negative-parameter", "state"])
+def test_build_system_refuses_an_int_beyond_the_float_range(spec):
+    with pytest.raises(SpecFormatError, match="must be finite"):
+        build_system(spec)
+
+
+def test_an_oscillator_whose_omega_squared_overflows_is_an_input_error():
+    # omega² = 1e400 is inf in Python floats, where float ** 2 raises
+    # OverflowError; the gradient check at the probe points refuses it
+    with pytest.raises(InputError, match="non-finite"):
+        build_system(SystemSpec("harmonic_oscillator", {"omega": 1e200}))
+
+
+@pytest.mark.parametrize("diagonal, psd", [
+    ((1e300, 1e308, 1.0), True), ((1.7e308, 1.7e308), True),
+    ((1e308, -1e308), False), ((1.0, -1e-300), True), ((1.0, -1e-7), False)])
+def test_the_psd_check_holds_near_the_float_maximum(diagonal, psd):
+    # 0.5 (m + m^T) overflows at these entries, and LAPACK's eigvalsh then
+    # fails to converge; the check scales m by its largest entry instead
+    metric = TensorField.constant(np.diag(diagonal))
+    if psd:
+        gradient_system(metric, quad_entropy(len(diagonal)))
+    else:
+        with pytest.raises(InputError, match="positive semidefinite"):
+            gradient_system(metric, quad_entropy(len(diagonal)))
+
+
+def test_a_psd_check_whose_eigensolver_fails_is_an_input_error(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(InputError, match="did not converge"):
+        gradient_system(TensorField.constant(np.eye(2)), quad_entropy(2))
+
+
 def test_build_system_uses_default_state_when_none_given():
     sys, x0 = build_system(SystemSpec(name="gradient_flow"))
     assert sys.n == 2

@@ -100,6 +100,22 @@ def test_verify_carrier_off_orthonormal_exits_spec_error(tmp_path, capsys):
     assert "carrier vectors must be orthonormal" in err
 
 
+@pytest.mark.parametrize("orientation", ["forward", "backward"])
+def test_verify_of_a_pair_with_an_empty_carrier(tmp_path, capsys,
+                                                 orientation):
+    # [] is a carrier of no vectors and a 0×0 map: L = V* forward, V
+    # backward, which are both a product of a subspace and its annihilator
+    spec = write_json(tmp_path, "s.json", {
+        "kind": "pair", "n": 2, "orientation": orientation,
+        "carrier": [], "map": []})
+    code, out, err = run(capsys, "verify", spec)
+    assert (code, err) == (EXIT_OK, "")
+    assert "structure: n=2, subspace dimension 2" in out
+    for name in ("forward", "backward", "dirac", "symmetric_dirac",
+                 "separable"):
+        assert f"{name}: true (residual 0.000e+00)" in out
+
+
 def test_verify_parse_failure_exits_spec_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops", encoding="utf-8")
@@ -498,6 +514,24 @@ def test_an_integer_beyond_the_float_range_exits_spec_error(tmp_path, capsys,
     if command == "simulate":
         argv += ["--t-end", "0.01", "--output", str(tmp_path / "t.csv")]
     code, out, err = run(capsys, *argv)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"name": "harmonic_oscillator", "parameters": {"omega": 1e200},
+      "initial_state": []}, "non-finite"),
+    ({"name": "damped_particle", "parameters": {"mu1": 1e300, "mu2": 1e308},
+      "initial_state": []}, "not both finite"),
+], ids=["omega-squared-overflows", "friction-near-the-float-maximum"])
+def test_a_catalog_parameter_near_the_float_maximum_exits_spec_error(
+        tmp_path, capsys, doc, message):
+    path = write_json(tmp_path, "doc.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "simulate", path, "--t-end", "0.01",
+                             "--output", str(tmp_path / "t.csv"))
     assert code == EXIT_SPEC
     assert out == ""
     assert err.startswith("error: ") and message in err

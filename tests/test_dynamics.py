@@ -2,8 +2,10 @@
 energy audits."""
 
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from _gen import (linear_constraint, particle_consistent_state,
                   particle_multiplier, particle_rhs, same_bits)
+import ldkit
 from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    DIHSystem, InputError, IntegratorConfig, LDField,
                    ScalarField, StepFailureError, Subspace, SystemSpec,
@@ -323,9 +326,9 @@ def test_k2_multipliers_have_the_closed_form(analytic):
 @pytest.mark.parametrize("seed", range(20))
 def test_directional_multipliers_take_the_directions_as_column_stack_does(
         order, seed):
-    # the reference builds [G, Pi grad H] by np.column_stack; a G in F order
-    # makes each column a contiguous view there, and a C-ordered copy would
-    # move the column norms, and so lambda, by an ulp
+    # the reference builds [G, Pi grad H] by np.column_stack; the
+    # directional differences give the same bits for directions in either
+    # memory order, so lambda must match it for G in C and in F order
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     k = int(rng.integers(2, n))
@@ -1019,6 +1022,93 @@ def test_directional_differences_step_where_a_square_of_g_underflows():
     assert np.allclose(strict.states, analytic.states, rtol=0.0, atol=1e-8)
     assert np.allclose(strict.multipliers, analytic.multipliers, rtol=0.0,
                        atol=1e-8)
+
+
+def test_directional_multipliers_where_pi_grad_h_has_a_norm_of_1e160():
+    # H = x1²/2 + 1e160 x2, G = (1, 0): the direction Pi grad H = (1e160, 0)
+    # has a square of 1e320, yet its norm, the multiplier -1e160 and the
+    # run are those of the analytic-J twin
+    h = ScalarField(2, value=lambda x: 0.5 * float(x[0]) ** 2
+                    + 1e160 * float(x[1]),
+                    gradient=lambda x: np.array([x[0], 1e160]))
+    field = LDField(TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+                    ConstraintField.constant(np.array([[1.0], [0.0]])))
+    twin = DIHSystem(2, field, h,
+                     constraint_jacobian=lambda x: np.array([[1.0, 0.0]]))
+    no_jac = dataclasses.replace(twin, constraint_jacobian=None)
+    x0 = np.zeros(2)
+    assert same_bits(multipliers(no_jac, x0)[0], [-1e160])
+    for integrate in SHORT_RUNS:
+        with np.errstate(all="raise"):
+            numeric = integrate(no_jac, x0)
+        assert_bitwise_equal(numeric, integrate(twin, x0))
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-315])
+def test_directional_multipliers_where_pi_grad_h_is_nearly_zero(size):
+    # from x0 = size (1, 1, 0), Pi grad H has a norm near size: at 1e-300
+    # its square underflows, yet the step s is finite and lambda is the
+    # analytic one; at 1e-315, s overflows and lambda is taken as 0, so the
+    # run still steps, within a tenth of size of the analytic-J twin
+    h = ScalarField(3, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    pi = np.array([[-1.0, 1.0, 0.0], [-1.0, -1.0, 1.0], [0.0, -1.0, -1.0]])
+    g = np.array([[0.0], [0.0], [1.0]])
+    twin = DIHSystem(3, LDField(TensorField.constant(pi),
+                                ConstraintField.constant(g)), h,
+                     constraint_jacobian=lambda x: g.T)
+    no_jac = dataclasses.replace(twin, constraint_jacobian=None)
+    x0 = np.array([size, size, 0.0])
+    lam = multipliers(no_jac, x0)[0]
+    assert same_bits(lam, multipliers(twin, x0)[0] if size == 1e-300
+                     else [-0.0])
+    config = IntegratorConfig(dt=1e-2, t_end=0.1)
+    numeric = simulate(no_jac, x0, config)
+    analytic = simulate(twin, x0, config)
+    assert numeric.times.shape == (11,)
+    assert np.abs(numeric.states - analytic.states).max() <= 0.1 * size
+
+
+def compare_tool():
+    """tools/compare_trajectories.py as a module, for its dense_system."""
+    path = Path(__file__).resolve().parents[1] / "tools" / \
+        "compare_trajectories.py"
+    spec = importlib.util.spec_from_file_location("compare_trajectories",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# systems whose multiplier reaches |lambda| > 0.4 within t = 1
+MULTIPLIER_RUNS = {
+    "particle": lambda: (damped_particle(),
+                         np.array([0.0, 0.3, 0.0, 1.0, 0.5, 0.3])),
+    "dense k=2": lambda: compare_tool().dense_system(ldkit),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1], ids=["lambda", "lambda x 1.1"])
+@pytest.mark.parametrize("name", sorted(MULTIPLIER_RUNS))
+def test_simulate_meets_the_oracle_where_the_multiplier_acts(
+        monkeypatch, name, scale):
+    # the oracle steps at dt/2, so a wrong multiplier, shared by both
+    # integrators, still shows as a gap between their states: at dt = 1e-3
+    # about 1e-14 (particle) and 1e-11 (dense) when right, 5e-6 and 1e-4
+    # with lambda x 1.1
+    lambda_at = dynamics._lambda_at
+
+    def scaled(*args):
+        lam, resid = lambda_at(*args)
+        return lam * scale, resid
+
+    monkeypatch.setattr(dynamics, "_lambda_at", scaled)
+    system, x0 = MULTIPLIER_RUNS[name]()
+    run = simulate(system, x0, IntegratorConfig(dt=1e-3, t_end=1.0))
+    oracle = oracle_simulate(system, x0, dt=1e-3, t_end=1.0)
+    assert np.abs(run.multipliers).max() > 0.4
+    gap = float(np.abs(run.states - oracle.states).max())
+    assert (gap <= 1e-9) == (scale == 1.0), gap
 
 
 def test_oracle_matches_exponential_decay():

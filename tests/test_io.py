@@ -19,7 +19,8 @@ from ldkit.errors import (DegenerateRepresentationError, InputError,
 from ldkit.io import (_BLOCK, SCHEMA_VERSION, load_structure_spec,
                       load_system_spec, read_trajectory, write_trajectory_csv,
                       write_trajectory_json)
-from ldkit.linear import ABRep, classify, from_ab
+from ldkit.linear import ABRep, PairRep, classify, from_ab, from_pair
+from ldkit.subspaces import Subspace
 
 POISSON = [[0.0, 1.0], [-1.0, 0.0]]
 FIELDS = ("times", "states", "multipliers", "residuals", "energies",
@@ -199,6 +200,32 @@ def test_structure_spec_rejects_carrier_length_mismatch(tmp_path):
         "carrier": [[1.0, 0.0]], "map": [[0.0]]})
     with pytest.raises(SpecFormatError, match="length n"):
         load_structure_spec(path)
+
+
+@pytest.mark.parametrize("orientation", ["forward", "backward"])
+def test_structure_spec_reads_an_empty_carrier_as_no_vectors(tmp_path,
+                                                             orientation):
+    path = dump(tmp_path / "s.json", {
+        "kind": "pair", "n": 2, "orientation": orientation,
+        "carrier": [], "map": []})
+    built = from_pair(PairRep(orientation, Subspace.zero(2),
+                              np.zeros((0, 0))))
+    loaded = load_structure_spec(path)
+    assert loaded.space.basis.tobytes() == built.space.basis.tobytes()
+    assert loaded.flags == built.flags
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"kind": "pair", "n": 2, "orientation": "forward", "carrier": [],
+      "map": [[0.0]]}, "'map' must be 0x0"),
+    ({"kind": "pair", "n": 2, "orientation": "forward", "carrier": [[]],
+      "map": [[0.0]]}, "length n"),
+    ({"kind": "ab", "n": 2, "a": [], "b": []}, "must both be 2x2"),
+], ids=["map", "carrier-of-an-empty-row", "ab"])
+def test_structure_spec_refuses_empty_arrays_where_entries_belong(
+        tmp_path, doc, match):
+    with pytest.raises(SpecFormatError, match=match):
+        load_structure_spec(dump(tmp_path / "s.json", doc))
 
 
 def test_structure_spec_rejects_map_shape_mismatch(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import linear_constraint
+from _gen import linear_constraint, same_bits
 from ldkit.numdiff import central_directional, central_jacobian, gradient_step
 
 
@@ -90,6 +90,17 @@ def test_all_zero_columns_cost_no_evaluation():
     assert np.all(out == 0.0)
 
 
+def test_short_columns_down_to_the_shortest_with_a_finite_step():
+    # |v| = 1e-300 has a square that underflows to 0, yet a finite step
+    # s = 1e294; at |v| = 5e-324, s = 2e317 overflows and the column is 0
+    fn = Counting(lambda y: np.array([2.0 * y[0] - y[1], 3.0 * y[1]]))
+    v = np.array([[1e-300, 5e-324], [0.0, 0.0]])
+    with np.errstate(all="raise"):
+        out = central_directional(fn, np.zeros(2), v, 2)
+    assert fn.calls == 2
+    assert same_bits(out, [[2e-300, 0.0], [0.0, 0.0]])
+
+
 @pytest.mark.parametrize("result", [0.5, np.ones(3), np.ones((2, 1))],
                          ids=["scalar", "too-long", "matrix"])
 def test_a_result_of_the_wrong_shape_raises_value_error(result):
@@ -103,14 +114,13 @@ def test_gradient_step_accepts_a_sequence():
     assert gradient_step([0.1, 0.2]) == 1e-6
 
 
-@given(x=st.lists(st.one_of(st.floats(-1e150, 1e150),
+@given(x=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                             st.sampled_from([0.0, -0.0, 5e-324, -1e-310,
-                                             1e150, -1e150])),
+                                             1e300, -1.7e308])),
                   min_size=1, max_size=8))
 @settings(max_examples=300)
-def test_gradient_step_is_the_plain_formula_up_to_1e150(x):
-    x = np.array(x)
-    assert gradient_step(x) == 1e-6 * max(1.0, math.sqrt(x.dot(x)))
+def test_gradient_step_is_the_plain_formula(x):
+    assert gradient_step(np.array(x)) == 1e-6 * max(1.0, math.hypot(*x))
 
 
 @pytest.mark.parametrize("x, norm", [
@@ -128,12 +138,11 @@ def test_gradient_step_of_a_state_whose_squares_overflow(x, norm):
 @pytest.mark.parametrize("x", [[1e-200, 1.0], [1e-200, 1e-90],
                                [1.0, 1e-200], [5e-324, -2.0, 3.0]])
 def test_gradient_step_of_a_state_whose_squares_underflow(x):
-    # np.errstate(under="raise") makes BLAS's underflowing square an error
-    # in x·x for some orders of the entries; the step is the same either way
+    # a square below the smallest normal raises no error under
+    # np.errstate(all="raise"), whatever the order of the entries
     with np.errstate(all="raise"):
         h = gradient_step(x)
-    assert h == gradient_step(x) == 1e-6 * max(
-        1.0, math.sqrt(np.array(x).dot(np.array(x))))
+    assert h == gradient_step(x) == 1e-6 * max(1.0, math.hypot(*x))
 
 
 def test_central_directional_along_a_column_whose_squares_underflow():
@@ -150,13 +159,14 @@ def test_central_directional_along_a_column_whose_squares_underflow():
 
 def reference_directional(fn, x, v, m):
     """A plain reference for the directional differences: each probe
-    offset s v_j formed twice, and the step taken as sqrt(x·x)."""
-    h = 1e-6 * max(1.0, math.sqrt(x.dot(x)))
+    offset s v_j formed twice, each norm taken by math.hypot, and a column
+    without a finite s left 0."""
+    h = 1e-6 * max(1.0, math.hypot(*x))
     out = np.zeros((m, v.shape[1]))
     for j in range(v.shape[1]):
         vj = v[:, j]
-        norm = math.sqrt(vj.dot(vj))
-        if norm == 0.0:
+        norm = math.hypot(*vj)
+        if norm == 0.0 or h / norm == math.inf:
             continue
         s = h / norm
         hi = np.asarray(fn(x + s * vj), dtype=float)
@@ -187,3 +197,36 @@ def test_central_directional_matches_the_reference_loop_bit_for_bit(
 
     out = central_directional(fn, x, v, m)
     assert out.tobytes() == reference_directional(fn, x, v, m).tobytes()
+
+
+def test_central_directional_along_a_column_whose_square_overflows():
+    # |v|² = 1e400 overflows; |v| = 1e200 does not, and the probes lie
+    # one gradient step from x as for any other column
+    def fn(y):
+        return np.array([2.0 * y[0] - y[1], 3.0 * y[1]])
+
+    v = np.array([[1e200], [0.0]])
+    with np.errstate(all="raise"):
+        out = central_directional(fn, np.zeros(2), v, 2)
+    assert same_bits(out, [[2e200], [0.0]])
+
+
+@given(data=st.data(), n=st.integers(2, 6), m=st.integers(1, 3),
+       cols=st.integers(1, 4))
+@settings(max_examples=300)
+def test_central_directional_is_the_same_for_either_memory_order(
+        data, n, m, cols):
+    def vector(size, bound):
+        return np.array(data.draw(st.lists(st.floats(-bound, bound),
+                                           min_size=size, max_size=size)))
+
+    x = vector(n, 1e3)
+    weights = vector(m * n, 2.0).reshape(m, n)
+    v = vector(n * cols, 1e3).reshape(n, cols)
+
+    def fn(y):
+        return np.tanh(weights @ y) + y[:1] * y[-1:]
+
+    c_order = central_directional(fn, x, np.ascontiguousarray(v), m)
+    f_order = central_directional(fn, x, np.asfortranarray(v), m)
+    assert c_order.tobytes() == f_order.tobytes()

@@ -27,8 +27,8 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   to t = 2: its G has no zero entry, so a reordered sum in G^T grad H or
   in the multiplier solve shows, where the particle's two nonzero entries
   hide it; and once more without J, with G a callable that returns it in
-  F order, since the memory order of the difference directions decides
-  the last bit of their norms;
+  F order, since G's memory order decides the last bits of the BLAS
+  products with G, such as G^T grad H;
 - a failing run: the particle whose G turns malformed once y passes its
   value at 60 % of the horizon (t = 1.2 of 2), under ``simulate``; its
   ``StepFailureError`` gives the six arrays of the partial trajectory and
@@ -110,7 +110,8 @@ VERIFY_FLAGS = ((), ("--tol-rank", "1e-6", "--tol-residual", "1e-6"))
 def dense_system(ldkit):
     """n = 6, k = 2: constant Pi = S - 0.1 B B^T (S skew), H = |x|^2 / 2,
     a constant G with orthonormal columns and J = G^T, all drawn from
-    DENSE_SEED; returns the system and a start state with G^T x = 0."""
+    DENSE_SEED; returns the system and a start state with G^T x = 0.
+    tests/test_dynamics.py runs it against the oracle."""
     rng = np.random.default_rng(DENSE_SEED)
     a, b = rng.standard_normal((2, 6, 6))
     g = np.linalg.qr(rng.standard_normal((6, 2)))[0]
