@@ -216,11 +216,11 @@ class _Compiled:
     the shapes where results meet, at little cost: grad H in :func:`_terms`,
     Pi in :func:`_checked_pi`, G and grad H through the residual G^T grad H
     in :func:`_project`, G and J through the k×k multiplier matrix in
-    :func:`_solve_constraint`, the residual in the difference probes, and
-    H in :attr:`hval`.  Without these checks numpy broadcasting would let a
-    malformed result bend the trajectory silently.  Each stepped state must
-    pass :func:`_all_finite`, and the recorder rejects a non-finite H or
-    [H, H].
+    :func:`_solve_constraint`, G's shape where no J is given, the residual
+    in the difference probes, and H in :attr:`hval`.  Without these checks
+    numpy broadcasting would let a malformed result bend the trajectory
+    silently.  Each stepped state must pass :func:`_all_finite`, and the
+    recorder rejects a non-finite H or [H, H].
 
     Per step and per right-hand side, these checks and the products next
     to them take the cheapest call with the same IEEE result:
@@ -228,25 +228,27 @@ class _Compiled:
     sym(Pi) grad H and the [H, H] product after it), Python floats for
     the k = 1 residual norm and the whole 1×1 multiplier solve -c / a, a
     Python sum before ``np.isfinite``, and, without an analytic J, the
-    directions [G, Pi grad H] joined by ``np.concatenate``, with each
-    probe offset of the directional differences formed once.  Constants
-    that numpy would convert on every call are made once: the float
-    dtype passed to ``np.asarray``, and the steppers' coefficients, 0-d
-    float64 arrays made per run.  At n = 1, ``.dot`` multiplies where
+    directions (G's columns, then Pi grad H) passed to the directional
+    differences as a tuple of vectors, with no matrix of them assembled.
+    Constants that numpy would convert on every call are made once: the
+    float dtype passed to ``np.asarray``, and the steppers' coefficients,
+    0-d float64 arrays made per run.  At n = 1, ``.dot`` multiplies where
     ``@`` adds the product to +0.0, so a zero residual may carry the
     other sign; :func:`_project` reads only its magnitude, or a nonzero
     residual, and [H, H] adds +0.0.
     """
 
     __slots__ = ("n", "k", "grad", "pi", "g", "jac", "residual", "hval",
-                 "vector_shape", "matrix_shape", "residual_shape", "start",
-                 "pi_fixed", "sym_fixed", "g_fixed")
+                 "vector_shape", "matrix_shape", "forces_shape",
+                 "residual_shape", "start", "pi_fixed", "sym_fixed",
+                 "g_fixed")
 
     def __init__(self, sys: DIHSystem, x0):
         self.n = sys.n
         self.k = sys.k
         self.vector_shape = (sys.n,)
         self.matrix_shape = (sys.n, sys.n)
+        self.forces_shape = (sys.n, sys.k)
         self.residual_shape = (sys.k,)
         x0 = as_vector(x0, sys.n, "state")
         ham = sys.hamiltonian
@@ -267,7 +269,7 @@ class _Compiled:
         self.g = sys.ld.forces.evaluate
         if isinstance(self.pi, _Constant):
             self.pi_fixed = pi0
-            self.sym_fixed = 0.5 * (pi0 + pi0.T)
+            self.sym_fixed = _sym(pi0)
         else:
             self.pi_fixed = self.sym_fixed = None
         self.g_fixed = g0 if self.k == 0 else None
@@ -328,8 +330,9 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
         cval = jac.dot(pi_grad)
         lam, resid = _solve_constraint(jac.dot(g), cval)
     else:
-        v = np.concatenate((g, pi_grad[:, None]), axis=1)
-        jv = central_directional(c.residual, x, v, c.k)
+        if g.shape != c.forces_shape:  # its columns become the directions
+            raise _malformed("G", g, c.forces_shape)
+        jv = central_directional(c.residual, x, (*g.T, pi_grad), c.k)
         cval = jv[:, -1]
         lam, resid = _solve_constraint(jv[:, :-1], cval)
     if resid and resid > _PROJECTION_TOL * max(
@@ -426,6 +429,14 @@ def kernel_form(sys: DIHSystem, x) -> KernelForm:
     return KernelForm(kmat, lhs, rhs_vec)
 
 
+def _sym(pi: np.ndarray) -> np.ndarray:
+    """sym(Pi) = Pi/2 + Pi^T/2.  Halving first keeps it finite for entries
+    near the float maximum, where (Pi + Pi^T)/2 overflows; halving is exact
+    unless the half is subnormal, so the result is otherwise the same."""
+    half = 0.5 * pi
+    return half + half.T
+
+
 def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
                 sym: np.ndarray | None = None) -> float:
     # through sym(Pi), not grad·(Pi grad): a skew Pi then gives exactly 0.0;
@@ -434,7 +445,7 @@ def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
     # the product to +0.0; adding +0.0 turns its -0.0 into the +0.0 of
     # ``@`` and leaves every other value as it is
     if sym is None:
-        sym = 0.5 * (pi + pi.T)
+        sym = _sym(pi)
     return float(grad.dot(sym.dot(grad))) + 0.0
 
 
@@ -469,7 +480,7 @@ def _project(c: _Compiled, x: np.ndarray
         if c.jac is not None:
             a = np.asarray(c.jac(x), dtype=_FLOAT) @ g
         else:
-            a = central_directional(c.residual, x, g, c.k)
+            a = central_directional(c.residual, x, g.T, c.k)
         delta, _ = _solve_constraint(a, cval)
         x = x + g @ delta
 

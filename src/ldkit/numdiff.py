@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,33 +51,53 @@ def central_jacobian(fn: Callable[[np.ndarray], np.ndarray],
 
 
 def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                        v: np.ndarray, m: int) -> np.ndarray:
-    """Central-difference derivatives of a map R^n -> R^m along the columns
-    of ``v``: column j approximates J(x) v_j, J the Jacobian of fn.
+                        directions: Iterable[np.ndarray],
+                        m: int) -> np.ndarray:
+    """Central-difference derivatives of a map R^n -> R^m along each
+    n-vector v_j of ``directions``: column j approximates J(x) v_j, J the
+    Jacobian of fn.
 
+    ``directions`` is any sequence of n-vectors, such as the rows of a
+    matrix or ``(*g.T, w)``, so that no matrix of directions is assembled.
     Column j is (fn(x + s v_j) - fn(x - s v_j)) / 2s with
     s = gradient_step(x) / |v_j|, so each probe lies as far from x as a
     coordinate probe of :func:`central_jacobian` does.  |v_j| is taken by
-    ``math.hypot`` as in :func:`gradient_step`, so a column far above
-    1e154 still gives a finite step, and ``v`` in C or F order gives the
-    same bits.  A zero column, or one so short that s overflows, is
-    exactly 0 and costs no evaluation.  Returns an (m, v.shape[1]) matrix;
-    raises ValueError when fn does not return m values, which numpy would
-    otherwise broadcast into the column.
+    ``math.hypot`` as in :func:`gradient_step`, so a direction far above
+    1e154 still gives a finite step, and any memory order gives the same
+    bits.  An entry of s v_j that underflows is the 0 or subnormal that
+    IEEE rounding gives, under any ``np.errstate``.  A zero direction, or
+    one so short that s overflows, gives a column of exact zeros and costs
+    no evaluation.  For m = 1 each quotient is taken in Python floats,
+    the same IEEE subtraction and division as numpy's.  Returns the
+    C-ordered (m, number of directions) matrix; raises ValueError when fn
+    does not return m values, which numpy would otherwise broadcast into
+    the column.
     """
     h = gradient_step(x)
-    out = np.zeros((m, v.shape[1]))
-    for j in range(v.shape[1]):
-        vj = v[:, j]
+    cols: list = []
+    for vj in directions:
         norm = math.hypot(*vj.tolist())
         s = h / norm if norm else math.inf
         if s == math.inf:  # no finite probe along v_j: J v_j is taken as 0
+            cols.append(0.0 if m == 1 else np.zeros(m))
             continue
-        d = s * vj
+        try:
+            d = s * vj
+        except FloatingPointError:  # np.errstate raising on an underflow
+            with np.errstate(under="ignore"):
+                d = s * vj
         hi = np.asarray(fn(x + d), dtype=_FLOAT)
         lo = np.asarray(fn(x - d), dtype=_FLOAT)
         if hi.shape != (m,) or lo.shape != (m,):
             raise ValueError(f"expected {m} values, got shapes {hi.shape} "
                              f"and {lo.shape}")
-        out[:, j] = (hi - lo) / (2.0 * s)
-    return out
+        if m == 1:
+            # s = 0 (|v_j| overflowed) divides as numpy does: q / +0.0
+            # is q * inf, nan for q = 0
+            q = hi.item() - lo.item()
+            cols.append(q / (2.0 * s) if s else q * math.inf)
+        else:
+            cols.append((hi - lo) / (2.0 * s))
+    if m == 1:
+        return np.array([cols])
+    return np.column_stack(cols) if cols else np.zeros((m, 0))

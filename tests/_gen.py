@@ -8,6 +8,8 @@ independently of the library's own pairing-residual computation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ldkit import (ABRep, PairRep, ScalarField, Subspace, annihilator,
@@ -187,3 +189,22 @@ def linear_constraint(rng, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Jacobian is G^T Q exactly."""
     m = rng.standard_normal((n, n))
     return rng.standard_normal((n, k)), m @ m.T + np.eye(n)
+
+
+def reference_directional(fn, x, v, m):
+    """A plain reference for the directional differences along the columns
+    of the matrix ``v``: an ``np.zeros`` matrix filled column by column
+    with numpy quotients, each probe offset s v_j formed twice, each norm
+    taken by math.hypot, and a column without a finite s left 0."""
+    h = 1e-6 * max(1.0, math.hypot(*x))
+    out = np.zeros((m, v.shape[1]))
+    for j in range(v.shape[1]):
+        vj = v[:, j]
+        norm = math.hypot(*vj)
+        if norm == 0.0 or h / norm == math.inf:
+            continue
+        s = h / norm
+        hi = np.asarray(fn(x + s * vj), dtype=float)
+        lo = np.asarray(fn(x - s * vj), dtype=float)
+        out[:, j] = (hi - lo) / (2.0 * s)
+    return out

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (linear_constraint, particle_consistent_state,
-                  particle_multiplier, particle_rhs, same_bits)
+                  particle_multiplier, particle_rhs, reference_directional,
+                  same_bits)
 import ldkit
 from ldkit import (ConsistencyError, ConstraintField, DegenerateMultiplierError,
                    DIHSystem, InputError, IntegratorConfig, LDField,
@@ -345,9 +346,63 @@ def test_directional_multipliers_take_the_directions_as_column_stack_does(
     point, grad, g_x, pi = c.start[:4]
     pi_grad = pi.dot(grad)
     jv = central_directional(c.residual, point,
-                             np.column_stack([g_x, pi_grad]), k)
+                             np.column_stack([g_x, pi_grad]).T, k)
     expected = np.linalg.lstsq(jv[:, :-1], -jv[:, -1], rcond=None)[0]
     assert same_bits(multipliers(sys, x)[0], expected)
+
+
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 3),
+       order=st.sampled_from("CF"),
+       column=st.sampled_from(["plain", "zero", "tiny"]))
+@settings(max_examples=150, deadline=None)
+def test_multipliers_and_rhs_without_j_match_the_matrix_assembled_reference(
+        seed, k, order, column):
+    # G depends on x and comes in C or F order.  "zero" starts at x = 0,
+    # where the direction Pi grad H is zero; "tiny" scales G to about
+    # 1e-316, where every step s along G overflows: those columns of J·V
+    # are 0
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(k + 1, 7))
+    g0 = rng.standard_normal((n, k)) * (1e-316 if column == "tiny" else 1.0)
+    arrange = np.asfortranarray if order == "F" else np.ascontiguousarray
+
+    def g_eval(x):
+        return arrange(g0 * (1.0 + 0.25 * np.tanh(x[0])))
+
+    a = rng.standard_normal((n, n))
+    q = np.eye(n) + a @ a.T / n
+    h = ScalarField(n, value=lambda x: 0.5 * float(x @ (q @ x)),
+                    gradient=lambda x: q @ x)
+    pi = a - a.T - 0.1 * a @ a.T
+    sys = DIHSystem(n, LDField(TensorField.constant(pi),
+                               ConstraintField(n, k, g_eval)), h)
+    x = rng.standard_normal(n)
+    if column == "zero":
+        x = np.zeros(n)
+    elif column == "plain":  # onto the constraint set G^T Q x = 0
+        qg = q @ g0
+        x = x - qg @ np.linalg.lstsq(qg, x, rcond=None)[0]
+    grad, g = q @ x, g_eval(x)
+
+    def reference(pi_grad):
+        jv = reference_directional(
+            lambda y: np.asarray(g_eval(y)).T.dot(q @ y), x,
+            np.concatenate((g, pi_grad[:, None]), axis=1), k)
+        return dynamics._solve_constraint(jv[:, :-1], jv[:, -1])
+
+    # multipliers forms Pi grad H with @, the right-hand side with .dot
+    lam_ref, resid_ref = reference(pi @ grad)
+    pi_grad = pi.dot(grad)
+    rhs_ref = pi_grad + g.dot(reference(pi_grad)[0])
+    try:
+        lam, resid = multipliers(sys, x)
+    except DegenerateMultiplierError as err:
+        assert resid_ref > 0.0 and same_bits(err.ls_residual, resid_ref)
+        with pytest.raises(DegenerateMultiplierError):
+            rhs(sys, x)
+    else:
+        assert same_bits(lam, lam_ref) and same_bits(resid, resid_ref)
+        assert same_bits(rhs(sys, x), rhs_ref)
 
 
 def test_k2_singular_consistent_multipliers_are_the_min_norm_solution():
@@ -768,6 +823,35 @@ def test_simulate_rejects_a_non_finite_bracket_at_the_start():
                                                   match="not both finite"):
         simulate(sys, np.array([1.0, 0.0]),
                  IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
+@pytest.mark.parametrize("params, rate", [({"mu1": 1e308}, -1e308),
+                                          ({"mu1": 1e300, "mu2": 1e308},
+                                           -1e300)])
+def test_the_energy_rate_stays_finite_for_friction_near_the_float_maximum(
+        params, rate):
+    # Pi + Pi^T overflows here; sym(Pi) halves each term first
+    sys, x0 = build_system(SystemSpec("damped_particle", params, None))
+    with np.errstate(all="raise"):
+        assert energy_rate(sys, x0) == rate
+        traj = simulate(sys, x0, IntegratorConfig(dt=1e-3, t_end=0.0))
+    assert traj.energy_rates.tolist() == [rate]
+
+
+def test_a_run_whose_difference_offset_underflows_ignores_the_errstate():
+    # s v = 1e-206 * (1e200, 1e-200) underflows in its second entry
+    h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    sys = DIHSystem(2, LDField(
+        TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        ConstraintField(2, 1, lambda x: np.array([[1e200], [1e-200]]))), h)
+    config = IntegratorConfig(dt=1e-3, t_end=0.01)
+    plain = simulate(sys, np.zeros(2), config)
+    with np.errstate(all="raise"):
+        strict = simulate(sys, np.zeros(2), config)
+    for field in ("times", "states", "multipliers", "residuals", "energies",
+                  "energy_rates"):
+        assert same_bits(getattr(strict, field), getattr(plain, field))
 
 
 @pytest.mark.parametrize("value", [lambda x: x.copy(),
@@ -1432,7 +1516,9 @@ def test_the_hot_loop_products_match_their_matmul_forms(data, n):
 
     g, pi, grad = matrix(n, k), matrix(n, n), matrix(n, 1)[:, 0]
     with np.errstate(all="ignore"):
-        sym = 0.5 * (pi + pi.T)
+        # sym(Pi) halves each term first, so that it stays finite near
+        # the float maximum
+        sym = 0.5 * pi + 0.5 * pi.T
         assert same_bits(dynamics._bracket_hh(grad, pi),
                          float(grad @ (sym @ grad)))
         dot, matmul = g.T.dot(grad), g.T @ grad
@@ -1466,7 +1552,7 @@ def test_the_energy_rate_is_its_matmul_form_with_signed_zeros(
         data, n, formed_once):
     grad, pi = draw_array(data, n), draw_array(data, n, n)
     with np.errstate(all="ignore"):
-        sym = 0.5 * (pi + pi.T)
+        sym = 0.5 * pi + 0.5 * pi.T
         rate = dynamics._bracket_hh(grad, pi, sym if formed_once else None)
         assert same_bits(rate, float(grad @ sym.dot(grad)))
 

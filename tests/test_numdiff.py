@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import linear_constraint, same_bits
+from _gen import linear_constraint, reference_directional, same_bits
 from ldkit.numdiff import central_directional, central_jacobian, gradient_step
 
 
@@ -34,7 +34,7 @@ def test_directional_derivatives_of_the_linear_constraint(seed, k, cols):
     g, q, c = quadratic_constraint(rng, n, k)
     x = rng.standard_normal(n)
     v = rng.standard_normal((n, cols)) * rng.uniform(1e-3, 1e3, size=cols)
-    out = central_directional(c, x, v, k)
+    out = central_directional(c, x, v.T, k)
     exact = g.T @ q @ v
     assert out.shape == (k, cols)
     scale = np.abs(g).max() * np.abs(q).max() * np.abs(v).max(axis=0) * n
@@ -47,7 +47,7 @@ def test_directional_and_coordinate_jacobians_match_the_closed_form():
     exact = np.array([[x[1], x[0], 0.0],
                       [3.0 * x[0] ** 2, 0.0, np.cos(x[2])]])
     v = np.array([[1.0, 0.5], [-2.0, 0.0], [0.25, 3.0]])
-    assert np.allclose(central_directional(fn, x, v, 2), exact @ v,
+    assert np.allclose(central_directional(fn, x, v.T, 2), exact @ v,
                        rtol=0.0, atol=1e-8)
     fn.calls = 0
     jac = central_jacobian(fn, x)
@@ -76,7 +76,7 @@ def test_a_zero_column_is_exactly_zero_and_costs_no_evaluation():
     fn = Counting(c)
     v = np.column_stack([rng.standard_normal(4), np.zeros(4),
                          rng.standard_normal(4)])
-    out = central_directional(fn, rng.standard_normal(4), v, 2)
+    out = central_directional(fn, rng.standard_normal(4), v.T, 2)
     assert fn.calls == 4
     assert np.all(out[:, 1] == 0.0)
     assert np.allclose(out[:, [0, 2]], g.T @ q @ v[:, [0, 2]], atol=1e-7)
@@ -96,7 +96,7 @@ def test_short_columns_down_to_the_shortest_with_a_finite_step():
     fn = Counting(lambda y: np.array([2.0 * y[0] - y[1], 3.0 * y[1]]))
     v = np.array([[1e-300, 5e-324], [0.0, 0.0]])
     with np.errstate(all="raise"):
-        out = central_directional(fn, np.zeros(2), v, 2)
+        out = central_directional(fn, np.zeros(2), v.T, 2)
     assert fn.calls == 2
     assert same_bits(out, [[2e-300, 0.0], [0.0, 0.0]])
 
@@ -153,26 +153,32 @@ def test_central_directional_along_a_column_whose_squares_underflow():
 
     x = np.array([0.5, -1.0, 2.0])
     with np.errstate(all="raise"):
-        strict = central_directional(fn, x, v, 2)
-    assert strict.tobytes() == central_directional(fn, x, v, 2).tobytes()
+        strict = central_directional(fn, x, v.T, 2)
+    assert strict.tobytes() == central_directional(fn, x, v.T, 2).tobytes()
 
 
-def reference_directional(fn, x, v, m):
-    """A plain reference for the directional differences: each probe
-    offset s v_j formed twice, each norm taken by math.hypot, and a column
-    without a finite s left 0."""
-    h = 1e-6 * max(1.0, math.hypot(*x))
-    out = np.zeros((m, v.shape[1]))
-    for j in range(v.shape[1]):
-        vj = v[:, j]
-        norm = math.hypot(*vj)
-        if norm == 0.0 or h / norm == math.inf:
-            continue
-        s = h / norm
-        hi = np.asarray(fn(x + s * vj), dtype=float)
-        lo = np.asarray(fn(x - s * vj), dtype=float)
-        out[:, j] = (hi - lo) / (2.0 * s)
-    return out
+def test_central_directional_along_a_direction_whose_offset_underflows():
+    # s = 1e-206 at x = 0, so s * 1e-200 underflows to 0
+    def fn(y):
+        return np.array([y[0] - 3.0 * y[1], y[0] * y[1] + y[1]])
+
+    directions = (np.array([1e200, 1e-200]), np.array([1e-200, 1.0]))
+    with np.errstate(all="raise"):
+        strict = central_directional(fn, np.zeros(2), directions, 2)
+    plain = central_directional(fn, np.zeros(2), directions, 2)
+    assert strict.tobytes() == plain.tobytes()
+    assert same_bits(strict[:, 0], [1e200, 0.0])
+
+
+def test_a_direction_whose_norm_overflows_gives_nan_for_any_m():
+    # |v| = inf, so s = 0: both probes sit at x, and (hi - lo) / 2s is
+    # 0 / 0 in Python floats (m = 1) as in numpy
+    v = np.array([1.5e308, 1.5e308])
+    with np.errstate(all="ignore"):
+        one = central_directional(lambda y: y[:1], np.ones(2), (v,), 1)
+        two = central_directional(lambda y: y, np.ones(2), (v,), 2)
+    assert one.shape == (1, 1) and two.shape == (2, 1)
+    assert np.isnan(one).all() and np.isnan(two).all()
 
 
 @given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 3),
@@ -195,7 +201,7 @@ def test_central_directional_matches_the_reference_loop_bit_for_bit(
     def fn(y):
         return np.tanh(weights @ y) + y[:1] * y[-1:]
 
-    out = central_directional(fn, x, v, m)
+    out = central_directional(fn, x, v.T, m)
     assert out.tobytes() == reference_directional(fn, x, v, m).tobytes()
 
 
@@ -207,7 +213,7 @@ def test_central_directional_along_a_column_whose_square_overflows():
 
     v = np.array([[1e200], [0.0]])
     with np.errstate(all="raise"):
-        out = central_directional(fn, np.zeros(2), v, 2)
+        out = central_directional(fn, np.zeros(2), v.T, 2)
     assert same_bits(out, [[2e200], [0.0]])
 
 
@@ -227,6 +233,6 @@ def test_central_directional_is_the_same_for_either_memory_order(
     def fn(y):
         return np.tanh(weights @ y) + y[:1] * y[-1:]
 
-    c_order = central_directional(fn, x, np.ascontiguousarray(v), m)
-    f_order = central_directional(fn, x, np.asfortranarray(v), m)
+    c_order = central_directional(fn, x, np.ascontiguousarray(v).T, m)
+    f_order = central_directional(fn, x, np.asfortranarray(v).T, m)
     assert c_order.tobytes() == f_order.tobytes()

@@ -4,6 +4,7 @@ demo.  The trajectory comparison in ``tools/`` is checked here too."""
 
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -122,3 +123,53 @@ def test_compare_trajectories_reports_each_array_that_differs():
     assert compare.differences(parent, change) == [
         "a: max |delta| = 2.000e-16", "b: shape (2,) != (3,)",
         "c: only in the parent", "d: only in the change"]
+
+
+BENCH_RECORD = ROOT / "tools" / "bench_record.py"
+
+
+def fake_run_record(workload, seed, trace, throughput, failed=0,
+                    commit="abc123"):
+    return {
+        "workload": workload,
+        "environment": {"seed": seed, "trace": trace, "seconds": 8.0,
+                        "git_commit": commit, "python": "3.11.7",
+                        "numpy": "2.4.6", "nproc": 2},
+        "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
+                   "metrics": {
+                       "throughput_per_s": {"value": throughput, "unit": "1/s"},
+                       "op_p50_ms": {"value": 1e3 / throughput, "unit": "ms"}}},
+    }
+
+
+def test_bench_record_summarizes_fabricated_run_records(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_record", BENCH_RECORD)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    records = [fake_run_record("user_fd", 3, 0, 300.0),
+               fake_run_record("user_fd", 1, 0, 100.0, failed=2),
+               fake_run_record("user_fd", 2, 0, 200.0),
+               fake_run_record("user_fd", 4, 0, 400.0),
+               fake_run_record("user_fd", 5, 1, 9e9),  # traced: left out
+               fake_run_record("catalog_cli", 1, 0, 50.0, commit=None)]
+    for i, record in enumerate(records):
+        (tmp_path / f"run{i}.json").write_text(json.dumps(record))
+    (tmp_path / "notes.txt").write_text("not a run record")
+    out = bench.summarize(bench.load_records(tmp_path), "test")
+    assert out["label"] == "test" and out["seconds"] == 8.0
+    assert out["environment"] == {"commit": [None, "abc123"],
+                                  "python": "3.11.7", "numpy": "2.4.6",
+                                  "nproc": 2}
+    assert list(out["workloads"]) == ["catalog_cli", "user_fd"]
+    fd = out["workloads"]["user_fd"]
+    assert fd["seeds"] == [1, 2, 3, 4]
+    assert (fd["attempted"], fd["failed"]) == (40, 2)
+    # statistics.quantiles' default method, as perfbench/compare.py uses
+    assert fd["metrics"]["throughput_per_s"] == {
+        "unit": "1/s", "runs": 4, "median": 250.0, "q1": 125.0, "q3": 375.0}
+    assert fd["metrics"]["op_p50_ms"]["unit"] == "ms"
+    single = out["workloads"]["catalog_cli"]["metrics"]["throughput_per_s"]
+    assert single == {"unit": "1/s", "runs": 1, "median": 50.0, "q1": 50.0,
+                      "q3": 50.0}
+    with pytest.raises(ValueError, match="no untraced run records"):
+        bench.summarize([], "empty")
