@@ -68,7 +68,10 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     IEEE rounding gives, under any ``np.errstate``.  A zero direction, or
     one so short that s overflows, gives a column of exact zeros and costs
     no evaluation.  For m = 1 each quotient is taken in Python floats,
-    the same IEEE subtraction and division as numpy's.  Returns the
+    the same IEEE subtraction and division as numpy's, so the same bits;
+    unlike numpy's, it ignores ``np.errstate``: a quotient that overflows
+    is inf, and one over s = 0 inf or nan, with no warning or error,
+    where for m > 1 a raising errstate raises.  Returns the
     C-ordered (m, number of directions) matrix; raises ValueError when fn
     does not return m values, which numpy would otherwise broadcast into
     the column.

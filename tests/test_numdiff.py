@@ -236,3 +236,23 @@ def test_central_directional_is_the_same_for_either_memory_order(
     c_order = central_directional(fn, x, np.ascontiguousarray(v).T, m)
     f_order = central_directional(fn, x, np.asfortranarray(v).T, m)
     assert c_order.tobytes() == f_order.tobytes()
+
+
+def test_only_the_one_output_quotient_ignores_a_raising_errstate():
+    # 0 / 0 along a direction whose norm overflows, and a jump of 2e305
+    # over 2s = 2e-6, which overflows: numpy raises under the errstate,
+    # Python floats give nan and inf
+    huge, unit = np.array([1.5e308, 1.5e308]), np.array([1.0, 0.0])
+
+    def jump(y):
+        return 1e305 * np.sign(y - 1.0)
+
+    with np.errstate(all="raise"):
+        nan = central_directional(lambda y: y[:1], np.ones(2), (huge,), 1)
+        inf = central_directional(lambda y: jump(y)[:1], np.ones(2),
+                                  (unit,), 1)
+        with pytest.raises(FloatingPointError):
+            central_directional(lambda y: y, np.ones(2), (huge,), 2)
+        with pytest.raises(FloatingPointError):
+            central_directional(jump, np.ones(2), (unit,), 2)
+    assert np.isnan(nan).all() and same_bits(inf, [[math.inf]])

@@ -155,7 +155,7 @@ def test_bench_record_summarizes_fabricated_run_records(tmp_path):
     for i, record in enumerate(records):
         (tmp_path / f"run{i}.json").write_text(json.dumps(record))
     (tmp_path / "notes.txt").write_text("not a run record")
-    out = bench.summarize(bench.load_records(tmp_path), "test")
+    out = bench.summarize(bench.COMPARE.load_runs(tmp_path), "test")
     assert out["label"] == "test" and out["seconds"] == 8.0
     assert out["environment"] == {"commit": [None, "abc123"],
                                   "python": "3.11.7", "numpy": "2.4.6",
@@ -173,3 +173,8 @@ def test_bench_record_summarizes_fabricated_run_records(tmp_path):
                       "q3": 50.0}
     with pytest.raises(ValueError, match="no untraced run records"):
         bench.summarize([], "empty")
+    # a rerun into the same directory adds a second run of a seed
+    with pytest.raises(ValueError, match=r"user_fd: more than one run of "
+                                         r"seed \[2\]"):
+        bench.summarize(records + [fake_run_record("user_fd", 2, 0, 250.0)],
+                        "rerun")

@@ -1,37 +1,31 @@
 #!/usr/bin/env python3
-"""Record the benchmark's end-to-end metrics of one source tree in
-``BENCH_<LABEL>.json`` at the repository root.
+"""Summarize one source tree's benchmark runs in ``BENCH_<LABEL>.json`` at
+the repository root.
 
 Usage:
-    python tools/bench_record.py LABEL [--tree DIR] [--seeds 1-5]
-                                 [--seconds S] [--workloads a,b]
+    python tools/bench_record.py LABEL RESULTS_DIR
 
-The defaults for --seconds and --workloads come from BENCHMARK.json.
+RESULTS_DIR holds the run records that one tree's ``perfbench/report.py
+--results RESULTS_DIR`` wrote.  To compare two trees, call each tree's
+``report.py`` in turn on the same seeds, one directory per tree, then
+summarize each directory.
 
-For each workload and seed, one ``perfbench/run.py --trace 0`` process of
-the checkout DIR (default: this repository) runs, after the previous one
-has ended, and leaves its run record in ``perfbench/out/bench-LABEL`` of
-this repository.  The file is then made from every untraced run record
-there, those of earlier invocations included, so that the runs of two trees can alternate: call
-the script once per seed for each tree in turn, with the same seeds.
-``--seeds ''`` runs nothing and only rewrites the file.
-
-The file holds, for each workload, the seeds, the attempted and failed
-operations summed over its runs and, for each end-to-end metric, its
-unit, run count, median and quartiles (``statistics.quantiles`` with
-n = 4, as ``perfbench/compare.py`` takes them).  It also holds the
-commit, Python and numpy versions and nproc that the run records carry:
-one value when every record agrees, else the sorted distinct values.  A
-tree copied without its ``.git`` records no commit.
+The file holds, for each workload, the seeds of its untraced runs, their
+attempted and failed operations and, for each end-to-end metric, its unit,
+run count, median and quartiles, loaded, grouped and taken as
+``perfbench/compare.py`` does.  It also holds the commit, Python and numpy
+versions and nproc that the run records carry: one value when every record
+agrees, else the sorted distinct values.  A tree copied without its
+``.git`` records no commit.  Two runs of one workload and seed, say from a
+rerun into the same directory, are refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
-import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,35 +33,16 @@ ENVIRONMENT = {"commit": "git_commit", "python": "python", "numpy": "numpy",
                "nproc": "nproc"}
 
 
-def parse_seeds(text: str) -> list[int]:
-    seeds = []
-    for part in filter(None, text.split(",")):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+def load_compare():
+    # executed from its source, so no bytecode cache is written beside it
+    path = ROOT / "perfbench" / "compare.py"
+    module = types.ModuleType("perfbench_compare")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float,
-        runs: Path) -> None:
-    """One benchmark process of ``tree``; its record goes to ``runs``."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-         "--results", str(runs)],
-        cwd=tree, capture_output=True, text=True, timeout=900)
-    if done.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} exited {done.returncode}:"
-                           f"\n{done.stderr[-3000:]}")
-
-
-def load_records(runs: Path) -> list[dict]:
-    """The untraced run records in ``runs``."""
-    records = []
-    for path in sorted(runs.glob("*.json")):
-        record = json.loads(path.read_text())
-        if record.get("environment", {}).get("trace") == 0:
-            records.append(record)
-    return records
+COMPARE = load_compare()
 
 
 def one_or_all(values: list):
@@ -75,61 +50,49 @@ def one_or_all(values: list):
     return distinct[0] if len(distinct) == 1 else distinct
 
 
-def spread(values: list[float]) -> dict:
-    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                 else values * 3)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
-
-
 def summarize(records: list[dict], label: str) -> dict:
     """The BENCH record of ``records``, the run records of one tree."""
-    if not records:
+    workloads = COMPARE.by_workload(records, 0)
+    if not workloads:
         raise ValueError("no untraced run records to summarize")
-    workloads: dict = {}
-    for record in sorted(records, key=lambda r: (r["workload"],
-                                                 r["environment"]["seed"])):
-        workloads.setdefault(record["workload"], []).append(record)
     out = {}
     for name, group in sorted(workloads.items()):
-        metrics: dict = {}
-        for record in group:
-            for metric, entry in record["result"]["metrics"].items():
-                metrics.setdefault(metric, (entry["unit"], []))[1].append(
-                    entry["value"])
+        seeds = [r["environment"]["seed"] for r in group]
+        repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+        if repeated:
+            raise ValueError(f"{name}: more than one run of seed {repeated}")
+        units = {metric: entry["unit"] for r in group
+                 for metric, entry in r["result"]["metrics"].items()}
+        metrics = {}
+        for metric, unit in units.items():
+            xs = COMPARE.values(group, metric)
+            q1, median, q3 = COMPARE.quartiles(xs)
+            metrics[metric] = {"unit": unit, "runs": len(xs),
+                               "median": median, "q1": q1, "q3": q3}
         out[name] = {
-            "seeds": [r["environment"]["seed"] for r in group],
+            "seeds": seeds,
             "attempted": sum(r["result"]["attempted"] for r in group),
             "failed": sum(r["result"]["failed"] for r in group),
-            "metrics": {metric: {"unit": unit, "runs": len(values),
-                                 **spread(values)}
-                        for metric, (unit, values) in metrics.items()},
+            "metrics": metrics,
         }
+    untraced = [r for group in workloads.values() for r in group]
     return {
         "label": label,
-        "seconds": one_or_all([r["environment"]["seconds"] for r in records]),
+        "seconds": one_or_all([r["environment"]["seconds"]
+                               for r in untraced]),
         "environment": {key: one_or_all([r["environment"][field]
-                                         for r in records])
+                                         for r in untraced])
                         for key, field in ENVIRONMENT.items()},
         "workloads": out,
     }
 
 
 def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label")
-    parser.add_argument("--tree", type=Path, default=ROOT)
-    parser.add_argument("--seeds", default="1-5")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--workloads",
-                        default=",".join(w["name"] for w in spec["workloads"]))
+    parser.add_argument("results", help="directory of one tree's run records")
     args = parser.parse_args(argv)
-    runs = ROOT / "perfbench" / "out" / f"bench-{args.label}"
-    runs.mkdir(parents=True, exist_ok=True)
-    for workload in args.workloads.split(","):
-        for seed in parse_seeds(args.seeds):
-            run(args.tree.resolve(), workload, seed, args.seconds, runs)
-    bench = summarize(load_records(runs), args.label)
+    bench = summarize(COMPARE.load_runs(args.results), args.label)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     count = sum(len(w["seeds"]) for w in bench["workloads"].values())
