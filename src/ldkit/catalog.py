@@ -11,6 +11,8 @@ during construction:
   with friction metric R and constraint forces G = (0; A(q)) acting on the
   momenta.
 
+Each returns a constant Pi (``TensorField.constant``), which the
+integrator reads once per run, when the tensors it combines are constant.
 The catalog maps stable names onto parameterized builders so runs can be
 specified by (name, parameters, initial_state) triples.
 """
@@ -25,8 +27,9 @@ import numpy as np
 
 from .dynamics import DIHSystem
 from .errors import InputError, SpecFormatError
-from .fields import ConstraintField, LDField, ScalarField, TensorField
-from .subspaces import as_vector
+from .fields import (ConstraintField, LDField, ScalarField, TensorField,
+                     _Constant)
+from .subspaces import DEFAULT_TOLERANCE, as_vector, is_symmetric
 
 __all__ = [
     "gradient_system",
@@ -40,8 +43,6 @@ __all__ = [
 ]
 
 _PROBE_SEED = 20240817
-_SYMMETRY_TOL = 1e-8
-_PSD_TOL = 1e-8
 
 
 def _probe_points(dim: int) -> np.ndarray:
@@ -55,27 +56,27 @@ def _check_symmetric_psd(tensor: TensorField, name: str,
                          points: np.ndarray) -> None:
     for p in points:
         m = tensor(p)
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if float(np.abs(m - m.T).max(initial=0.0)) > _SYMMETRY_TOL * scale:
+        if not is_symmetric(m):
             raise InputError(f"{name} is not symmetric at probe point {p}")
         # scaled, so that no entry near the float maximum overflows LAPACK
+        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         try:
-            eigs = np.linalg.eigvalsh(m / scale)
+            with np.errstate(under="ignore"):
+                eigs = np.linalg.eigvalsh(m / scale)
         except np.linalg.LinAlgError as exc:
             raise InputError(f"{name} has no eigenvalues at probe point {p}: "
                              f"{exc}") from exc
-        if eigs.size and float(eigs[0]) < -_PSD_TOL:
+        if eigs.size and float(eigs[0]) < -DEFAULT_TOLERANCE.residual_eps:
             raise InputError(
                 f"{name} is not positive semidefinite at probe point {p} "
                 f"(eigenvalue {eigs[0] * scale:.3e})")
 
 
-def _check_skew(tensor: TensorField, name: str, points: np.ndarray) -> None:
-    for p in points:
-        m = tensor(p)
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if float(np.abs(m + m.T).max(initial=0.0)) > _SYMMETRY_TOL * scale:
-            raise InputError(f"{name} is not skew-symmetric at probe point {p}")
+def _pi_field(n: int, evaluate, *tensors: TensorField) -> TensorField:
+    """Pi = ``evaluate``, built once when each of ``tensors`` is constant."""
+    if all(isinstance(t.evaluate, _Constant) for t in tensors):
+        return TensorField.constant(evaluate(np.zeros(n)))
+    return TensorField(n, evaluate)
 
 
 def gradient_system(metric: TensorField, entropy: ScalarField,
@@ -91,7 +92,8 @@ def gradient_system(metric: TensorField, entropy: ScalarField,
     probes = _probe_points(n)
     _check_symmetric_psd(metric, "gradient-system metric", probes)
     entropy.check_gradient(probes)
-    pi = TensorField(n, lambda x, _m=metric.evaluate: -np.asarray(_m(x), dtype=float))
+    pi = _pi_field(n, lambda x, _m=metric.evaluate:
+                   -np.asarray(_m(x), dtype=float), metric)
     ld = LDField(pi, forces if forces is not None else ConstraintField.none(n))
     return DIHSystem(n, ld, entropy)
 
@@ -107,12 +109,16 @@ def metriplectic_system(poisson: TensorField, metric: TensorField,
     if metric.dim != n or hamiltonian.dim != n:
         raise InputError("metriplectic component dimensions do not match")
     probes = _probe_points(n)
-    _check_skew(poisson, "Poisson tensor", probes)
+    for p in probes:
+        if not is_symmetric(poisson(p), skew=True):
+            raise InputError(
+                f"Poisson tensor is not skew-symmetric at probe point {p}")
     _check_symmetric_psd(metric, "dissipation metric", probes)
     hamiltonian.check_gradient(probes)
-    pi = TensorField(
+    pi = _pi_field(
         n, lambda x, _p=poisson.evaluate, _m=metric.evaluate:
-        np.asarray(_p(x), dtype=float) - np.asarray(_m(x), dtype=float))
+        np.asarray(_p(x), dtype=float) - np.asarray(_m(x), dtype=float),
+        poisson, metric)
     ld = LDField(pi, forces if forces is not None else ConstraintField.none(n))
     return DIHSystem(n, ld, hamiltonian)
 
@@ -161,27 +167,21 @@ def damped_mechanical(damping: TensorField,
 
         forces = ConstraintField(n, k, g_eval)
 
-    ld = LDField(TensorField(n, pi_eval), forces)
+    ld = LDField(_pi_field(n, pi_eval, damping), forces)
     return DIHSystem(n, ld, hamiltonian)
 
 
-def _frozen_pi(system: DIHSystem) -> DIHSystem:
-    """The system with its constant Pi built once instead of per call."""
-    pi = TensorField.constant(system.ld.pi.evaluate(np.zeros(system.n)))
-    return replace(system, ld=LDField(pi, system.ld.forces))
-
-
-def _as_friction_entries(mu) -> list[Callable[[np.ndarray], float]]:
-    entries = []
-    for item in mu:
-        if callable(item):
-            entries.append(item)
-        else:
-            value = float(item)
-            if not (value >= 0.0 and np.isfinite(value)):
-                raise InputError("friction coefficients must be finite and >= 0")
-            entries.append(lambda q, _v=value: _v)
-    return entries
+def _friction(mu) -> TensorField:
+    """R(q) = diag(mu_i(q)), constant unless an entry is a callable of q."""
+    values = [item if callable(item) else float(item) for item in mu]
+    if not all(callable(v) or (v >= 0.0 and np.isfinite(v)) for v in values):
+        raise InputError("friction coefficients must be finite and >= 0")
+    if len(values) != 3:
+        raise InputError("damped_particle needs exactly three friction entries")
+    if not any(map(callable, values)):
+        return TensorField.constant(np.diag(values))
+    return TensorField(3, lambda q: np.diag(
+        [float(v(q)) if callable(v) else v for v in values]))
 
 
 def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
@@ -192,14 +192,6 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
     force column is (0, 0, 0, y, 0, -1), making the reduced multiplier
     system (J G) = 1 + y^2 uniformly regular.
     """
-    mu = tuple(mu)
-    entries = _as_friction_entries(mu)
-    if len(entries) != 3:
-        raise InputError("damped_particle needs exactly three friction entries")
-
-    def r_eval(q: np.ndarray) -> np.ndarray:
-        return np.diag([float(e(q)) for e in entries])
-
     # each call fills a new copy of the fixed entries (zeros for grad H) and
     # writes only those that depend on x: cheaper than building from lists
     # or through the generic (0; A(q)) wrapper of damped_mechanical
@@ -230,13 +222,10 @@ def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
 
     hamiltonian = ScalarField(6, value=value, gradient=gradient)
     # Pi and the probe checks of friction and H come from damped_mechanical
-    system = damped_mechanical(TensorField(3, r_eval), None, hamiltonian)
-    system = replace(system, ld=LDField(system.ld.pi,
-                                        ConstraintField(6, 1, g_eval)))
-    if not any(callable(item) for item in mu):
-        # constant friction makes Pi constant
-        system = _frozen_pi(system)
-    return replace(system, constraint_jacobian=constraint_jacobian)
+    system = damped_mechanical(_friction(mu), None, hamiltonian)
+    return replace(system, ld=LDField(system.ld.pi,
+                                      ConstraintField(6, 1, g_eval)),
+                   constraint_jacobian=constraint_jacobian)
 
 
 # -- named catalog ---------------------------------------------------------
@@ -273,7 +262,7 @@ def _build_oscillator(omega: float = 1.0, mu: float = 0.0) -> DIHSystem:
     h = ScalarField(2, value=value, gradient=lambda x: x * scale)
     poisson = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     metric = TensorField.constant(np.diag([0.0, float(mu)]))
-    return _frozen_pi(metriplectic_system(poisson, metric, h))
+    return metriplectic_system(poisson, metric, h)
 
 
 def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
@@ -285,7 +274,7 @@ def _build_gradient_flow(g1: float = 1.0, g2: float = 2.0) -> DIHSystem:
         return 0.5 * (a * a + b * b)
 
     entropy = ScalarField(2, value=value, gradient=lambda x: x.copy())
-    return _frozen_pi(gradient_system(metric, entropy))
+    return gradient_system(metric, entropy)
 
 
 def _build_damped_particle(mu1: float = 1.0, mu2: float = 1.0,

@@ -2,13 +2,16 @@
 
 Exit codes are stable: 0 success, 2 spec parse/validation error, 3 structure
 not LD (or degenerate representation), 4 inconsistent initial state, 5
-integration step failure, 1 anything unexpected.
+integration step failure, 1 anything unexpected.  A failure prints one
+``error:`` line on stderr; numpy's floating-point warnings are not shown.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import __version__
 from .catalog import build_system
@@ -157,7 +160,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's warnings would only repeat the error reported below
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except LDKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES

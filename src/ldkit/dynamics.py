@@ -26,7 +26,7 @@ from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
 from .fields import LDField, ScalarField, _checked, _Constant
 from .numdiff import _FLOAT, central_directional, central_gradient
-from .subspaces import as_vector, complement_columns
+from .subspaces import as_vector, complement_columns, sym_part
 
 __all__ = [
     "DIHSystem",
@@ -207,10 +207,10 @@ class _Compiled:
     """Raw closures for the hot loop; :attr:`start` holds the one checked
     evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|, H.
 
-    A constant Pi (built by ``TensorField.constant``) and the empty G of
-    k = 0 are checked once, at set-up, and not evaluated per step:
-    :attr:`pi_fixed`, :attr:`sym_fixed` = sym(Pi) and :attr:`g_fixed` hold
-    them, None otherwise.
+    A constant Pi (``TensorField.constant``, also from the catalog's
+    constructors) and the empty G of k = 0 are checked once, at set-up,
+    and not evaluated per step: :attr:`pi_fixed`, :attr:`sym_fixed` =
+    ``sym_part(Pi)`` and :attr:`g_fixed` hold them, None otherwise.
 
     Any other callable may still go bad mid-run.  The hot loop then checks
     the shapes where results meet, at little cost: grad H in :func:`_terms`,
@@ -269,7 +269,7 @@ class _Compiled:
         self.g = sys.ld.forces.evaluate
         if isinstance(self.pi, _Constant):
             self.pi_fixed = pi0
-            self.sym_fixed = _sym(pi0)
+            self.sym_fixed = sym_part(pi0)
         else:
             self.pi_fixed = self.sym_fixed = None
         self.g_fixed = g0 if self.k == 0 else None
@@ -429,23 +429,16 @@ def kernel_form(sys: DIHSystem, x) -> KernelForm:
     return KernelForm(kmat, lhs, rhs_vec)
 
 
-def _sym(pi: np.ndarray) -> np.ndarray:
-    """sym(Pi) = Pi/2 + Pi^T/2.  Halving first keeps it finite for entries
-    near the float maximum, where (Pi + Pi^T)/2 overflows; halving is exact
-    unless the half is subnormal, so the result is otherwise the same."""
-    half = 0.5 * pi
-    return half + half.T
-
-
 def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
                 sym: np.ndarray | None = None) -> float:
     # through sym(Pi), not grad·(Pi grad): a skew Pi then gives exactly 0.0;
-    # ``sym``, when given, is sym(Pi) formed once for a constant Pi.  The
+    # ``sym``, when given, is sym(Pi) formed once for a constant Pi; else
+    # sym(Pi) alone is formed, not the skew part.  The
     # outer product is ``.dot``, which at n = 1 multiplies where ``@`` adds
     # the product to +0.0; adding +0.0 turns its -0.0 into the +0.0 of
     # ``@`` and leaves every other value as it is
     if sym is None:
-        sym = _sym(pi)
+        sym = sym_part(pi)
     return float(grad.dot(sym.dot(grad))) + 0.0
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import AdmissibilityError, InputError, RegularityError
 from .linear import LinearLD, PairRep, from_pair
 from .numdiff import central_gradient
-from .subspaces import (Subspace, as_matrix, as_vector, complement_columns,
-                        numerical_rank)
+from .subspaces import (DEFAULT_TOLERANCE, Subspace, as_matrix, as_vector,
+                        complement_columns, numerical_rank, sym_skew)
 
 __all__ = [
     "ScalarField",
@@ -37,13 +37,11 @@ __all__ = [
     "regularity_scan",
 ]
 
-_RANK_EPS = 1e-9  # G(x) has full rank: k-th singular value > 1e-9 x largest
-_ADMISSIBILITY_TOL = 1e-8  # bound on each normalized entry of G(x)^T df
-
 
 def _rank(g: np.ndarray) -> int:
     """The numerical rank of a constraint-force matrix G(x)."""
-    return numerical_rank(np.linalg.svd(g, compute_uv=False), _RANK_EPS)
+    return numerical_rank(np.linalg.svd(g, compute_uv=False),
+                          DEFAULT_TOLERANCE.rank_eps)
 
 
 def _checked(value, shape: tuple, label: str, point) -> np.ndarray:
@@ -258,11 +256,12 @@ def _admissibility_check(field: LDField, g_matrix: np.ndarray,
     norms[norms == 0.0] = 1.0
     violations = np.abs(g_matrix.T @ df) / (norms * scale)
     worst = int(np.argmax(violations))
-    if violations[worst] > _ADMISSIBILITY_TOL:
+    if violations[worst] > DEFAULT_TOLERANCE.residual_eps:
         raise AdmissibilityError(
             f"differential of the first argument is not admissible: "
             f"constraint component {worst} has residual "
-            f"{violations[worst]:.3e} > {_ADMISSIBILITY_TOL:.1e}",
+            f"{violations[worst]:.3e} > "
+            f"{DEFAULT_TOLERANCE.residual_eps:.1e}",
             component=worst,
             residual=float(violations[worst]))
 
@@ -273,23 +272,22 @@ def bracket(field: LDField, f: ScalarField, g: ScalarField, x) -> BracketValue:
     The orientation is the one under which the coordinate tables of the
     canonical examples come out right ({{q, p}} = +1 for the canonical
     Poisson tensor) and the flow identity zdot_i = {{z_i, H}} reproduces
-    Pi grad H.  Its cutoffs are fixed (tolerance arguments belong to the
-    subspace and linear layers and to ``load_structure_spec``): G(x) must
-    have full rank, its k-th singular value above 1e-9 times the largest
-    (else RegularityError), and df(x) must be admissible,
-    |G_i(x) . df(x)| <= 1e-8 |G_i(x)| |df(x)| for each column G_i (else
-    AdmissibilityError naming the worst i).  For a coordinate table of Pi
-    off the constraint, pass the unconstrained field
-    ``LDField(field.pi, ConstraintField.none(field.n))``.  The returned
-    triple satisfies full = skew + sym exactly.
+    Pi grad H.  Its cutoffs are ``DEFAULT_TOLERANCE``'s (tolerance
+    arguments belong to the subspace and linear layers and to
+    ``load_structure_spec``): G(x) must have full rank, its k-th singular
+    value above 1e-9 times the largest (else RegularityError), and df(x)
+    must be admissible, |G_i(x) . df(x)| <= 1e-8 |G_i(x)| |df(x)| for each
+    column G_i (else AdmissibilityError naming the worst i).  For a
+    coordinate table of Pi off the constraint, pass the unconstrained
+    field ``LDField(field.pi, ConstraintField.none(field.n))``.  The
+    split is Pi/2 ± Pi^T/2, finite for a finite Pi, with the sym(Pi) of
+    ``energy_rate``; the triple satisfies full = skew + sym exactly.
     """
     point = as_vector(x, field.n, "point")
     df = f.grad(point)
     dg = g.grad(point)
     _admissibility_check(field, field.forces(point), df)
-    pi = field.pi(point)
-    sym_m = 0.5 * (pi + pi.T)
-    skew_m = 0.5 * (pi - pi.T)
+    sym_m, skew_m = sym_skew(field.pi(point))
     skew = float(df @ (skew_m @ dg))
     sym = float(df @ (sym_m @ dg))
     return BracketValue(full=skew + sym, skew=skew, sym=sym)

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (DegenerateRepresentationError, InputError,
                      NotLDStructureError, OrientationError, PreconditionError)
 from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix,
-                        complement_columns, numerical_rank,
-                        orthonormal_columns)
+                        complement_columns, is_symmetric, numerical_rank,
+                        orthonormal_columns, sym_part, sym_skew)
 
 __all__ = [
     "LDFlags",
@@ -190,8 +190,9 @@ def classification_residuals(space: Subspace,
     backward_res = equation_residual(qeta, qv)
 
     cross = qv.T @ qeta          # entries <eta_j | v_i> on basis columns
-    dirac_res = float(np.abs(0.5 * (cross + cross.T)).max(initial=0.0))
-    symmetric_res = float(np.abs(0.5 * (cross.T - cross)).max(initial=0.0))
+    sym, skew = sym_skew(cross)
+    dirac_res = float(np.abs(sym).max(initial=0.0))
+    symmetric_res = float(np.abs(skew).max(initial=0.0))
     separable_res = float(np.abs(cross).max(initial=0.0))
     return {
         "forward": forward_res,
@@ -327,12 +328,10 @@ def split_pairing(l: LinearLD, orientation: Orientation,
     rep = to_pair(l, orientation, tol)
     n = l.n
     qc = rep.carrier.basis
-    extended = qc @ rep.matrix @ qc.T
-    sym = 0.5 * (extended + extended.T)
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, n:] = gram[n:, :n] = np.eye(n)
     half = slice(None, n) if orientation == "forward" else slice(n, None)
-    gram[half, half] = -2.0 * sym
+    gram[half, half] = -2.0 * sym_part(qc @ rep.matrix @ qc.T)
     eigs = np.linalg.eigvalsh(gram)
     cutoff = tol.rank_eps * float(np.abs(eigs).max())
     pos = int(np.count_nonzero(eigs > cutoff))
@@ -355,9 +354,7 @@ def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     psi = as_matrix(form, "form")
     if psi.shape != (l.n, l.n):
         raise InputError(f"form must be {l.n}x{l.n}, got {psi.shape}")
-    scale = max(1.0, float(np.abs(psi).max()))
-    if (float(np.abs(psi - psi.T).max())
-            > DEFAULT_TOLERANCE.residual_eps * scale):
+    if not is_symmetric(psi):
         raise InputError("form must be symmetric")
     qv, qeta = _halves(l.space)
     if direction == "forward":

@@ -6,6 +6,8 @@ value, so decisions are stable under uniform rescaling of the data, and every
 membership or equality check is a residual test against an explicit bound.
 The cutoffs here are ``DEFAULT_TOLERANCE``'s: only ``ldkit verify``'s path,
 from its spec loader into :mod:`ldkit.linear`, takes a :class:`Tolerance`.
+The one sym/skew split of a square matrix, and the one symmetry test, that
+the other layers use are here too.
 """
 
 from __future__ import annotations
@@ -73,6 +75,37 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     if arr.shape[0] != dim:
         raise InputError(f"{name} must have length {dim}, got {arr.shape[0]}")
     return arr
+
+
+def _half(m: np.ndarray) -> np.ndarray:
+    """m/2.  A subnormal half that a raising ``np.errstate`` refuses is
+    taken again with underflow ignored, which gives the default result."""
+    try:
+        return 0.5 * m
+    except FloatingPointError:
+        with np.errstate(under="ignore"):
+            return 0.5 * m
+
+
+def sym_part(m: np.ndarray) -> np.ndarray:
+    """sym(m) = m/2 + mᵀ/2, finite where (m + mᵀ)/2 overflows."""
+    half = _half(m)
+    return half + half.T
+
+
+def sym_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The split m = sym + skew, (m/2 + mᵀ/2, m/2 - mᵀ/2), finite."""
+    half = _half(m)
+    return half + half.T, half - half.T
+
+
+def is_symmetric(m: np.ndarray, skew: bool = False) -> bool:
+    """Whether m - mᵀ (``skew``: m + mᵀ) is entrywise at most residual_eps
+    max(1, max |m_ij|), of ``DEFAULT_TOLERANCE``; in halves, finite."""
+    sym, skew_m = sym_skew(m)
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    return (float(np.abs(sym if skew else skew_m).max(initial=0.0))
+            <= 0.5 * DEFAULT_TOLERANCE.residual_eps * scale)
 
 
 def numerical_rank(s: np.ndarray, rank_eps: float,

@@ -376,28 +376,119 @@ def test_damped_particle_energy_rate_is_weighted_momentum_norm(mu, px, py, y):
     assert energy_rate(sys, x) <= 1e-12
 
 
+def per_call(matrix) -> TensorField:
+    """The field x -> ``matrix`` as a plain callable, which no constructor
+    can tell from a field that varies, so that it is evaluated per call."""
+    return TensorField(matrix.shape[0], lambda x: matrix)
+
+
 def test_catalog_pi_is_built_once_and_runs_bitwise_as_built_per_call():
-    poisson = TensorField.constant(CANONICAL_2)
+    poisson = per_call(CANONICAL_2)
     # the same components, with Pi = P - g# or -g# formed on every call
-    per_call = {
+    per_call_twins = {
         "harmonic_oscillator": lambda h: metriplectic_system(
-            poisson, TensorField.constant(np.zeros((2, 2))), h),
+            poisson, per_call(np.zeros((2, 2))), h),
         "gradient_flow": lambda h: gradient_system(
-            TensorField.constant(np.diag([1.0, 2.0])), h),
+            per_call(np.diag([1.0, 2.0])), h),
         "damped_oscillator": lambda h: metriplectic_system(
-            poisson, TensorField.constant(np.diag([0.0, 0.5])), h),
+            poisson, per_call(np.diag([0.0, 0.5])), h),
         "damped_particle": lambda h: damped_particle((lambda q: 1.0,) * 3),
     }
     config = IntegratorConfig(dt=1e-2, t_end=1.0)
-    for name, build in per_call.items():
+    for name, build in per_call_twins.items():
         sys, x0 = build_system(SystemSpec(name=name))
         assert sys.ld.pi.evaluate(x0) is sys.ld.pi.evaluate(x0 + 1.0), name
+        twin = build(sys.hamiltonian)
+        assert (twin.ld.pi.evaluate(x0)
+                is not twin.ld.pi.evaluate(x0 + 1.0)), name
         a = simulate(sys, x0, config)
-        b = simulate(build(sys.hamiltonian), x0, config)
+        b = simulate(twin, x0, config)
         for field in ("times", "states", "multipliers", "residuals",
                       "energies", "energy_rates"):
             assert (getattr(a, field).tobytes()
                     == getattr(b, field).tobytes()), (name, field)
+
+
+def test_constructors_of_constant_tensors_give_the_catalog_constant_pi():
+    # as the demos build them: the constructors see that each tensor they
+    # combine is constant and build Pi once, bitwise the catalog's
+    constant = TensorField.constant
+    built = {
+        "damped_oscillator": lambda h: metriplectic_system(
+            constant(CANONICAL_2), constant(np.diag([0.0, 0.5])), h),
+        "gradient_flow": lambda h: gradient_system(
+            constant(np.diag([1.0, 2.0])), h),
+        "harmonic_oscillator": lambda h: metriplectic_system(
+            constant(CANONICAL_2), constant(np.zeros((2, 2))), h),
+    }
+    config = IntegratorConfig(dt=1e-3, t_end=2.0)
+    for name, build in built.items():
+        ref, x0 = build_system(SystemSpec(name=name))
+        sys = build(ref.hamiltonian)
+        pi = sys.ld.pi.evaluate
+        assert pi(x0) is pi(x0 + 1.0), name
+        assert pi(x0).tobytes() == ref.ld.pi(x0).tobytes(), name
+        a, b = simulate(sys, x0, config), simulate(ref, x0, config)
+        for field in ("times", "states", "multipliers", "residuals",
+                      "energies", "energy_rates"):
+            assert (getattr(a, field).tobytes()
+                    == getattr(b, field).tobytes()), (name, field)
+
+
+def test_a_constructor_with_one_varying_tensor_evaluates_pi_per_call():
+    h = quad_entropy(2)
+    mixed = metriplectic_system(TensorField.constant(CANONICAL_2),
+                                per_call(np.diag([0.0, 0.5])), h)
+    damped = damped_mechanical(per_call(np.eye(1)), None, h)
+    for sys in (mixed, damped):
+        x = np.array([0.3, -0.2])
+        assert sys.ld.pi.evaluate(x) is not sys.ld.pi.evaluate(x)
+        assert sys.ld.pi(x).tobytes() == sys.ld.pi(x + 1.0).tobytes()
+
+
+def test_a_callable_friction_particle_evaluates_pi_on_each_call():
+    calls = []
+
+    def friction(q):
+        calls.append(q[1])
+        return 1.0 + q[1] ** 2
+
+    sys = damped_particle((friction, 1.0, 0.5))
+    x = np.array([0.0, 0.3, 0.0, 1.0, 0.5, 0.3])
+    assert sys.ld.pi(x)[3, 3] == -(1.0 + 0.3 ** 2)
+    assert sys.ld.pi(x + np.array([0, 1.0, 0, 0, 0, 0]))[3, 3] == -(
+        1.0 + 1.3 ** 2)
+    calls.clear()
+    simulate(sys, x, IntegratorConfig(dt=1e-2, t_end=0.1))
+    # the start, then per RK4 step its three new stages and the projected
+    # state
+    assert len(calls) == 1 + 4 * 10
+
+
+def test_a_friction_near_the_float_maximum_builds_under_a_raising_errstate():
+    # the PSD check scales R by 1e308, which makes its 1s subnormal: that
+    # underflow is not an error, and the run starts at [H, H] = -1e308
+    with np.errstate(all="raise"):
+        sys, x0 = build_system(
+            SystemSpec("damped_particle", {"mu1": 1e308}))
+        traj = simulate(sys, x0, IntegratorConfig(dt=1e-3, t_end=0.0))
+    assert traj.energy_rates.tolist() == [-1e308]
+
+
+def test_a_subnormal_friction_gives_the_default_bits_under_raise():
+    # sym(Pi) halves Pi_44 = -1e-310, whose half is subnormal and inexact:
+    # under a raising errstate the half is taken again with underflow
+    # ignored, so the rate and the run start are those of the default
+    sys, x0 = build_system(SystemSpec("damped_particle", {"mu1": 1e-310}))
+    config = IntegratorConfig(dt=1e-3, t_end=0.0)
+    rate, traj = energy_rate(sys, x0), simulate(sys, x0, config)
+    assert rate == -1.00000000000005e-310
+    with np.errstate(all="raise"):
+        assert same_bits(energy_rate(sys, x0), rate)
+        raised = simulate(sys, x0, config)
+    for field in ("times", "states", "multipliers", "residuals", "energies",
+                  "energy_rates"):
+        assert same_bits(getattr(raised, field), getattr(traj, field)), field
 
 
 @pytest.mark.parametrize("name,param,value", [

@@ -1,7 +1,11 @@
 """End-to-end command line tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from ldkit.cli import (EXIT_INCONSISTENT, EXIT_NOT_LD, EXIT_OK, EXIT_SPEC,
                        EXIT_STEP_FAILURE, EXIT_UNEXPECTED, main)
 from ldkit.io import read_trajectory
 
+SRC = Path(ldkit.__file__).resolve().parents[1]  # the ldkit under test
 CANONICAL_AB = {"kind": "ab", "n": 2,
                 "a": [[1.0, 0.0], [0.0, 1.0]],
                 "b": [[0.0, 1.0], [-1.0, 0.0]]}
@@ -550,6 +555,24 @@ def test_friction_near_the_float_maximum_passes_the_start_and_fails_a_step(
     assert out == ""
     assert err.startswith("error: step to t = 0.001 failed")
     assert "non-finite state" in err
+
+
+def test_a_failing_simulate_prints_one_error_line_and_no_numpy_warning(
+        tmp_path):
+    # the run above, in a process of its own, where numpy's RuntimeWarnings
+    # (overflow in the products with Pi) would reach stderr
+    path = write_json(tmp_path, "doc.json", {
+        "name": "damped_particle", "parameters": {"mu1": 1e300, "mu2": 1e308},
+        "initial_state": []})
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "ldkit.cli", "simulate", path, "--t-end",
+         "0.01", "--output", str(tmp_path / "t.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_STEP_FAILURE
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 # (times, H, [H,H]) of three rows, and the error the audit must report

@@ -9,8 +9,8 @@ from _gen import product_field, random_quadratic
 from ldkit import (AdmissibilityError, ConstraintField, DIHSystem, InputError,
                    IntegratorConfig, LDField, RegularityError, ScalarField,
                    Subspace, TensorField, bracket, carrier_at,
-                   damped_particle, kernel_form, pointwise, regularity_scan,
-                   simulate, tangent_part)
+                   damped_particle, energy_rate, kernel_form, pointwise,
+                   regularity_scan, simulate, tangent_part)
 
 CANONICAL_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -324,6 +324,17 @@ def test_bracket_symmetry_split_on_random_tensors(seed):
     scale = max(1.0, abs(fg.skew), abs(fg.sym))
     assert abs(fg.skew + gf.skew) <= 1e-12 * scale
     assert abs(fg.sym - gf.sym) <= 1e-12 * scale
+
+
+def test_bracket_of_a_friction_near_the_float_maximum_is_finite():
+    # Pi_44 = -1e308 and Pi_14 = -Pi_41 = 1: (Pi + Pi^T)/2 overflowed to
+    # -inf, Pi/2 + Pi^T/2 does not, and sym is the [H, H] of energy_rate
+    sys = damped_particle((1e308, 1.0, 1.0))
+    h = sys.hamiltonian
+    x0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    value = bracket(LDField(sys.ld.pi, ConstraintField.none(6)), h, h, x0)
+    assert value == (-1e308, 0.0, -1e308)
+    assert value.sym == energy_rate(sys, x0)
 
 
 # ---------------------------------------------------------------------------

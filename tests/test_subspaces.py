@@ -11,8 +11,9 @@ from _gen import (planted_rank, random_orthonormal, random_subspace,
                   subspace_residual)
 from ldkit import (InputError, Subspace, Tolerance, annihilator, intersect,
                    project_factor, rank_kernel)
-from ldkit.subspaces import (complement_columns, numerical_rank,
-                             orthonormal_columns)
+from ldkit.subspaces import (DEFAULT_TOLERANCE, complement_columns,
+                             is_symmetric, numerical_rank,
+                             orthonormal_columns, sym_part, sym_skew)
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 E2_3 = np.array([0.0, 1.0, 0.0])
@@ -352,3 +353,67 @@ def test_complement_columns_is_an_orthonormal_complement(seed, rows, cols,
     assert c.shape == (rows, rows - rank)
     assert np.allclose(c.T @ c, np.eye(rows - rank), atol=1e-10)
     assert float(np.abs(m.T @ c).max(initial=0.0)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the sym/skew split and the symmetry test
+
+SPLIT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e308, -1.7976931348623157e308, 5e-324,
+                     -1e-310, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(entries=st.lists(SPLIT_FLOATS, min_size=9, max_size=9),
+       n=st.integers(1, 3))
+def test_the_split_is_finite_exactly_sym_and_skew_and_errstate_blind(
+        entries, n):
+    m = np.array(entries[:n * n]).reshape(n, n)
+    with np.errstate(all="ignore"):
+        sym, skew = sym_skew(m)
+    assert np.isfinite(sym).all() and np.isfinite(skew).all()
+    assert np.array_equal(sym, sym.T) and np.array_equal(skew, -skew.T)
+    # the same bits under a raising errstate, and sym_part is its sym
+    with np.errstate(all="raise"):
+        assert sym_part(m).tobytes() == sym.tobytes()
+        raised = sym_skew(m)
+    assert raised[0].tobytes() == sym.tobytes()
+    assert raised[1].tobytes() == skew.tobytes()
+    # away from overflow and subnormals it is (m ± mᵀ)/2 bit for bit
+    if np.all((np.abs(m) < 1e300) & ((m == 0.0) | (np.abs(m) > 1e-300))):
+        assert sym.tobytes() == (0.5 * (m + m.T)).tobytes()
+        assert skew.tobytes() == (0.5 * (m - m.T)).tobytes()
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 5),
+       magnitude=st.sampled_from([1e-3, 1.0, 1e6, 1e300]),
+       defect=st.floats(0.0, 4.0))
+def test_is_symmetric_bounds_the_defect_relative_to_max_1_and_m(
+        seed, n, magnitude, defect):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n, n)) * magnitude
+    scale = max(1.0, float(np.abs(a).max()))
+    eps = DEFAULT_TOLERANCE.residual_eps
+    sym, skew = sym_skew(a)
+    assert is_symmetric(sym) and is_symmetric(skew, skew=True)
+    if n == 1:
+        return
+    # one off-diagonal pair off by defect times the bound
+    for base, flag in ((sym, False), (skew, True)):
+        m = base.copy()
+        m[0, 1] += defect * eps * scale
+        delta = abs(m[0, 1] - (-1.0 if flag else 1.0) * m[1, 0])
+        with np.errstate(over="ignore"):
+            bound = eps * max(1.0, float(np.abs(m).max()))
+        assert is_symmetric(m, skew=flag) == (delta <= bound)
+
+
+def test_is_symmetric_holds_near_the_float_maximum():
+    big = 1.7976931348623157e308
+    # m - mᵀ and m + mᵀ overflow here; halves do not
+    assert is_symmetric(np.array([[big, big], [big, -big]]))
+    assert not is_symmetric(np.array([[0.0, big], [-big, 0.0]]))
+    assert is_symmetric(np.array([[0.0, big], [-big, 0.0]]), skew=True)
+    assert not is_symmetric(np.array([[big, 0.0], [0.0, 0.0]]), skew=True)
+    with np.errstate(all="raise"):
+        assert is_symmetric(np.array([[-1e-310, 5e-324], [5e-324, 0.0]]))

@@ -12,6 +12,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   for them, the six arrays ``read_trajectory`` reads back from each file
   and the output of ``ldkit audit`` of each file;
 - ``oracle_simulate`` of ``damped_particle`` to t = 10;
+- the damped oscillator built as ``demos/gradient_vs_metriplectic.py``
+  builds it, by ``metriplectic_system`` of two ``TensorField.constant``
+  tensors and H = |x|^2 / 2 (``demo_oscillator``), under ``simulate``
+  from (1, 0) to t = 10;
 - the particle without its analytic constraint Jacobian, under
   ``simulate`` and ``oracle_simulate`` to t = 2;
 - the particle with a friction entry that is a callable of q (so Pi is
@@ -45,7 +49,9 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   zeros, subnormals and entries of 1e±150, which no run reaches, so that
   a rewritten catalog callable is checked at them too;
 - the linear layer on fixed inputs drawn from LINEAR_SEED (``linear_runs``):
-  the bases and flags of ``from_ab``, ``from_pair`` and ``deform``, and the
+  the bases, flags and five ``classification_residuals`` values of
+  ``from_ab``, ``from_pair`` and ``deform``, the Gram matrix and signature
+  of ``split_pairing`` in each orientation a structure carries, and the
   bases of ``tangent_part``, ``cotangent_part``, ``intersect``,
   ``rank_kernel`` and ``project_factor``;
 - the exit code, stdout and stderr of ``ldkit verify`` of the structure
@@ -125,6 +131,17 @@ def dense_system(ldkit):
     return system, v - g @ (g.T @ v)
 
 
+def demo_oscillator(ldkit):
+    """Pi = [[0, 1], [-1, 0]] - diag(0, 0.5) by ``metriplectic_system`` of
+    two constant tensors, H = |x|^2 / 2, as the gradient-vs-metriplectic
+    demo builds it."""
+    half_norm = ldkit.ScalarField(2, value=lambda x: 0.5 * float(x @ x),
+                                  gradient=lambda x: x.copy())
+    return ldkit.metriplectic_system(
+        ldkit.TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        ldkit.TensorField.constant(np.diag([0.0, 0.5])), half_norm)
+
+
 def linear_runs(ldkit) -> dict:
     """The linear-layer arrays, by name, on inputs drawn from
     LINEAR_SEED."""
@@ -146,6 +163,15 @@ def linear_runs(ldkit) -> dict:
         runs[f"{label}: basis"] = structure.space.basis
         runs[f"{label}: flags"] = np.array(dataclasses.astuple(
             structure.flags))
+        residuals = ldkit.classification_residuals(structure.space)
+        runs[f"{label}: residuals"] = np.array(list(residuals.values()))
+        for orientation in ("forward", "backward"):
+            if getattr(structure.flags, orientation):
+                pairing = ldkit.split_pairing(structure, orientation)
+                runs[f"{label}: split_pairing {orientation} gram"] = \
+                    pairing.gram
+                runs[f"{label}: split_pairing {orientation} signature"] = \
+                    np.array(pairing.signature)
         runs[f"{label}: tangent_part"] = ldkit.tangent_part(structure).basis
         runs[f"{label}: cotangent_part"] = ldkit.cotangent_part(
             structure).basis
@@ -251,6 +277,8 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
     c = config(10.0)
     keep("oracle damped_particle",
          ldkit.oracle_simulate(particle, x0, c.dt, c.t_end))
+    keep("simulate demo-style metriplectic oscillator",
+         ldkit.simulate(demo_oscillator(ldkit), np.array([1.0, 0.0]), c))
     no_jac = dataclasses.replace(particle, constraint_jacobian=None)
     c = config(2.0)
     keep("simulate particle without J", ldkit.simulate(no_jac, x0, c))
