@@ -10,19 +10,17 @@
 
 import numpy as np
 
-from ldkit import (ABRep, PairRep, Subspace, classification_residuals, classify,
-                   deform, from_ab, from_pair, split_pairing, to_pair)
+from ldkit import (ABRep, PairRep, Subspace, deform, from_ab, from_pair,
+                   split_pairing, to_pair)
 
 
 def show(title, ld):
-    res = classification_residuals(ld.space)
     flags = ld.flags
     print(f"\n{title}")
     print(f"  n = {ld.n}, dim(L) = {ld.space.dim}")
-    for name in ("forward", "backward", "dirac", "symmetric_dirac",
-                 "separable"):
+    for name, residual in ld.residuals.items():
         print(f"  {name:16s} {str(getattr(flags, name)).lower():5s} "
-              f"(residual {res[name]:.2e})")
+              f"(residual {residual:.2e})")
     orientation = "forward" if flags.forward else "backward"
     pairing = split_pairing(ld, orientation)
     print(f"  split pairing signature ({orientation}): {pairing.signature}")

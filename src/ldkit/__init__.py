@@ -8,9 +8,9 @@ The package splits into layers: tolerance-aware subspace linear algebra
 (:mod:`ldkit.catalog`), file formats (:mod:`ldkit.io`), and the command line
 (:mod:`ldkit.cli`).  Numerical cutoffs are fixed, ``DEFAULT_TOLERANCE``'s
 for the subspace and linear layers, except on the path of ``ldkit verify``:
-``load_structure_spec``, ``from_ab``, ``from_pair``, ``from_subspace``,
-``classification_residuals``, ``to_pair`` and ``split_pairing`` take a
-:class:`Tolerance`.
+``load_structure_spec``, ``from_ab``, ``from_pair``, ``from_subspace`` and
+``classification_residuals`` take a :class:`Tolerance`, and a structure
+keeps the one it was classified at for everything derived from it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (AdmissibilityError, ConsistencyError,
 from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, annihilator,
                         intersect, project_factor, rank_kernel)
 from .linear import (ABRep, LDFlags, LinearLD, PairRep, SplitPairing,
-                     classification_residuals, classify, cotangent_part,
+                     classification_residuals, cotangent_part,
                      deform, from_ab, from_pair, from_subspace, split_pairing,
                      tangent_part, to_pair)
 from .fields import (BracketValue, ConstraintField, LDField, RegularityReport,
@@ -54,9 +54,8 @@ __all__ = [
     "annihilator", "intersect", "project_factor",
     # linear
     "LDFlags", "LinearLD", "ABRep", "PairRep", "SplitPairing", "from_ab",
-    "from_pair", "from_subspace", "to_pair", "classify",
-    "classification_residuals", "split_pairing", "deform",
-    "tangent_part", "cotangent_part",
+    "from_pair", "from_subspace", "to_pair", "classification_residuals",
+    "split_pairing", "deform", "tangent_part", "cotangent_part",
     # fields
     "ScalarField", "TensorField", "ConstraintField", "LDField",
     "BracketValue", "RegularityReport", "pointwise", "bracket", "carrier_at",

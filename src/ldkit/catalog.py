@@ -73,9 +73,13 @@ def _check_symmetric_psd(tensor: TensorField, name: str,
 
 
 def _pi_field(n: int, evaluate, *tensors: TensorField) -> TensorField:
-    """Pi = ``evaluate``, built once when each of ``tensors`` is constant."""
+    """Pi = ``evaluate``, built once when each of ``tensors`` is constant.
+    Numpy's flags are ignored there: an overflow to inf is refused by the
+    constant's finite check, under any ``np.errstate``."""
     if all(isinstance(t.evaluate, _Constant) for t in tensors):
-        return TensorField.constant(evaluate(np.zeros(n)))
+        with np.errstate(all="ignore"):
+            value = evaluate(np.zeros(n))
+        return TensorField.constant(value)
     return TensorField(n, evaluate)
 
 

@@ -21,7 +21,7 @@ from .errors import (ConsistencyError, DegenerateRepresentationError,
                      SpecFormatError, StepFailureError)
 from .io import (load_structure_spec, load_system_spec, read_trajectory,
                  write_trajectory_csv, write_trajectory_json)
-from .linear import classification_residuals, split_pairing
+from .linear import split_pairing
 from .subspaces import DEFAULT_TOLERANCE, Tolerance
 
 EXIT_OK = 0
@@ -38,14 +38,12 @@ def _fmt(value: float) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = Tolerance(rank_eps=args.tol_rank, residual_eps=args.tol_residual)
     ld = load_structure_spec(args.spec, tol)
-    res = classification_residuals(ld.space, tol)
     print(f"structure: n={ld.n}, subspace dimension {ld.space.dim}")
-    for name in ("forward", "backward", "dirac", "symmetric_dirac",
-                 "separable"):
+    for name, residual in ld.residuals.items():
         flag = getattr(ld.flags, name)
-        print(f"{name}: {str(flag).lower()} (residual {res[name]:.3e})")
+        print(f"{name}: {str(flag).lower()} (residual {residual:.3e})")
     orientation = "forward" if ld.flags.forward else "backward"
-    pairing = split_pairing(ld, orientation, tol)
+    pairing = split_pairing(ld, orientation)
     pos, neg = pairing.signature
     print(f"split pairing signature ({orientation}): ({pos}, {neg})")
     return EXIT_OK

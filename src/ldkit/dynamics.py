@@ -547,40 +547,43 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     grid only.  ``coefficients(h)`` gives the stepper's constants, made
     once per run.  Each accepted state is evaluated once: the projection's
     grad H and G, and the right-hand side there, serve both the record and
-    the next step.
+    the next step.  The run ignores numpy's underflow flag, so that a
+    raising ``np.errstate`` does not fail a step whose products round to
+    subnormals or zero; the result is bit for bit the default's.
     """
-    dt = config.dt
-    c = _Compiled(sys, x0)
-    rec = _Recorder(c, config.steps + 1)
-    f = partial(_rhs_raw, c)
+    with np.errstate(under="ignore"):
+        dt = config.dt
+        c = _Compiled(sys, x0)
+        rec = _Recorder(c, config.steps + 1)
+        f = partial(_rhs_raw, c)
 
-    x, grad, g, pi, jac, resid, h0 = c.start
-    lam, fx = _terms(c, x, grad, g, pi, jac)
-    rec.record(0.0, x, grad, pi, lam, resid, h0)
-    coeffs = coefficients(dt / substeps)
-    for i in range(1, config.steps + 1):
-        t_prev = (i - 1) * dt
-        try:
-            for _ in range(substeps):
-                x_new = stepper(f, x, fx, coeffs)
-                if not _all_finite(x_new):
-                    raise ValueError(f"the step reached the non-finite "
-                                     f"state {x_new}")
-                x, grad, g, resid = _project(c, x_new)
-                jac = None if c.jac is None else c.jac(x)
-                pi = _checked_pi(c, x)
-                lam, fx = _terms(c, x, grad, g, pi, jac)
-            rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
-        except (LDKitError, FloatingPointError, ValueError) as exc:
-            # a stalled projection, a non-finite state, H or [H, H], and a
-            # user callable that passed the up-front checks but returns a
-            # malformed result mid-run raise ValueError: from the checks of
-            # the hot loop, or from numpy (LinAlgError too)
-            raise StepFailureError(
-                f"step to t = {i * dt:.6g} failed: {exc}",
-                time=t_prev, state=rec.states[rec.m - 1].copy(),
-                partial=rec.partial()) from exc
-    return rec.build()
+        x, grad, g, pi, jac, resid, h0 = c.start
+        lam, fx = _terms(c, x, grad, g, pi, jac)
+        rec.record(0.0, x, grad, pi, lam, resid, h0)
+        coeffs = coefficients(dt / substeps)
+        for i in range(1, config.steps + 1):
+            t_prev = (i - 1) * dt
+            try:
+                for _ in range(substeps):
+                    x_new = stepper(f, x, fx, coeffs)
+                    if not _all_finite(x_new):
+                        raise ValueError(f"the step reached the non-finite "
+                                         f"state {x_new}")
+                    x, grad, g, resid = _project(c, x_new)
+                    jac = None if c.jac is None else c.jac(x)
+                    pi = _checked_pi(c, x)
+                    lam, fx = _terms(c, x, grad, g, pi, jac)
+                rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
+            except (LDKitError, FloatingPointError, ValueError) as exc:
+                # a stalled projection, a non-finite state, H or [H, H], and a
+                # user callable that passed the up-front checks but returns a
+                # malformed result mid-run raise ValueError: from the checks of
+                # the hot loop, or from numpy (LinAlgError too)
+                raise StepFailureError(
+                    f"step to t = {i * dt:.6g} failed: {exc}",
+                    time=t_prev, state=rec.states[rec.m - 1].copy(),
+                    partial=rec.partial()) from exc
+        return rec.build()
 
 
 def _rk4_coefficients(h: float) -> tuple:

@@ -17,7 +17,9 @@ an (A, B) matrix pair with L = span{(A e_i, B e_i)}, or a carrier/map pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Literal
 
 import numpy as np
@@ -38,7 +40,6 @@ __all__ = [
     "from_pair",
     "from_subspace",
     "to_pair",
-    "classify",
     "classification_residuals",
     "split_pairing",
     "deform",
@@ -62,19 +63,28 @@ class LDFlags:
 
 @dataclass(frozen=True)
 class LinearLD:
-    """A linear LD structure: its subspace plus cached classification flags.
+    """A linear LD structure: its subspace and its one classification.
 
     Attributes:
         n: dimension of the underlying vector factor; the ambient double has
             dimension 2n and the subspace has dimension n.
         space: the subspace of R^{2n}.
-        flags: classification at the tolerance used during construction;
-            build again with another tolerance to classify at it.
+        residuals: the five residuals of :func:`classification_residuals`
+            at ``tol``, keyed by the ``LDFlags`` names; kept read-only.
+        tol: the tolerance the structure was classified at; every result
+            derived from the structure (``to_pair``, ``split_pairing``,
+            ``deform``, ``tangent_part``, ``cotangent_part``) decides at it.
+        flags: each residual at most ``tol.residual_eps``; build again with
+            another tolerance to classify at it.
+
+    Raises NotLDStructureError when neither characteristic equation holds.
     """
 
     n: int
     space: Subspace
-    flags: LDFlags
+    residuals: Mapping[str, float]
+    tol: Tolerance
+    flags: LDFlags = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -85,6 +95,19 @@ class LinearLD:
             raise InputError(
                 f"an LD structure on R^{self.n} must have dimension "
                 f"{self.n}, got {self.space.dim}")
+        res, eps = MappingProxyType(dict(self.residuals)), self.tol.residual_eps
+        if set(res) != {f.name for f in fields(LDFlags)}:
+            raise InputError("residuals must name exactly the five flags")
+        object.__setattr__(self, "residuals", res)
+        flags = LDFlags(**{name: value <= eps for name, value in res.items()})
+        if not (flags.forward or flags.backward):
+            raise NotLDStructureError(
+                "subspace satisfies neither characteristic equation "
+                f"(forward residual {res['forward']:.3e}, backward residual "
+                f"{res['backward']:.3e} > {eps:.1e})",
+                forward_residual=res["forward"],
+                backward_residual=res["backward"])
+        object.__setattr__(self, "flags", flags)
 
 
 @dataclass(frozen=True)
@@ -147,16 +170,26 @@ class SplitPairing:
     signature: tuple[int, int]
 
 
-def _halves(space: Subspace) -> tuple[np.ndarray, np.ndarray]:
+def _oriented(orientation: Orientation, vector_part, covector_part) -> tuple:
+    """(range part, other part) from (vector part, covector part), and back:
+    a forward structure's range lies in V, a backward one's in V*."""
+    if orientation == "forward":
+        return vector_part, covector_part
+    return covector_part, vector_part
+
+
+def _halves(space: Subspace, orientation: Orientation) -> tuple:
+    """(range half, other half) of the rows of L's orthonormal basis."""
     n = space.ambient_dim // 2
-    return space.basis[:n, :], space.basis[n:, :]
+    return _oriented(orientation, space.basis[:n, :], space.basis[n:, :])
 
 
 def _meet(range_half: np.ndarray, other_half: np.ndarray,
           rank_eps: float) -> np.ndarray:
-    """Basis of L ∩ V* from (qv, qeta) or L ∩ V from (qeta, qv), orthonormal
-    to within rank_eps ** 2: L's orthonormal basis makes other_half an
-    isometry on ker(range_half), its rank cut at rank_eps in absolute terms."""
+    """Basis of L ∩ V* from the forward halves or L ∩ V from the backward
+    ones, orthonormal to within rank_eps ** 2: L's orthonormal basis makes
+    other_half an isometry on ker(range_half), its rank cut at rank_eps in
+    absolute terms."""
     _, s, vt = np.linalg.svd(range_half)
     return other_half @ vt[numerical_rank(s, rank_eps, scale=1.0):].T
 
@@ -173,12 +206,11 @@ def classification_residuals(space: Subspace,
     """
     if space.ambient_dim % 2 != 0:
         raise InputError("the double must have even dimension")
-    qv, qeta = _halves(space)
 
-    def equation_residual(range_half: np.ndarray,
-                          other_half: np.ndarray) -> float:
+    def equation_residual(orientation: Orientation) -> float:
         if space.dim == 0:
             return 0.0
+        range_half, other_half = _halves(space, orientation)
         w = _meet(range_half, other_half, tol.rank_eps)
         if w.shape[1] == 0:
             # trivial intersection; the annihilator side must then be full
@@ -186,9 +218,10 @@ def classification_residuals(space: Subspace,
             return 0.0
         return float(np.abs(range_half.T @ w).max())
 
-    forward_res = equation_residual(qv, qeta)
-    backward_res = equation_residual(qeta, qv)
+    forward_res = equation_residual("forward")
+    backward_res = equation_residual("backward")
 
+    qv, qeta = _halves(space, "forward")
     cross = qv.T @ qeta          # entries <eta_j | v_i> on basis columns
     sym, skew = sym_skew(cross)
     dirac_res = float(np.abs(sym).max(initial=0.0))
@@ -203,40 +236,15 @@ def classification_residuals(space: Subspace,
     }
 
 
-def _flags_from_residuals(res: dict, residual_eps: float) -> LDFlags:
-    return LDFlags(**{name: value <= residual_eps
-                      for name, value in res.items()})
-
-
-def classify(l: LinearLD) -> LDFlags:
-    """The classification flags of ``l`` at the default tolerance."""
-    return _flags_from_residuals(classification_residuals(l.space),
-                                 DEFAULT_TOLERANCE.residual_eps)
-
-
 def from_subspace(space: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
-    """Validate an n-dimensional subspace of R^{2n} as an LD structure.
+    """Validate an n-dimensional subspace of R^{2n} as an LD structure,
+    classified at ``tol``.
 
     Raises NotLDStructureError when neither characteristic equation holds at
     the tolerance.
     """
-    if space.ambient_dim % 2 != 0:
-        raise InputError("the double must have even dimension")
-    n = space.ambient_dim // 2
-    if space.dim != n:
-        raise InputError(
-            f"an LD structure on R^{n} must have dimension {n}, "
-            f"got {space.dim}")
-    res = classification_residuals(space, tol)
-    flags = _flags_from_residuals(res, tol.residual_eps)
-    if not (flags.forward or flags.backward):
-        raise NotLDStructureError(
-            "subspace satisfies neither characteristic equation "
-            f"(forward residual {res['forward']:.3e}, backward residual "
-            f"{res['backward']:.3e} > {tol.residual_eps:.1e})",
-            forward_residual=res["forward"],
-            backward_residual=res["backward"])
-    return LinearLD(n, space, flags)
+    return LinearLD(space.ambient_dim // 2, space,
+                    classification_residuals(space, tol), tol)
 
 
 def from_ab(rep: ABRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
@@ -267,65 +275,52 @@ def from_pair(rep: PairRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     n = rep.carrier.ambient_dim
     k = rep.carrier.dim
     qc = rep.carrier.basis
-    qa = complement_columns(qc, k)
-    mapped = qc @ rep.matrix
-    if rep.orientation == "forward":
-        top = np.hstack([qc, np.zeros((n, n - k))])
-        bottom = np.hstack([mapped, qa])
-    else:
-        top = np.hstack([mapped, qa])
-        bottom = np.hstack([qc, np.zeros((n, n - k))])
-    space = Subspace(2 * n, orthonormal_columns(np.vstack([top, bottom]),
-                                                tol.rank_eps))
+    range_half = np.hstack([qc, np.zeros((n, n - k))])
+    other_half = np.hstack([qc @ rep.matrix, complement_columns(qc, k)])
+    stacked = np.vstack(_oriented(rep.orientation, range_half, other_half))
+    space = Subspace(2 * n, orthonormal_columns(stacked, tol.rank_eps))
     ld = from_subspace(space, tol)
-    want = ld.flags.forward if rep.orientation == "forward" else ld.flags.backward
-    if not want:
+    if not getattr(ld.flags, rep.orientation):
         # cannot happen for exact arithmetic; guards against pathological input
         raise NotLDStructureError(
             f"pair construction lost the {rep.orientation} property")
     return ld
 
 
-def to_pair(l: LinearLD, orientation: Orientation,
-            tol: Tolerance = DEFAULT_TOLERANCE) -> PairRep:
-    """Extract the carrier/map representation in the requested orientation.
+def to_pair(l: LinearLD, orientation: Orientation) -> PairRep:
+    """Extract the carrier/map representation in the requested orientation,
+    its rank decided at ``l.tol``.
 
     Raises OrientationError when ``l`` does not carry that orientation flag.
     """
-    if orientation == "forward":
-        if not l.flags.forward:
-            raise OrientationError(
-                "structure is not forward; no (carrier, map) representation "
-                "with a vector-space carrier exists")
-        range_half, other_half = _halves(l.space)
-    elif orientation == "backward":
-        if not l.flags.backward:
-            raise OrientationError(
-                "structure is not backward; no (carrier, map) representation "
-                "with a covector-space carrier exists")
-        other_half, range_half = _halves(l.space)
-    else:
+    if orientation not in ("forward", "backward"):
         raise InputError(f"unknown orientation {orientation!r}")
-
+    if not getattr(l.flags, orientation):
+        factor = "vector" if orientation == "forward" else "covector"
+        raise OrientationError(
+            f"structure is not {orientation}; no (carrier, map) "
+            f"representation with a {factor}-space carrier exists")
+    range_half, other_half = _halves(l.space, orientation)
     # range_half = U S Vᵀ maps the combination v_i / s_i to carrier vector u_i
     u, s, vt = np.linalg.svd(range_half)
-    rank = numerical_rank(s, tol.rank_eps, scale=1.0)
+    rank = numerical_rank(s, l.tol.rank_eps, scale=1.0)
     if rank == 0:
         return PairRep(orientation, Subspace.zero(l.n), np.zeros((0, 0)))
     matrix = u[:, :rank].T @ (other_half @ (vt[:rank].T / s[:rank]))
     return PairRep(orientation, Subspace(l.n, u[:, :rank]), matrix)
 
 
-def split_pairing(l: LinearLD, orientation: Orientation,
-                  tol: Tolerance = DEFAULT_TOLERANCE) -> SplitPairing:
+def split_pairing(l: LinearLD, orientation: Orientation) -> SplitPairing:
     """Gram matrix of the split pairing adapted to ``l`` on R^{2n}.
 
     Forward: <<x1, x2>> = <eta1|v2> + <eta2|v1> - 2 Psi(v1, v2) with Psi the
     symmetrized quadratic form of the (zero-extended) carrier map; backward
     replaces Psi by the analogous form Phi on covectors.  The structure is
-    isotropic for the returned Gram matrix, and the signature is (n, n).
+    isotropic for the returned Gram matrix, and the signature is (n, n),
+    counted by sign: the shear (v, eta) -> (v, eta + Psi v) takes the Gram
+    matrix to [[0, I], [I, 0]], so no eigenvalue is zero.
     """
-    rep = to_pair(l, orientation, tol)
+    rep = to_pair(l, orientation)
     n = l.n
     qc = rep.carrier.basis
     gram = np.zeros((2 * n, 2 * n))
@@ -333,9 +328,8 @@ def split_pairing(l: LinearLD, orientation: Orientation,
     half = slice(None, n) if orientation == "forward" else slice(n, None)
     gram[half, half] = -2.0 * sym_part(qc @ rep.matrix @ qc.T)
     eigs = np.linalg.eigvalsh(gram)
-    cutoff = tol.rank_eps * float(np.abs(eigs).max())
-    pos = int(np.count_nonzero(eigs > cutoff))
-    neg = int(np.count_nonzero(eigs < -cutoff))
+    pos = int(np.count_nonzero(eigs > 0.0))
+    neg = int(np.count_nonzero(eigs < 0.0))
     return SplitPairing(gram, (pos, neg))
 
 
@@ -345,7 +339,8 @@ def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     direction "forward" shears covectors, (v, η) -> (v, η + ψ v), and yields
     a forward structure; "backward" shears vectors, (v, η) -> (v + φ η, η),
     and yields a backward structure.  The zero form returns ``l`` unchanged
-    as a subspace.
+    as a subspace.  The shear is invertible, so the sheared basis keeps all
+    n columns at any size of the form; the result is classified at ``l.tol``.
     """
     if direction not in ("forward", "backward"):
         raise InputError(f"unknown direction {direction!r}")
@@ -356,24 +351,24 @@ def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
         raise InputError(f"form must be {l.n}x{l.n}, got {psi.shape}")
     if not is_symmetric(psi):
         raise InputError("form must be symmetric")
-    qv, qeta = _halves(l.space)
-    if direction == "forward":
-        stacked = np.vstack([qv, qeta + psi @ qv])
-    else:
-        stacked = np.vstack([qv + psi @ qeta, qeta])
-    return from_subspace(Subspace(2 * l.n, orthonormal_columns(
-        stacked, DEFAULT_TOLERANCE.rank_eps)))
+    range_half, other_half = _halves(l.space, direction)
+    stacked = np.vstack(_oriented(direction, range_half,
+                                  other_half + psi @ range_half))
+    basis = np.linalg.svd(stacked, full_matrices=False)[0]
+    return from_subspace(Subspace(2 * l.n, basis), l.tol)
 
 
 def tangent_part(l: LinearLD) -> Subspace:
-    """L ∩ V as a subspace of R^n (vectors paired with the zero covector)."""
-    qv, qeta = _halves(l.space)
-    eps = DEFAULT_TOLERANCE.rank_eps
-    return Subspace(l.n, orthonormal_columns(_meet(qeta, qv, eps), eps))
+    """L ∩ V as a subspace of R^n (vectors paired with the zero covector),
+    its rank decided at ``l.tol``."""
+    eps = l.tol.rank_eps
+    return Subspace(l.n, orthonormal_columns(
+        _meet(*_halves(l.space, "backward"), eps), eps))
 
 
 def cotangent_part(l: LinearLD) -> Subspace:
-    """L ∩ V* as a subspace of R^n (covectors paired with the zero vector)."""
-    qv, qeta = _halves(l.space)
-    eps = DEFAULT_TOLERANCE.rank_eps
-    return Subspace(l.n, orthonormal_columns(_meet(qv, qeta, eps), eps))
+    """L ∩ V* as a subspace of R^n (covectors paired with the zero vector),
+    its rank decided at ``l.tol``."""
+    eps = l.tol.rank_eps
+    return Subspace(l.n, orthonormal_columns(
+        _meet(*_halves(l.space, "forward"), eps), eps))

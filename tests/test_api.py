@@ -64,7 +64,8 @@ def test_fields_and_dynamics_take_no_tolerance_and_no_admissibility_switch():
 
 def test_a_tolerance_is_taken_only_on_the_path_of_verify():
     # --tol-rank and --tol-residual decide every verdict that ldkit verify
-    # prints; everything else decides at DEFAULT_TOLERANCE
+    # prints; what is derived from a structure decides at the tolerance it
+    # was built at, and everything else at DEFAULT_TOLERANCE
     taking = sorted(
         f"{module.__name__}.{qualname}" for module in MODULES
         for qualname, fn in _public_functions(module)
@@ -75,14 +76,12 @@ def test_a_tolerance_is_taken_only_on_the_path_of_verify():
         "ldkit.linear.from_ab",
         "ldkit.linear.from_pair",
         "ldkit.linear.from_subspace",
-        "ldkit.linear.split_pairing",
-        "ldkit.linear.to_pair",
     ]
     at_default = [ldkit.Subspace.from_spanning, ldkit.Subspace.contains,
                  ldkit.Subspace.contains_subspace, ldkit.Subspace.equals,
                  ldkit.rank_kernel, ldkit.intersect, ldkit.project_factor,
-                 ldkit.classify, ldkit.deform, ldkit.tangent_part,
-                 ldkit.cotangent_part]
+                 ldkit.to_pair, ldkit.split_pairing, ldkit.deform,
+                 ldkit.tangent_part, ldkit.cotangent_part]
     for fn in at_default:
         assert "tol" not in inspect.signature(fn).parameters, fn
 

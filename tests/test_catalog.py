@@ -478,17 +478,35 @@ def test_a_friction_near_the_float_maximum_builds_under_a_raising_errstate():
 def test_a_subnormal_friction_gives_the_default_bits_under_raise():
     # sym(Pi) halves Pi_44 = -1e-310, whose half is subnormal and inexact:
     # under a raising errstate the half is taken again with underflow
-    # ignored, so the rate and the run start are those of the default
+    # ignored, so the rate is that of the default.  The friction force
+    # -1e-310 p_x is subnormal too, and the steppers' products of it
+    # underflow: a run ignores that flag, so both integrators give the
+    # default's bits
     sys, x0 = build_system(SystemSpec("damped_particle", {"mu1": 1e-310}))
-    config = IntegratorConfig(dt=1e-3, t_end=0.0)
-    rate, traj = energy_rate(sys, x0), simulate(sys, x0, config)
+    config = IntegratorConfig(dt=1e-3, t_end=1.0)
+    runs = (lambda: simulate(sys, x0, config),
+            lambda: oracle_simulate(sys, x0, config.dt, config.t_end))
+    rate, plain = energy_rate(sys, x0), [run() for run in runs]
     assert rate == -1.00000000000005e-310
     with np.errstate(all="raise"):
         assert same_bits(energy_rate(sys, x0), rate)
-        raised = simulate(sys, x0, config)
-    for field in ("times", "states", "multipliers", "residuals", "energies",
-                  "energy_rates"):
-        assert same_bits(getattr(raised, field), getattr(traj, field)), field
+        raised = [run() for run in runs]
+    for traj, strict in zip(plain, raised):
+        for field in ("times", "states", "multipliers", "residuals",
+                      "energies", "energy_rates"):
+            assert same_bits(getattr(strict, field),
+                             getattr(traj, field)), field
+
+
+@pytest.mark.parametrize("mode", ["raise", "ignore"])
+def test_a_constant_pi_that_overflows_is_refused_under_any_errstate(mode):
+    # P - g# overflows to inf off the diagonal when the constant Pi is made
+    poisson = TensorField.constant([[0.0, 1e308], [-1e308, 0.0]])
+    metric = TensorField.constant(1e308 * np.array([[1.0, -1.0],
+                                                    [-1.0, 1.0]]))
+    with np.errstate(all=mode), pytest.raises(
+            InputError, match="tensor has non-finite entries"):
+        metriplectic_system(poisson, metric, quad_entropy(2))
 
 
 @pytest.mark.parametrize("name,param,value", [

@@ -19,7 +19,7 @@ from ldkit.errors import (DegenerateRepresentationError, InputError,
 from ldkit.io import (_BLOCK, SCHEMA_VERSION, load_structure_spec,
                       load_system_spec, read_trajectory, write_trajectory_csv,
                       write_trajectory_json)
-from ldkit.linear import ABRep, PairRep, classify, from_ab, from_pair
+from ldkit.linear import ABRep, PairRep, from_ab, from_pair
 from ldkit.subspaces import Subspace
 
 POISSON = [[0.0, 1.0], [-1.0, 0.0]]
@@ -85,8 +85,7 @@ def test_load_structure_spec_ab_kind(tmp_path):
     path = dump(tmp_path / "s.json", {
         "schema_version": SCHEMA_VERSION, "kind": "ab", "n": 2,
         "a": [[1.0, 0.0], [0.0, 1.0]], "b": POISSON})
-    ld = load_structure_spec(path)
-    report = classify(ld)
+    report = load_structure_spec(path).flags
     assert report.dirac and report.forward and report.backward
 
 

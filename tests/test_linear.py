@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from _gen import (planted_rank, random_dirac, random_map, random_structure,
                   random_subspace, subspace_residual, sum_with_annihilator)
-from ldkit import (ABRep, DegenerateRepresentationError, InputError,
-                   NotLDStructureError, OrientationError, PairRep,
-                   PreconditionError, Subspace, Tolerance,
-                   classification_residuals, classify, cotangent_part,
+from ldkit import (DEFAULT_TOLERANCE, ABRep, DegenerateRepresentationError,
+                   InputError, LDFlags, LinearLD, NotLDStructureError,
+                   OrientationError, PairRep, PreconditionError, Subspace,
+                   Tolerance, classification_residuals, cotangent_part,
                    deform, from_ab, from_pair, from_subspace, rank_kernel,
                    split_pairing, tangent_part, to_pair)
 
@@ -199,10 +199,84 @@ def test_classification_residuals_reports_all_five_keys():
 def test_builders_classify_at_the_caller_tolerance():
     rep = ABRep(np.eye(2), 1e-6 * np.eye(2))
     ld = from_ab(rep)
+    assert ld.tol == DEFAULT_TOLERANCE
     assert not ld.flags.dirac  # sym residual ~1e-6 above default 1e-8
-    assert classify(ld) == ld.flags
-    loose = from_ab(rep, Tolerance(rank_eps=1e-9, residual_eps=1e-3)).flags
-    assert loose.dirac and loose.symmetric_dirac
+    with pytest.raises(PreconditionError):
+        deform(ld, np.eye(2), "forward")
+    tol = Tolerance(rank_eps=1e-9, residual_eps=1e-3)
+    loose = from_ab(rep, tol)
+    assert loose.tol == tol
+    assert loose.residuals == ld.residuals
+    assert loose.flags.dirac and loose.flags.symmetric_dirac
+    # deform reads the Dirac flag at, and builds its result at, loose.tol
+    assert deform(loose, np.eye(2), "forward").tol == tol
+
+
+# A 1e-5 singular value in the vector half: rank at the default cutoffs,
+# roundoff at 1e-3.  Built at 1e-3 the structure is separable, and every
+# result derived from it must decide at 1e-3 too.
+MARGINAL = ABRep(np.diag([1.0, 1e-5]), np.diag([0.0, 1.0]))
+LOOSE = Tolerance(rank_eps=1e-3, residual_eps=1e-3)
+
+
+def test_flags_are_the_residuals_at_the_build_tolerance():
+    ld = from_ab(MARGINAL, LOOSE)
+    assert ld.tol == LOOSE
+    assert ld.residuals == classification_residuals(ld.space, LOOSE)
+    assert ld.flags == LDFlags(**{name: value <= 1e-3
+                                  for name, value in ld.residuals.items()})
+    assert ld.flags.separable
+
+
+@pytest.mark.parametrize("orientation", ["forward", "backward"])
+def test_pairs_and_pairings_decide_at_the_build_tolerance(orientation):
+    ld = from_ab(MARGINAL, LOOSE)
+    pair = to_pair(ld, orientation)
+    assert pair.carrier.dim == 1
+    assert split_pairing(ld, orientation).signature == (2, 2)
+    assert from_pair(pair, ld.tol).flags == ld.flags
+
+
+# The split pairing's Gram matrix is never singular, so no eigenvalue may be
+# cut as zero, however large the carrier map: Psi = diag(0, 1e6) at the
+# default tolerance, diag(0, 500) at 1e-3.
+@pytest.mark.parametrize("small, tol", [(1e-6, DEFAULT_TOLERANCE),
+                                        (2e-3, LOOSE)])
+@pytest.mark.parametrize("orientation", ["forward", "backward"])
+def test_a_large_carrier_map_keeps_the_signature(small, tol, orientation):
+    ld = from_ab(ABRep(np.diag([1.0, small]), np.diag([0.0, 1.0])), tol)
+    assert split_pairing(ld, orientation).signature == (2, 2)
+
+
+# The shear is invertible, so a large form must not cost the sheared basis a
+# column, at a loose build tolerance or the default one.
+@pytest.mark.parametrize("size, tol", [(1e3, LOOSE),
+                                       (1e10, DEFAULT_TOLERANCE)])
+def test_deform_keeps_every_column_of_a_large_form(size, tol):
+    ld = from_ab(ABRep(np.eye(2), np.zeros((2, 2))), tol)
+    shifted = deform(ld, np.diag([size, 0.0]), "forward")
+    assert shifted.tol == tol
+    # the graph of the form: span{(e1, size e1), (e2, 0)}
+    graph = np.zeros((4, 2))
+    graph[[0, 2], 0] = np.array([1.0, size]) / np.hypot(1.0, size)
+    graph[1, 1] = 1.0
+    assert shifted.space.equals(Subspace(4, graph))
+
+
+def test_linear_ld_checks_and_freezes_its_residuals():
+    ld = from_ab(ABRep(np.eye(2), POISSON_2))
+    missing = dict(ld.residuals)
+    del missing["separable"]
+    with pytest.raises(InputError):
+        LinearLD(ld.n, ld.space, missing, ld.tol)
+    with pytest.raises(InputError):
+        LinearLD(ld.n, ld.space, {**ld.residuals, "extra": 0.0}, ld.tol)
+    with pytest.raises(TypeError):
+        ld.residuals["forward"] = 1.0
+    source = dict(ld.residuals)
+    copy = LinearLD(ld.n, ld.space, source, ld.tol)
+    source["forward"] = source["backward"] = 1.0
+    assert copy.flags == ld.flags and copy.residuals == ld.residuals
 
 
 def test_from_subspace_rejects_non_structure_with_residuals():
@@ -390,6 +464,24 @@ def test_carrier_and_meet_split_the_dimension(seed):
     if ld.flags.backward:
         assert (to_pair(ld, "backward").carrier.dim
                 + tangent_part(ld).dim == ld.n)
+
+
+@given(seed=st.integers(0, 10_000),
+       eps=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-3]))
+@settings(max_examples=60)
+def test_a_structure_decides_everything_at_its_own_tolerance(seed, eps):
+    drawn, _ = random_structure(np.random.default_rng(seed))
+    ld = from_subspace(drawn.space, Tolerance(rank_eps=eps, residual_eps=eps))
+    assert ld.flags == LDFlags(**{name: value <= eps
+                                  for name, value in ld.residuals.items()})
+    meets = {"forward": cotangent_part, "backward": tangent_part}
+    for orientation, meet in meets.items():
+        if not getattr(ld.flags, orientation):
+            continue
+        pair = to_pair(ld, orientation)
+        assert pair.carrier.dim + meet(ld).dim == ld.n
+        assert getattr(from_pair(pair, ld.tol).flags, orientation)
+        assert split_pairing(ld, orientation).signature == (ld.n, ld.n)
 
 
 @given(seed=st.integers(0, 10_000))

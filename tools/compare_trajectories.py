@@ -50,10 +50,11 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   a rewritten catalog callable is checked at them too;
 - the linear layer on fixed inputs drawn from LINEAR_SEED (``linear_runs``):
   the bases, flags and five ``classification_residuals`` values of
-  ``from_ab``, ``from_pair`` and ``deform``, the Gram matrix and signature
-  of ``split_pairing`` in each orientation a structure carries, and the
-  bases of ``tangent_part``, ``cotangent_part``, ``intersect``,
-  ``rank_kernel`` and ``project_factor``;
+  ``from_ab``, ``from_pair`` and ``deform``, the carrier basis and map of
+  ``to_pair`` and the Gram matrix and signature of ``split_pairing`` in
+  each orientation a structure carries, and the bases of
+  ``tangent_part``, ``cotangent_part``, ``intersect``, ``rank_kernel`` and
+  ``project_factor``;
 - the exit code, stdout and stderr of ``ldkit verify`` of the structure
   specs of VERIFY_SPECS, at the default cutoffs and with
   ``--tol-rank 1e-6 --tol-residual 1e-6``.
@@ -167,6 +168,10 @@ def linear_runs(ldkit) -> dict:
         runs[f"{label}: residuals"] = np.array(list(residuals.values()))
         for orientation in ("forward", "backward"):
             if getattr(structure.flags, orientation):
+                pair = ldkit.to_pair(structure, orientation)
+                runs[f"{label}: to_pair {orientation} carrier"] = \
+                    pair.carrier.basis
+                runs[f"{label}: to_pair {orientation} map"] = pair.matrix
                 pairing = ldkit.split_pairing(structure, orientation)
                 runs[f"{label}: split_pairing {orientation} gram"] = \
                     pairing.gram
