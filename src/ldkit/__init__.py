@@ -8,9 +8,10 @@ The package splits into layers: tolerance-aware subspace linear algebra
 (:mod:`ldkit.catalog`), file formats (:mod:`ldkit.io`), and the command line
 (:mod:`ldkit.cli`).  Numerical cutoffs are fixed, ``DEFAULT_TOLERANCE``'s
 for the subspace and linear layers, except on the path of ``ldkit verify``:
-``load_structure_spec``, ``from_ab``, ``from_pair``, ``from_subspace`` and
-``classification_residuals`` take a :class:`Tolerance`, and a structure
-keeps the one it was classified at for everything derived from it.
+``load_structure_spec``, ``LinearLD``, ``from_ab``, ``from_pair``,
+``from_subspace`` and ``classification_residuals`` take a
+:class:`Tolerance`, and a structure keeps the one it was classified at for
+everything derived from it.
 """
 
 from __future__ import annotations

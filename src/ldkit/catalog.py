@@ -3,8 +3,9 @@
 Three families are provided, each validated at a fixed set of probe points
 during construction:
 
-* gradient systems: Pi = -g# for a symmetric positive-semidefinite metric,
-  driven by an entropy function (energy strictly dissipates);
+* gradient systems: the metriplectic systems below with P = 0, so
+  Pi = -g# for a symmetric positive-semidefinite metric, driven by an
+  entropy function (energy strictly dissipates);
 * metriplectic systems: Pi = P - g# splitting into a skew Poisson part and a
   symmetric dissipative part;
 * damped mechanical systems on states (q, p): Pi = [[0, I], [-I, -R(q)]]
@@ -85,21 +86,12 @@ def _pi_field(n: int, evaluate, *tensors: TensorField) -> TensorField:
 
 def gradient_system(metric: TensorField, entropy: ScalarField,
                     forces: ConstraintField | None = None) -> DIHSystem:
-    """Pure dissipation: xdot = -g#(x) grad S(x) + G(x) lambda.
-
-    ``metric`` must be symmetric positive semidefinite (checked at probe
-    points); the energy rate is [S, S] = -<dS | g# dS> <= 0.
-    """
+    """Pure dissipation, xdot = -g#(x) grad S(x) + G(x) lambda: the
+    :func:`metriplectic_system` of ``metric`` and ``entropy`` with P = 0.
+    The energy rate is [S, S] = -<dS | g# dS> <= 0."""
     n = metric.dim
-    if entropy.dim != n:
-        raise InputError("entropy dimension does not match the metric")
-    probes = _probe_points(n)
-    _check_symmetric_psd(metric, "gradient-system metric", probes)
-    entropy.check_gradient(probes)
-    pi = _pi_field(n, lambda x, _m=metric.evaluate:
-                   -np.asarray(_m(x), dtype=float), metric)
-    ld = LDField(pi, forces if forces is not None else ConstraintField.none(n))
-    return DIHSystem(n, ld, entropy)
+    return metriplectic_system(TensorField.constant(np.zeros((n, n))),
+                               metric, entropy, forces)
 
 
 def metriplectic_system(poisson: TensorField, metric: TensorField,

@@ -67,6 +67,10 @@ _MAX_STEPS = 10**8
 RATE_TOL = 1e-12
 MONOTONE_TOL = 1e-10
 
+# runs and one-point functions ignore numpy's underflow flag: products may
+# round to subnormals or zero under any np.errstate, as they do by default
+_ignore_underflow = np.errstate(under="ignore")
+
 
 @dataclass(frozen=True)
 class DIHSystem:
@@ -343,6 +347,7 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
     return lam, resid
 
 
+@_ignore_underflow
 def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
     """Test membership of ``x`` in chi_c = {x : G(x)^T grad H(x) = 0}: the
     max-norm residual must be at most 1e-10, the bound runs start from."""
@@ -355,6 +360,7 @@ def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
     return ConsistencyReport(residual <= _PROJECTION_TOL, residual)
 
 
+@_ignore_underflow
 def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
     """Constraint multiplier at a consistent state.
 
@@ -406,12 +412,14 @@ def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
                   None if c.jac is None else c.jac(x))[1]
 
 
+@_ignore_underflow
 def rhs(sys: DIHSystem, x) -> np.ndarray:
     """Right-hand side Pi grad H + G lambda at a consistent state."""
     c = _Compiled(sys, x)
     return _terms(c, *c.start[:5])[1]
 
 
+@_ignore_underflow
 def kernel_form(sys: DIHSystem, x) -> KernelForm:
     """Multiplier-free reduced form [K; 0] xdot = (K Pi grad H, G^T grad H).
 
@@ -442,6 +450,7 @@ def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
     return float(grad.dot(sym.dot(grad))) + 0.0
 
 
+@_ignore_underflow
 def energy_rate(sys: DIHSystem, x) -> float:
     """The bracket value [H, H](x) = grad H^T sym(Pi) grad H."""
     point = as_vector(x, sys.n, "state")
@@ -536,6 +545,7 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(sum(x.tolist())) or bool(np.isfinite(x).all())
 
 
+@_ignore_underflow
 def _run(sys: DIHSystem, x0, config: IntegratorConfig,
          stepper: Callable[..., np.ndarray],
          coefficients: Callable[[float], tuple],
@@ -547,43 +557,40 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     grid only.  ``coefficients(h)`` gives the stepper's constants, made
     once per run.  Each accepted state is evaluated once: the projection's
     grad H and G, and the right-hand side there, serve both the record and
-    the next step.  The run ignores numpy's underflow flag, so that a
-    raising ``np.errstate`` does not fail a step whose products round to
-    subnormals or zero; the result is bit for bit the default's.
+    the next step.
     """
-    with np.errstate(under="ignore"):
-        dt = config.dt
-        c = _Compiled(sys, x0)
-        rec = _Recorder(c, config.steps + 1)
-        f = partial(_rhs_raw, c)
+    dt = config.dt
+    c = _Compiled(sys, x0)
+    rec = _Recorder(c, config.steps + 1)
+    f = partial(_rhs_raw, c)
 
-        x, grad, g, pi, jac, resid, h0 = c.start
-        lam, fx = _terms(c, x, grad, g, pi, jac)
-        rec.record(0.0, x, grad, pi, lam, resid, h0)
-        coeffs = coefficients(dt / substeps)
-        for i in range(1, config.steps + 1):
-            t_prev = (i - 1) * dt
-            try:
-                for _ in range(substeps):
-                    x_new = stepper(f, x, fx, coeffs)
-                    if not _all_finite(x_new):
-                        raise ValueError(f"the step reached the non-finite "
-                                         f"state {x_new}")
-                    x, grad, g, resid = _project(c, x_new)
-                    jac = None if c.jac is None else c.jac(x)
-                    pi = _checked_pi(c, x)
-                    lam, fx = _terms(c, x, grad, g, pi, jac)
-                rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
-            except (LDKitError, FloatingPointError, ValueError) as exc:
-                # a stalled projection, a non-finite state, H or [H, H], and a
-                # user callable that passed the up-front checks but returns a
-                # malformed result mid-run raise ValueError: from the checks of
-                # the hot loop, or from numpy (LinAlgError too)
-                raise StepFailureError(
-                    f"step to t = {i * dt:.6g} failed: {exc}",
-                    time=t_prev, state=rec.states[rec.m - 1].copy(),
-                    partial=rec.partial()) from exc
-        return rec.build()
+    x, grad, g, pi, jac, resid, h0 = c.start
+    lam, fx = _terms(c, x, grad, g, pi, jac)
+    rec.record(0.0, x, grad, pi, lam, resid, h0)
+    coeffs = coefficients(dt / substeps)
+    for i in range(1, config.steps + 1):
+        t_prev = (i - 1) * dt
+        try:
+            for _ in range(substeps):
+                x_new = stepper(f, x, fx, coeffs)
+                if not _all_finite(x_new):
+                    raise ValueError(f"the step reached the non-finite "
+                                     f"state {x_new}")
+                x, grad, g, resid = _project(c, x_new)
+                jac = None if c.jac is None else c.jac(x)
+                pi = _checked_pi(c, x)
+                lam, fx = _terms(c, x, grad, g, pi, jac)
+            rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
+        except (LDKitError, FloatingPointError, ValueError) as exc:
+            # a stalled projection, a non-finite state, H or [H, H], and a
+            # user callable that passed the up-front checks but returns a
+            # malformed result mid-run raise ValueError: from the checks of
+            # the hot loop, or from numpy (LinAlgError too)
+            raise StepFailureError(
+                f"step to t = {i * dt:.6g} failed: {exc}",
+                time=t_prev, state=rec.states[rec.m - 1].copy(),
+                partial=rec.partial()) from exc
+    return rec.build()
 
 
 def _rk4_coefficients(h: float) -> tuple:

@@ -392,11 +392,9 @@ def _read_trajectory_csv(path: str) -> Trajectory:
                 or header[-3:] != ["constraint_residual", "H", "bracket_HH"]):
             raise SpecFormatError(
                 f"{path}: not a trajectory CSV (unexpected header)")
-        middle = header[1:-3]
-        n = sum(1 for name in middle if name.startswith("x"))
-        k = len(middle) - n
-        if middle != [f"x{i}" for i in range(1, n + 1)] + \
-                [f"lambda{i}" for i in range(1, k + 1)]:
+        n = sum(1 for name in header[1:-3] if name.startswith("x"))
+        k = len(header) - 4 - n
+        if header != _csv_header(n, k):
             raise SpecFormatError(
                 f"{path}: not a trajectory CSV (unexpected state/multiplier "
                 f"columns)")

@@ -18,7 +18,7 @@ an (A, B) matrix pair with L = span{(A e_i, B e_i)}, or a carrier/map pair
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Literal
 
@@ -63,42 +63,38 @@ class LDFlags:
 
 @dataclass(frozen=True)
 class LinearLD:
-    """A linear LD structure: its subspace and its one classification.
+    """A linear LD structure: an n-dimensional subspace of R^{2n}, n >= 1,
+    classified once by :func:`classification_residuals` at ``tol``;
+    ``dataclasses.replace(l, tol=t)`` classifies it again at ``t``.
 
     Attributes:
-        n: dimension of the underlying vector factor; the ambient double has
-            dimension 2n and the subspace has dimension n.
         space: the subspace of R^{2n}.
-        residuals: the five residuals of :func:`classification_residuals`
-            at ``tol``, keyed by the ``LDFlags`` names; kept read-only.
-        tol: the tolerance the structure was classified at; every result
-            derived from the structure (``to_pair``, ``split_pairing``,
-            ``deform``, ``tangent_part``, ``cotangent_part``) decides at it.
-        flags: each residual at most ``tol.residual_eps``; build again with
-            another tolerance to classify at it.
+        tol: the tolerance of the classification; every result derived
+            from the structure (``to_pair``, ``split_pairing``, ``deform``,
+            ``tangent_part``, ``cotangent_part``) decides at it.
+        n: dimension of the underlying vector factor.
+        residuals: the five residuals, keyed by the ``LDFlags`` names;
+            read-only.
+        flags: each residual at most ``tol.residual_eps``.
 
     Raises NotLDStructureError when neither characteristic equation holds.
     """
 
-    n: int
     space: Subspace
-    residuals: Mapping[str, float]
-    tol: Tolerance
+    tol: Tolerance = DEFAULT_TOLERANCE
+    n: int = field(init=False)
+    residuals: Mapping[str, float] = field(init=False)
     flags: LDFlags = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be at least 1")
-        if self.space.ambient_dim != 2 * self.n:
-            raise InputError("subspace ambient dimension must be 2n")
-        if self.space.dim != self.n:
-            raise InputError(
-                f"an LD structure on R^{self.n} must have dimension "
-                f"{self.n}, got {self.space.dim}")
-        res, eps = MappingProxyType(dict(self.residuals)), self.tol.residual_eps
-        if set(res) != {f.name for f in fields(LDFlags)}:
-            raise InputError("residuals must name exactly the five flags")
-        object.__setattr__(self, "residuals", res)
+        n, odd = divmod(self.space.ambient_dim, 2)
+        if odd or n < 1:
+            raise InputError("subspace ambient dimension must be 2n, n >= 1")
+        if self.space.dim != n:
+            raise InputError(f"an LD structure on R^{n} must have dimension "
+                             f"{n}, got {self.space.dim}")
+        res = MappingProxyType(classification_residuals(self.space, self.tol))
+        eps = self.tol.residual_eps
         flags = LDFlags(**{name: value <= eps for name, value in res.items()})
         if not (flags.forward or flags.backward):
             raise NotLDStructureError(
@@ -107,7 +103,8 @@ class LinearLD:
                 f"{res['backward']:.3e} > {eps:.1e})",
                 forward_residual=res["forward"],
                 backward_residual=res["backward"])
-        object.__setattr__(self, "flags", flags)
+        for name, value in (("n", n), ("residuals", res), ("flags", flags)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -237,14 +234,9 @@ def classification_residuals(space: Subspace,
 
 
 def from_subspace(space: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
-    """Validate an n-dimensional subspace of R^{2n} as an LD structure,
-    classified at ``tol``.
-
-    Raises NotLDStructureError when neither characteristic equation holds at
-    the tolerance.
-    """
-    return LinearLD(space.ambient_dim // 2, space,
-                    classification_residuals(space, tol), tol)
+    """``LinearLD(space, tol)``: ``space`` as an LD structure classified at
+    ``tol``, or NotLDStructureError when neither equation holds there."""
+    return LinearLD(space, tol)
 
 
 def from_ab(rep: ABRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:

@@ -100,14 +100,25 @@ def test_metriplectic_zero_metric_conserves_energy():
 
 
 def test_metriplectic_zero_poisson_reduces_to_gradient_system():
-    mixed = metriplectic_system(TensorField.constant(np.zeros((2, 2))),
-                                TensorField.constant(np.eye(2)),
-                                quad_entropy(2))
-    pure = gradient_system(TensorField.constant(np.eye(2)), quad_entropy(2))
+    # bitwise, for a constant metric and for one evaluated per call
+    callable_metric = TensorField(2, lambda x: np.array(
+        [[1.0 + x[1] ** 2, 0.5 * x[0]], [0.5 * x[0], 2.0 + x[0] ** 2]]))
+    config = IntegratorConfig(dt=1e-2, t_end=1.0)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = rng.standard_normal(2)
-        assert rhs(mixed, x) == pytest.approx(rhs(pure, x), abs=1e-12)
+    for metric in (TensorField.constant(np.diag([1.0, 2.0])),
+                   callable_metric):
+        mixed = metriplectic_system(TensorField.constant(np.zeros((2, 2))),
+                                    metric, quad_entropy(2))
+        pure = gradient_system(metric, quad_entropy(2))
+        for _ in range(10):
+            x = rng.standard_normal(2)
+            assert same_bits(pure.ld.pi(x), mixed.ld.pi(x))
+            assert same_bits(rhs(pure, x), rhs(mixed, x))
+            assert same_bits(energy_rate(pure, x), energy_rate(mixed, x))
+        a = simulate(pure, np.array([1.0, -0.5]), config)
+        b = simulate(mixed, np.array([1.0, -0.5]), config)
+        for field in ("states", "energies", "energy_rates"):
+            assert same_bits(getattr(a, field), getattr(b, field)), field
 
 
 def test_metriplectic_damped_oscillator_matches_matrix_exponential():

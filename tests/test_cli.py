@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ldkit
-from ldkit import PreconditionError, cli
+from ldkit import PreconditionError, SpecFormatError, cli
 from ldkit.cli import (EXIT_INCONSISTENT, EXIT_NOT_LD, EXIT_OK, EXIT_SPEC,
                        EXIT_STEP_FAILURE, EXIT_UNEXPECTED, main)
 from ldkit.io import read_trajectory
@@ -441,6 +441,18 @@ def test_audit_malformed_file_exits_spec_error(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(path))
     assert code == EXIT_SPEC
     assert "error:" in err
+
+
+def test_audit_of_a_json_trajectory_with_no_times_exits_spec_error(
+        tmp_path, capsys):
+    path = write_json(tmp_path, "empty.json", {
+        "times": [], "states": [], "multipliers": [], "residuals": [],
+        "energies": [], "energy_rates": []})
+    with pytest.raises(SpecFormatError, match="at least one sample"):
+        read_trajectory(path)
+    code, _, err = run(capsys, "audit", path)
+    assert code == EXIT_SPEC
+    assert "at least one sample" in err
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -854,6 +854,62 @@ def test_a_run_whose_difference_offset_underflows_ignores_the_errstate():
         assert same_bits(getattr(strict, field), getattr(plain, field))
 
 
+# one-point values whose products round to subnormals: |p|^2 and mu p^2,
+# and y p_x and G lambda at a consistent particle state that runs start from
+ONE_POINT_UNDERFLOWS = [
+    ("energy_rate", "damped_particle", (0.0, 0.0, 0.0, 1e-160, 0.0, 0.0)),
+    ("energy_rate", "damped_oscillator", (1e-160, 1e-160)),
+    *[(function, "damped_particle", (0.0, 1e-160, 0.0, 1.0, 0.0, 1e-160))
+      for function in ("multipliers", "rhs", "kernel_form")],
+    ("check_consistency", "damped_particle",
+     (0.0, 1e-160, 0.0, 1e-160, 0.0, 0.0)),
+]
+
+
+def _parts(result) -> tuple:
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    return result if isinstance(result, tuple) else (result,)
+
+
+@pytest.mark.parametrize("function, name, state", ONE_POINT_UNDERFLOWS)
+def test_the_one_point_functions_ignore_underflow_as_runs_do(function, name,
+                                                             state):
+    sys, _ = build_system(SystemSpec(name, {}, None))
+    evaluate = getattr(dynamics, function)
+    plain = _parts(evaluate(sys, state))
+    with np.errstate(all="raise"):
+        strict = _parts(evaluate(sys, state))
+    assert len(strict) == len(plain)
+    assert all(same_bits(a, b) for a, b in zip(strict, plain))
+
+
+def test_a_system_refuses_parts_of_another_dimension():
+    h = ScalarField(2, value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x.copy())
+    field = LDField(TensorField.constant(np.eye(3)), ConstraintField.none(3))
+    with pytest.raises(InputError, match="structure dimension 3"):
+        DIHSystem(2, field, h)
+    with pytest.raises(InputError, match="Hamiltonian dimension 2"):
+        DIHSystem(3, field, h)
+
+
+def test_check_consistency_holds_everywhere_without_constraints():
+    sys = harmonic_system()
+    assert sys.k == 0
+    report = check_consistency(sys, [1e300, -2.0])
+    assert report.in_chi_c and report.residual == 0.0
+
+
+@pytest.mark.parametrize("times, energies, rates, message", [
+    ([0.0, 1.0], [1.0, 0.5], [0.0], "equal-length"),
+    ([], [], [], "at least one sample")])
+def test_audit_series_needs_equal_lengths_and_a_sample(times, energies,
+                                                       rates, message):
+    with pytest.raises(InputError, match=message):
+        audit_series(times, energies, rates)
+
+
 @pytest.mark.parametrize("value", [lambda x: x.copy(),
                                    lambda x: float("nan")],
                          ids=["array", "non-finite"])

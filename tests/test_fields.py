@@ -296,6 +296,37 @@ def test_regularity_scan_flags_a_rank_drop():
     assert 1 in report.jumps
 
 
+@pytest.mark.parametrize("samples", [[], np.zeros((0, 2))],
+                         ids=["empty list", "no rows"])
+def test_regularity_scan_needs_a_sample(samples):
+    with pytest.raises(InputError):
+        regularity_scan(poisson_field(2), samples)
+
+
+def test_field_constructors_refuse_malformed_parts():
+    with pytest.raises(InputError, match="square"):
+        TensorField.constant(np.zeros((2, 3)))
+    with pytest.raises(InputError, match="needs a callable"):
+        ConstraintField(2, 1)
+
+
+def test_check_gradient_without_an_analytic_gradient_is_a_no_op():
+    # not even the probe points are read
+    f = ScalarField(2, value=lambda x: float(x @ x))
+    assert f.check_gradient([[1.0, 2.0, 3.0], [np.nan]]) is None
+
+
+def test_bracket_with_a_zero_differential_is_zero_and_admissible():
+    # the admissibility gate scales by |df|; with df = 0 it has nothing to
+    # check, and no 0 / 0 is formed
+    sys = damped_particle()
+    zero = ScalarField(6, value=lambda x: 0.0, gradient=lambda x: np.zeros(6))
+    with np.errstate(all="raise"):
+        value = bracket(sys.ld, zero, sys.hamiltonian,
+                        [0.0, 0.3, 0.0, 1.0, 0.5, 0.3])
+    assert value == (0.0, 0.0, 0.0)
+
+
 def test_regularity_scan_particle_ranks_are_constant():
     rng = np.random.default_rng(3)
     sys = damped_particle()

@@ -1,13 +1,16 @@
 """Linear structures on R^n ⊕ R^n*: construction, classification, pairing,
 deformation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import (planted_rank, random_dirac, random_map, random_structure,
-                  random_subspace, subspace_residual, sum_with_annihilator)
+                  random_subspace, same_bits, subspace_residual,
+                  sum_with_annihilator)
 from ldkit import (DEFAULT_TOLERANCE, ABRep, DegenerateRepresentationError,
                    InputError, LDFlags, LinearLD, NotLDStructureError,
                    OrientationError, PairRep, PreconditionError, Subspace,
@@ -264,27 +267,79 @@ def test_deform_keeps_every_column_of_a_large_form(size, tol):
 
 
 def test_linear_ld_checks_and_freezes_its_residuals():
+    # the structure classifies its own subspace: the residuals are derived,
+    # not given, and read-only
     ld = from_ab(ABRep(np.eye(2), POISSON_2))
-    missing = dict(ld.residuals)
-    del missing["separable"]
-    with pytest.raises(InputError):
-        LinearLD(ld.n, ld.space, missing, ld.tol)
-    with pytest.raises(InputError):
-        LinearLD(ld.n, ld.space, {**ld.residuals, "extra": 0.0}, ld.tol)
+    assert [f.name for f in dataclasses.fields(LinearLD) if f.init] == \
+        ["space", "tol"]
     with pytest.raises(TypeError):
         ld.residuals["forward"] = 1.0
-    source = dict(ld.residuals)
-    copy = LinearLD(ld.n, ld.space, source, ld.tol)
-    source["forward"] = source["backward"] = 1.0
+    with pytest.raises(TypeError):
+        LinearLD(ld.space, ld.tol, ld.residuals)
+    copy = LinearLD(ld.space)
+    assert copy.tol == DEFAULT_TOLERANCE and copy.n == 2
     assert copy.flags == ld.flags and copy.residuals == ld.residuals
 
 
+@pytest.mark.parametrize("space", [
+    Subspace.zero(0), Subspace.full(3), Subspace(3, np.eye(3)[:, :1]),
+    Subspace.zero(4), Subspace.full(4)],
+    ids=["n=0", "odd full", "odd line", "zero in R^4", "all of R^4"])
+def test_linear_ld_refuses_a_subspace_of_the_wrong_shape(space):
+    with pytest.raises(InputError):
+        LinearLD(space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([DEFAULT_TOLERANCE, LOOSE,
+                            Tolerance(rank_eps=1e-12, residual_eps=1e-12)]))
+def test_linear_ld_classifies_as_from_subspace(seed, tol):
+    space = random_structure(np.random.default_rng(seed))[0].space
+    try:
+        built = from_subspace(space, tol)
+    except NotLDStructureError:
+        with pytest.raises(NotLDStructureError):
+            LinearLD(space, tol)
+        return
+    ld = LinearLD(space, tol)
+    assert ld.flags == built.flags and ld.tol == tol
+    residuals = classification_residuals(space, tol)
+    for name in residuals:
+        assert same_bits(ld.residuals[name], built.residuals[name])
+        assert same_bits(ld.residuals[name], residuals[name])
+
+
+def test_replacing_the_tolerance_classifies_again():
+    ld = dataclasses.replace(from_ab(MARGINAL), tol=LOOSE)
+    assert not from_ab(MARGINAL).flags.separable
+    assert ld.tol == LOOSE
+    assert ld.flags == from_ab(MARGINAL, LOOSE).flags
+    assert ld.residuals == classification_residuals(ld.space, LOOSE)
+    with pytest.raises(ValueError):
+        dataclasses.replace(ld, flags=ld.flags)
+
+
 def test_from_subspace_rejects_non_structure_with_residuals():
+    # span{(e1, 0), (0, e1*)}; LinearLD takes no residuals to trust
     bad = span([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(NotLDStructureError) as err:
-        from_subspace(bad)
-    assert err.value.forward_residual > 0.0
-    assert err.value.backward_residual > 0.0
+    for build in (from_subspace, LinearLD):
+        with pytest.raises(NotLDStructureError) as err:
+            build(bad)
+        assert err.value.forward_residual > 0.0
+        assert err.value.backward_residual > 0.0
+
+
+def test_classification_residuals_need_an_even_double():
+    with pytest.raises(InputError, match="even"):
+        classification_residuals(Subspace.full(3))
+
+
+def test_the_zero_subspace_has_zero_residuals():
+    # it satisfies every equation vacuously; LinearLD refuses it by
+    # dimension, not by residual
+    assert classification_residuals(Subspace.zero(4)) == dict.fromkeys(
+        ("forward", "backward", "dirac", "symmetric_dirac", "separable"), 0.0)
 
 
 def test_from_subspace_rejects_wrong_dimension():
@@ -368,6 +423,20 @@ def test_deform_rejects_asymmetric_form():
     ld = from_ab(ABRep(np.eye(2), POISSON_2))
     with pytest.raises(InputError):
         deform(ld, np.array([[0.0, 1.0], [0.0, 0.0]]), "forward")
+
+
+def test_deform_rejects_a_misshapen_form():
+    ld = from_ab(ABRep(np.eye(2), POISSON_2))
+    with pytest.raises(InputError, match="2x2"):
+        deform(ld, np.eye(3), "forward")
+
+
+def test_pairs_and_deformations_take_only_the_two_orientations():
+    ld = from_ab(ABRep(np.eye(2), POISSON_2))
+    with pytest.raises(InputError, match="unknown orientation"):
+        to_pair(ld, "sideways")
+    with pytest.raises(InputError, match="unknown direction"):
+        deform(ld, np.eye(2), "sideways")
 
 
 def test_deform_requires_a_dirac_structure():

@@ -11,8 +11,8 @@ from _gen import (planted_rank, random_orthonormal, random_subspace,
                   subspace_residual)
 from ldkit import (InputError, Subspace, Tolerance, annihilator, intersect,
                    project_factor, rank_kernel)
-from ldkit.subspaces import (DEFAULT_TOLERANCE, complement_columns,
-                             is_symmetric, numerical_rank,
+from ldkit.subspaces import (DEFAULT_TOLERANCE, as_vector,
+                             complement_columns, is_symmetric, numerical_rank,
                              orthonormal_columns, sym_part, sym_skew)
 
 E1_3 = np.array([1.0, 0.0, 0.0])
@@ -71,6 +71,26 @@ def test_subspace_accepts_a_basis_within_the_absolute_bound(seed, ambient):
     basis[:, int(rng.integers(0, dim))] *= 1.0 + 1e-8
     with pytest.raises(InputError, match="orthonormal"):
         Subspace(ambient, basis)
+
+
+@pytest.mark.parametrize("ambient, basis, message", [
+    (-1, np.zeros((0, 0)), "nonnegative"),
+    (3, np.eye(2), "do not match"),
+    (1, np.zeros((1, 2)), "more columns")],
+    ids=["negative ambient", "mismatched rows", "too many columns"])
+def test_subspace_rejects_a_basis_of_the_wrong_shape(ambient, basis, message):
+    with pytest.raises(InputError, match=message):
+        Subspace(ambient, basis)
+
+
+def test_as_vector_rejects_a_matrix():
+    with pytest.raises(InputError, match="1-dimensional"):
+        as_vector(np.zeros((2, 1)), 2)
+
+
+def test_contains_subspace_requires_matching_ambient():
+    with pytest.raises(InputError, match="different ambient"):
+        span(E1_3).contains_subspace(Subspace.full(2))
 
 
 def test_subspace_rejects_non_finite_entries():
@@ -242,6 +262,11 @@ def test_project_factor_mixed_span():
 def test_project_factor_rejects_odd_ambient():
     with pytest.raises(InputError):
         project_factor(span(E1_3), "first")
+
+
+def test_project_factor_rejects_an_unknown_factor():
+    with pytest.raises(InputError, match="unknown factor"):
+        project_factor(Subspace.full(4), "third")
 
 
 def test_numerical_rank_closed_forms():

@@ -20,6 +20,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``simulate`` and ``oracle_simulate`` to t = 2;
 - the particle with a friction entry that is a callable of q (so Pi is
   evaluated per call), under ``simulate`` to t = 2;
+- ``gradient_system`` of a metric that is a callable of x
+  (``callable_gradient``), free and with a constant k = 1 G, under
+  ``simulate`` to t = 2: its Pi is formed per call, which the catalog's
+  constant metric never reaches;
 - the particle at the coarse step COARSE_DT = 0.05 to t = 2, with and
   without its analytic constraint Jacobian, under ``simulate``: there each
   step leaves chi_c by more than the projection tolerance, so every step
@@ -141,6 +145,20 @@ def demo_oscillator(ldkit):
     return ldkit.metriplectic_system(
         ldkit.TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]])),
         ldkit.TensorField.constant(np.diag([0.0, 0.5])), half_norm)
+
+
+def callable_gradient(ldkit, forces=None):
+    """``gradient_system`` of H = |x|^2 / 2 and the metric
+    g(x) = diag(1, 2, 3) + v v^T with v = (x_2, 1, -x_1) / 2, a callable
+    of x; ``forces`` as given."""
+    def metric(x):
+        v = 0.5 * np.array([x[1], 1.0, -x[0]])
+        return np.diag([1.0, 2.0, 3.0]) + np.outer(v, v)
+
+    half_norm = ldkit.ScalarField(3, value=lambda x: 0.5 * float(x @ x),
+                                  gradient=lambda x: x.copy())
+    return ldkit.gradient_system(ldkit.TensorField(3, metric), half_norm,
+                                 forces)
 
 
 def linear_runs(ldkit) -> dict:
@@ -292,6 +310,13 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
     friction = ldkit.damped_particle((lambda q: 1.0 + q[1] ** 2, 1.0, 0.5))
     keep("simulate particle with callable friction",
          ldkit.simulate(friction, x0, c))
+    keep("simulate gradient system with callable metric", ldkit.simulate(
+        callable_gradient(ldkit), np.array([1.0, -0.5, 0.25]), c))
+    along_x1_x2 = ldkit.ConstraintField.constant(np.array([[1.0], [1.0],
+                                                           [0.0]]))
+    keep("simulate gradient system with callable metric and k=1 G",
+         ldkit.simulate(callable_gradient(ldkit, along_x1_x2),
+                        np.array([1.0, -1.0, 0.5]), c))
     # whole coarse steps within the horizon cap
     coarse = ldkit.IntegratorConfig(
         dt=COARSE_DT,
