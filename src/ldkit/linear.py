@@ -77,6 +77,9 @@ class LinearLD:
             read-only.
         flags: each residual at most ``tol.residual_eps``.
 
+    The classification's SVD of each half of the basis is kept, read-only,
+    so that the results derived from the structure factor nothing again.
+
     Raises NotLDStructureError when neither characteristic equation holds.
     """
 
@@ -85,6 +88,7 @@ class LinearLD:
     n: int = field(init=False)
     residuals: Mapping[str, float] = field(init=False)
     flags: LDFlags = field(init=False)
+    _svd: Mapping[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, odd = divmod(self.space.ambient_dim, 2)
@@ -93,7 +97,8 @@ class LinearLD:
         if self.space.dim != n:
             raise InputError(f"an LD structure on R^{n} must have dimension "
                              f"{n}, got {self.space.dim}")
-        res = MappingProxyType(classification_residuals(self.space, self.tol))
+        res, svd = _classify(self.space, self.tol)
+        res = MappingProxyType(res)
         eps = self.tol.residual_eps
         flags = LDFlags(**{name: value <= eps for name, value in res.items()})
         if not (flags.forward or flags.backward):
@@ -103,7 +108,11 @@ class LinearLD:
                 f"{res['backward']:.3e} > {eps:.1e})",
                 forward_residual=res["forward"],
                 backward_residual=res["backward"])
-        for name, value in (("n", n), ("residuals", res), ("flags", flags)):
+        for factors in svd.values():
+            for array in factors:
+                array.setflags(write=False)
+        for name, value in (("n", n), ("residuals", res), ("flags", flags),
+                            ("_svd", MappingProxyType(svd))):
             object.__setattr__(self, name, value)
 
 
@@ -181,34 +190,30 @@ def _halves(space: Subspace, orientation: Orientation) -> tuple:
     return _oriented(orientation, space.basis[:n, :], space.basis[n:, :])
 
 
-def _meet(range_half: np.ndarray, other_half: np.ndarray,
-          rank_eps: float) -> np.ndarray:
+def _meet(svd: tuple, other_half: np.ndarray, rank_eps: float) -> np.ndarray:
     """Basis of L ∩ V* from the forward halves or L ∩ V from the backward
-    ones, orthonormal to within rank_eps ** 2: L's orthonormal basis makes
-    other_half an isometry on ker(range_half), its rank cut at rank_eps in
-    absolute terms."""
-    _, s, vt = np.linalg.svd(range_half)
+    ones, given the SVD of the range half, orthonormal to within
+    rank_eps ** 2: L's orthonormal basis makes other_half an isometry on
+    ker(range_half), its rank cut at rank_eps in absolute terms."""
+    _, s, vt = svd
     return other_half @ vt[numerical_rank(s, rank_eps, scale=1.0):].T
 
 
-def classification_residuals(space: Subspace,
-                             tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
-    """Numerical residuals of the characteristic equations and pairings.
-
-    Returns a dict with keys forward, backward, dirac, symmetric_dirac and
-    separable; a flag holds when its residual is at most tol.residual_eps.
-    The forward residual measures how far L ∩ V* is from being orthogonal to
-    proj_V(L) (equality of an inclusion whose dimensions already match when
-    dim L = n), and symmetrically for backward.
-    """
+def _classify(space: Subspace, tol: Tolerance) -> tuple[dict, dict]:
+    """The residuals of :func:`classification_residuals`, and the SVD
+    (u, s, vt) of each orientation's range half, by orientation (none for
+    the zero subspace)."""
     if space.ambient_dim % 2 != 0:
         raise InputError("the double must have even dimension")
+    factors = {}
 
     def equation_residual(orientation: Orientation) -> float:
         if space.dim == 0:
             return 0.0
         range_half, other_half = _halves(space, orientation)
-        w = _meet(range_half, other_half, tol.rank_eps)
+        svd = np.linalg.svd(range_half)
+        factors[orientation] = svd
+        w = _meet(svd, other_half, tol.rank_eps)
         if w.shape[1] == 0:
             # trivial intersection; the annihilator side must then be full
             # rank on range_half, which holds by dimension count.
@@ -230,7 +235,20 @@ def classification_residuals(space: Subspace,
         "dirac": dirac_res,
         "symmetric_dirac": symmetric_res,
         "separable": separable_res,
-    }
+    }, factors
+
+
+def classification_residuals(space: Subspace,
+                             tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
+    """Numerical residuals of the characteristic equations and pairings.
+
+    Returns a dict with keys forward, backward, dirac, symmetric_dirac and
+    separable; a flag holds when its residual is at most tol.residual_eps.
+    The forward residual measures how far L ∩ V* is from being orthogonal to
+    proj_V(L) (equality of an inclusion whose dimensions already match when
+    dim L = n), and symmetrically for backward.
+    """
+    return _classify(space, tol)[0]
 
 
 def from_subspace(space: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
@@ -279,12 +297,9 @@ def from_pair(rep: PairRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     return ld
 
 
-def to_pair(l: LinearLD, orientation: Orientation) -> PairRep:
-    """Extract the carrier/map representation in the requested orientation,
-    its rank decided at ``l.tol``.
-
-    Raises OrientationError when ``l`` does not carry that orientation flag.
-    """
+def _carrier_map(l: LinearLD, orientation: Orientation) -> tuple:
+    """(carrier basis, map matrix) of ``l`` in ``orientation``, from the
+    stored SVD of its range half, the rank decided at ``l.tol``."""
     if orientation not in ("forward", "backward"):
         raise InputError(f"unknown orientation {orientation!r}")
     if not getattr(l.flags, orientation):
@@ -292,14 +307,22 @@ def to_pair(l: LinearLD, orientation: Orientation) -> PairRep:
         raise OrientationError(
             f"structure is not {orientation}; no (carrier, map) "
             f"representation with a {factor}-space carrier exists")
-    range_half, other_half = _halves(l.space, orientation)
+    other_half = _halves(l.space, orientation)[1]
     # range_half = U S Vᵀ maps the combination v_i / s_i to carrier vector u_i
-    u, s, vt = np.linalg.svd(range_half)
+    u, s, vt = l._svd[orientation]
     rank = numerical_rank(s, l.tol.rank_eps, scale=1.0)
-    if rank == 0:
-        return PairRep(orientation, Subspace.zero(l.n), np.zeros((0, 0)))
     matrix = u[:, :rank].T @ (other_half @ (vt[:rank].T / s[:rank]))
-    return PairRep(orientation, Subspace(l.n, u[:, :rank]), matrix)
+    return np.ascontiguousarray(u[:, :rank]), matrix
+
+
+def to_pair(l: LinearLD, orientation: Orientation) -> PairRep:
+    """Extract the carrier/map representation in the requested orientation,
+    its rank decided at ``l.tol``.
+
+    Raises OrientationError when ``l`` does not carry that orientation flag.
+    """
+    carrier, matrix = _carrier_map(l, orientation)
+    return PairRep(orientation, Subspace(l.n, carrier), matrix)
 
 
 def split_pairing(l: LinearLD, orientation: Orientation) -> SplitPairing:
@@ -312,13 +335,12 @@ def split_pairing(l: LinearLD, orientation: Orientation) -> SplitPairing:
     counted by sign: the shear (v, eta) -> (v, eta + Psi v) takes the Gram
     matrix to [[0, I], [I, 0]], so no eigenvalue is zero.
     """
-    rep = to_pair(l, orientation)
+    qc, matrix = _carrier_map(l, orientation)
     n = l.n
-    qc = rep.carrier.basis
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, n:] = gram[n:, :n] = np.eye(n)
     half = slice(None, n) if orientation == "forward" else slice(n, None)
-    gram[half, half] = -2.0 * sym_part(qc @ rep.matrix @ qc.T)
+    gram[half, half] = -2.0 * sym_part(qc @ matrix @ qc.T)
     eigs = np.linalg.eigvalsh(gram)
     pos = int(np.count_nonzero(eigs > 0.0))
     neg = int(np.count_nonzero(eigs < 0.0))
@@ -350,17 +372,22 @@ def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     return from_subspace(Subspace(2 * l.n, basis), l.tol)
 
 
+def _stored_meet(l: LinearLD, orientation: Orientation) -> Subspace:
+    """L ∩ V* (forward) or L ∩ V (backward) as a subspace of R^n, from the
+    kept SVD of the range half, its rank decided at ``l.tol``."""
+    eps = l.tol.rank_eps
+    return Subspace(l.n, orthonormal_columns(
+        _meet(l._svd[orientation], _halves(l.space, orientation)[1], eps),
+        eps))
+
+
 def tangent_part(l: LinearLD) -> Subspace:
     """L ∩ V as a subspace of R^n (vectors paired with the zero covector),
     its rank decided at ``l.tol``."""
-    eps = l.tol.rank_eps
-    return Subspace(l.n, orthonormal_columns(
-        _meet(*_halves(l.space, "backward"), eps), eps))
+    return _stored_meet(l, "backward")
 
 
 def cotangent_part(l: LinearLD) -> Subspace:
     """L ∩ V* as a subspace of R^n (covectors paired with the zero vector),
     its rank decided at ``l.tol``."""
-    eps = l.tol.rank_eps
-    return Subspace(l.n, orthonormal_columns(
-        _meet(*_halves(l.space, "forward"), eps), eps))
+    return _stored_meet(l, "forward")

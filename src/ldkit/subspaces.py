@@ -114,11 +114,13 @@ def numerical_rank(s: np.ndarray, rank_eps: float,
 
     ``s`` is in descending order, as numpy's SVD returns it; the cutoff is
     ``rank_eps`` relative to ``scale``, by default the largest singular
-    value.  An empty or all-zero spectrum has rank 0.
+    value.  An empty or all-zero spectrum has rank 0.  The cutoff is a
+    Python float, so a subnormal one is no underflow under any
+    ``np.errstate``.
     """
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    cutoff = rank_eps * (s[0] if scale is None else scale)
+    cutoff = rank_eps * float(s[0] if scale is None else scale)
     return int(np.count_nonzero(s > cutoff))
 
 

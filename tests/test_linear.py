@@ -617,12 +617,142 @@ def test_svd_budget_of_the_linear_routines(monkeypatch, orientation, k):
                    random_map(rng, k, "generic"))
     ab = ABRep(np.eye(n), random_map(rng, n, "generic"))
     ld = from_pair(pair)
-    # to_pair: one SVD of the range half gives carrier and map
-    assert svd_count(monkeypatch, to_pair, ld, orientation) == 1
-    # classification: one SVD per half, for the two meets
+    # to_pair and split_pairing read the SVD the classification kept
+    assert svd_count(monkeypatch, to_pair, ld, orientation) == 0
+    assert svd_count(monkeypatch, split_pairing, ld, orientation) == 0
+    # the meets read it too, and take one SVD to orthonormalize their
+    # columns; the annihilator of the carrier is in the meet of its
+    # orientation, and an empty meet takes none
+    for meet in (tangent_part, cotangent_part):
+        assert svd_count(monkeypatch, meet, ld) == int(meet(ld).dim > 0)
+    oriented = cotangent_part if orientation == "forward" else tangent_part
+    assert oriented(ld).dim == n - k
+    # classification: one SVD per half, for the two meets, kept by LinearLD
     assert svd_count(monkeypatch, classification_residuals, ld.space) == 2
+    assert svd_count(monkeypatch, LinearLD, ld.space) == 2
     # from_ab: orthonormalize the spanning set, then classify
     assert svd_count(monkeypatch, from_ab, ab) == 1 + 2
     # from_pair with 0 < k < n: complement of the carrier, orthonormalize,
     # classify
     assert svd_count(monkeypatch, from_pair, pair) == 1 + 1 + 2
+
+
+# ---------------------------------------------------------------------------
+# The kept factorization: everything derived from a structure equals what a
+# fresh SVD of its half gives
+
+
+def fresh_pair(ld, orientation):
+    """(carrier basis, map) from a fresh SVD of the range half of ld's
+    basis, by the formula of to_pair, its rank cut at ld.tol.rank_eps."""
+    n = ld.n
+    range_half, other_half = ((ld.space.basis[:n], ld.space.basis[n:])
+                              if orientation == "forward"
+                              else (ld.space.basis[n:], ld.space.basis[:n]))
+    u, s, vt = np.linalg.svd(range_half)
+    rank = int(np.count_nonzero(s > ld.tol.rank_eps))
+    matrix = u[:, :rank].T @ (other_half @ (vt[:rank].T / s[:rank]))
+    return np.array(u[:, :rank]), matrix
+
+
+def fresh_gram(ld, orientation):
+    carrier, matrix = fresh_pair(ld, orientation)
+    n = ld.n
+    extended = carrier @ matrix @ carrier.T
+    half = 0.5 * extended
+    gram = np.zeros((2 * n, 2 * n))
+    gram[:n, n:] = gram[n:, :n] = np.eye(n)
+    block = slice(None, n) if orientation == "forward" else slice(n, None)
+    gram[block, block] = -2.0 * (half + half.T)
+    return gram
+
+
+def fresh_meet(ld, orientation):
+    """L ∩ V* (forward) or L ∩ V (backward) from a fresh SVD of the range
+    half, orthonormalized at ld.tol.rank_eps."""
+    n = ld.n
+    range_half, other_half = ((ld.space.basis[:n], ld.space.basis[n:])
+                              if orientation == "forward"
+                              else (ld.space.basis[n:], ld.space.basis[:n]))
+    _, s, vt = np.linalg.svd(range_half)
+    meet = other_half @ vt[int(np.count_nonzero(s > ld.tol.rank_eps)):].T
+    if meet.size == 0:
+        return np.zeros((n, 0))
+    u, s, _ = np.linalg.svd(meet, full_matrices=False)
+    return u[:, :int(np.count_nonzero(s > ld.tol.rank_eps * s[0]))]
+
+
+def assert_derived_from_a_fresh_svd(ld):
+    for orientation, meet in (("forward", cotangent_part),
+                              ("backward", tangent_part)):
+        assert same_bits(meet(ld).basis, fresh_meet(ld, orientation))
+        if not getattr(ld.flags, orientation):
+            continue
+        carrier, matrix = fresh_pair(ld, orientation)
+        pair = to_pair(ld, orientation)
+        assert pair.carrier.basis.shape == carrier.shape
+        assert same_bits(pair.carrier.basis, carrier)
+        assert same_bits(pair.matrix, matrix)
+        pairing = split_pairing(ld, orientation)
+        assert same_bits(pairing.gram, fresh_gram(ld, orientation))
+        assert pairing.signature == (ld.n, ld.n)
+
+
+def marginal_structure(rng, n, small):
+    """span{(d_i q_i, c_i q_i)} for an orthogonal q: its vector half has
+    the singular value small / hypot(small, 1) and n - 1 near 1, so it is
+    forward and backward at the default cutoffs and at LOOSE."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = np.ones(n)
+    c = rng.uniform(-2.0, 2.0, size=n)
+    d[-1], c[-1] = small, 1.0
+    return from_ab(ABRep(q * d, q * c))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_derived_results_equal_a_fresh_svd_of_the_half(seed, n, data):
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, n), label="k")
+    orientation = data.draw(st.sampled_from(["forward", "backward"]),
+                            label="orientation")
+    kind = data.draw(st.sampled_from(["generic", "skew", "sym", "zero"]),
+                     label="kind")
+    ld = from_pair(PairRep(orientation, random_subspace(rng, n, k),
+                           random_map(rng, k, kind)))
+    assert_derived_from_a_fresh_svd(ld)
+    # the factors are kept read-only, and are no part of == or repr
+    for u, s, vt in ld._svd.values():
+        assert not (u.flags.writeable or s.flags.writeable
+                    or vt.flags.writeable)
+    with pytest.raises(TypeError):
+        ld._svd["forward"] = ld._svd["backward"]
+    assert ld == LinearLD(ld.space, ld.tol)
+    assert repr(ld) == (f"LinearLD(space={ld.space!r}, tol={ld.tol!r}, "
+                        f"n={ld.n!r}, residuals={ld.residuals!r}, "
+                        f"flags={ld.flags!r})")
+    # re-classified at a looser rank_eps, a singular value between the two
+    # cutoffs leaves the rank: the factors and every rank are taken again
+    small = data.draw(st.sampled_from([1e-8, 1e-6, 1e-5, 1e-4]),
+                      label="small")
+    marginal = marginal_structure(rng, n, small)
+    loose = dataclasses.replace(marginal, tol=LOOSE)
+    assert loose != marginal
+    for structure in (marginal, loose):
+        assert_derived_from_a_fresh_svd(structure)
+    assert to_pair(marginal, "forward").carrier.dim == n
+    assert to_pair(loose, "forward").carrier.dim == n - 1
+
+
+def test_a_tiny_structure_builds_under_a_raising_errstate():
+    # the spanning set's largest singular value is about 1e-300, so the
+    # relative rank cutoff 1e-9 * 1e-300 is subnormal
+    rep = ABRep(1e-300 * np.eye(2), np.diag([1e-300, 0.0]))
+    ld = from_ab(rep)
+    with np.errstate(all="raise"):
+        raised = from_ab(rep)
+    assert raised.flags == ld.flags
+    assert same_bits(raised.space.basis, ld.space.basis)
+    for name, value in ld.residuals.items():
+        assert same_bits(raised.residuals[name], value)

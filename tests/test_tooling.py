@@ -107,7 +107,7 @@ def test_compare_trajectories_finds_a_tree_equal_to_itself():
     assert done.stdout.splitlines()[-1] == (
         "108 trajectory arrays, 7 failing-run arrays, 60 one-point arrays, "
         "40 edge-state arrays, 8 files, 48 read-back arrays, 8 audit "
-        "outputs, 93 linear-layer arrays and 10 verify outputs compared: "
+        "outputs, 108 linear-layer arrays and 10 verify outputs compared: "
         "0 differ")
 
 

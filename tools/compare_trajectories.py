@@ -58,7 +58,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   ``to_pair`` and the Gram matrix and signature of ``split_pairing`` in
   each orientation a structure carries, and the bases of
   ``tangent_part``, ``cotangent_part``, ``intersect``, ``rank_kernel`` and
-  ``project_factor``;
+  ``project_factor``; one of the structures is ``from_ab`` of
+  (diag(1, 1e-5), diag(0, 1)) classified again by ``dataclasses.replace``
+  at rank_eps = residual_eps = 1e-3, where its forward carrier loses the
+  1e-5 direction, so a rank kept from the first classification shows;
 - the exit code, stdout and stderr of ``ldkit verify`` of the structure
   specs of VERIFY_SPECS, at the default cutoffs and with
   ``--tol-rank 1e-6 --tol-residual 1e-6``.
@@ -177,6 +180,11 @@ def linear_runs(ldkit) -> dict:
     for direction in ("forward", "backward"):
         structures[f"deform {direction}"] = ldkit.deform(
             structures["from_ab skew graph"], f + f.T, direction)
+    marginal = ldkit.from_ab(ldkit.ABRep(np.diag([1.0, 1e-5]),
+                                         np.diag([0.0, 1.0])))
+    ldkit.to_pair(marginal, "forward")   # a result cached on use would carry
+    structures["from_ab marginal, replaced at 1e-3"] = dataclasses.replace(
+        marginal, tol=ldkit.Tolerance(1e-3, 1e-3))
     runs = {}
     for label, structure in structures.items():
         runs[f"{label}: basis"] = structure.space.basis
