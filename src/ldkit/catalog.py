@@ -30,7 +30,7 @@ from .dynamics import DIHSystem
 from .errors import InputError, SpecFormatError
 from .fields import (ConstraintField, LDField, ScalarField, TensorField,
                      _Constant)
-from .subspaces import DEFAULT_TOLERANCE, as_vector, is_symmetric
+from .subspaces import DEFAULT_TOLERANCE, as_vector, float_rule, is_symmetric
 
 __all__ = [
     "gradient_system",
@@ -62,8 +62,7 @@ def _check_symmetric_psd(tensor: TensorField, name: str,
         # scaled, so that no entry near the float maximum overflows LAPACK
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         try:
-            with np.errstate(under="ignore"):
-                eigs = np.linalg.eigvalsh(m / scale)
+            eigs = np.linalg.eigvalsh(m / scale)
         except np.linalg.LinAlgError as exc:
             raise InputError(f"{name} has no eigenvalues at probe point {p}: "
                              f"{exc}") from exc
@@ -74,16 +73,14 @@ def _check_symmetric_psd(tensor: TensorField, name: str,
 
 
 def _pi_field(n: int, evaluate, *tensors: TensorField) -> TensorField:
-    """Pi = ``evaluate``, built once when each of ``tensors`` is constant.
-    Numpy's flags are ignored there: an overflow to inf is refused by the
-    constant's finite check, under any ``np.errstate``."""
+    """Pi = ``evaluate``, built once when each of ``tensors`` is constant;
+    the constant's finite check refuses a value that overflowed."""
     if all(isinstance(t.evaluate, _Constant) for t in tensors):
-        with np.errstate(all="ignore"):
-            value = evaluate(np.zeros(n))
-        return TensorField.constant(value)
+        return TensorField.constant(evaluate(np.zeros(n)))
     return TensorField(n, evaluate)
 
 
+@float_rule
 def gradient_system(metric: TensorField, entropy: ScalarField,
                     forces: ConstraintField | None = None) -> DIHSystem:
     """Pure dissipation, xdot = -g#(x) grad S(x) + G(x) lambda: the
@@ -94,6 +91,7 @@ def gradient_system(metric: TensorField, entropy: ScalarField,
                                metric, entropy, forces)
 
 
+@float_rule
 def metriplectic_system(poisson: TensorField, metric: TensorField,
                         hamiltonian: ScalarField,
                         forces: ConstraintField | None = None) -> DIHSystem:
@@ -119,6 +117,7 @@ def metriplectic_system(poisson: TensorField, metric: TensorField,
     return DIHSystem(n, ld, hamiltonian)
 
 
+@float_rule
 def damped_mechanical(damping: TensorField,
                       constraint: ConstraintField | None,
                       hamiltonian: ScalarField) -> DIHSystem:
@@ -180,6 +179,7 @@ def _friction(mu) -> TensorField:
         [float(v(q)) if callable(v) else v for v in values]))
 
 
+@float_rule
 def damped_particle(mu=(1.0, 1.0, 1.0)) -> DIHSystem:
     """Particle in R^3 with kinetic energy, diagonal friction mu_i(q), and
     the nonholonomic constraint zdot = y xdot (momentum form y p_x = p_z).
@@ -295,6 +295,7 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
+@float_rule
 def build_system(spec: SystemSpec) -> tuple[DIHSystem, np.ndarray]:
     """Instantiate a catalog system and its validated initial state."""
     if spec.name not in CATALOG:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .catalog import build_system
 from .dynamics import RATE_TOL, IntegratorConfig, audit_series, simulate
@@ -22,7 +20,7 @@ from .errors import (ConsistencyError, DegenerateRepresentationError,
 from .io import (load_structure_spec, load_system_spec, read_trajectory,
                  write_trajectory_csv, write_trajectory_json)
 from .linear import split_pairing
-from .subspaces import DEFAULT_TOLERANCE, Tolerance
+from .subspaces import DEFAULT_TOLERANCE, Tolerance, float_rule
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -154,13 +152,12 @@ _EXIT_CODES = (
 )
 
 
+@float_rule
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # numpy's warnings would only repeat the error reported below
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except LDKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES

@@ -26,7 +26,7 @@ from .errors import (ConsistencyError, DegenerateMultiplierError, InputError,
                      LDKitError, StepFailureError)
 from .fields import LDField, ScalarField, _checked, _Constant
 from .numdiff import _FLOAT, central_directional, central_gradient
-from .subspaces import as_vector, complement_columns, sym_part
+from .subspaces import as_vector, complement_columns, float_rule, sym_part
 
 __all__ = [
     "DIHSystem",
@@ -66,10 +66,6 @@ _MAX_STEPS = 10**8
 # monotone decay
 RATE_TOL = 1e-12
 MONOTONE_TOL = 1e-10
-
-# runs and one-point functions ignore numpy's underflow flag: products may
-# round to subnormals or zero under any np.errstate, as they do by default
-_ignore_underflow = np.errstate(under="ignore")
 
 
 @dataclass(frozen=True)
@@ -347,32 +343,45 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
     return lam, resid
 
 
-@_ignore_underflow
+def _finite(value, what: str, x: np.ndarray):
+    """``value``, an array or a float, once it is finite; InputError when
+    it overflowed at the finite state ``x``."""
+    if not np.isfinite(value).all():
+        raise InputError(f"{what} at {x} overflows the float range")
+    return value
+
+
+@float_rule
 def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
     """Test membership of ``x`` in chi_c = {x : G(x)^T grad H(x) = 0}: the
-    max-norm residual must be at most 1e-10, the bound runs start from."""
+    max-norm residual must be at most 1e-10, the bound runs start from.
+    A residual that overflows is reported as inf."""
     point = as_vector(x, sys.n, "state")
     if sys.k == 0:
         return ConsistencyReport(True, 0.0)
     g = sys.ld.forces(point)
     grad = sys.hamiltonian.grad(point)
     residual = float(np.abs(g.T @ grad).max(initial=0.0))
+    if math.isnan(residual):  # +inf and -inf met in a sum
+        residual = math.inf
     return ConsistencyReport(residual <= _PROJECTION_TOL, residual)
 
 
-@_ignore_underflow
+@float_rule
 def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
     """Constraint multiplier at a consistent state.
 
     Solves (J G) lambda = -J Pi grad H with J the constraint-residual
     Jacobian; a singular system falls back to the min-norm least-squares
-    solution and the second return value is its residual.
+    solution and the second return value is its residual.  Raises
+    InputError when the multiplier overflows.
     """
     c = _Compiled(sys, x)
     if c.k == 0:
         return np.zeros(0), 0.0
     point, grad, g, pi, jac = c.start[:5]
-    return _lambda_at(c, point, g, pi @ grad, jac)
+    lam, resid = _lambda_at(c, point, g, pi @ grad, jac)
+    return _finite(lam, "the multiplier", point), resid
 
 
 def _checked_pi(c: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -412,19 +421,22 @@ def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
                   None if c.jac is None else c.jac(x))[1]
 
 
-@_ignore_underflow
+@float_rule
 def rhs(sys: DIHSystem, x) -> np.ndarray:
-    """Right-hand side Pi grad H + G lambda at a consistent state."""
+    """Right-hand side Pi grad H + G lambda at a consistent state; raises
+    InputError when it overflows."""
     c = _Compiled(sys, x)
-    return _terms(c, *c.start[:5])[1]
+    return _finite(_terms(c, *c.start[:5])[1], "the right-hand side",
+                   c.start[0])
 
 
-@_ignore_underflow
+@float_rule
 def kernel_form(sys: DIHSystem, x) -> KernelForm:
     """Multiplier-free reduced form [K; 0] xdot = (K Pi grad H, G^T grad H).
 
     K spans the left null space of G(x); with k = 0 it is the identity.
-    Raises RegularityError when G(x) drops rank.
+    Raises RegularityError when G(x) drops rank, and InputError when the
+    reduced right-hand side overflows.
     """
     point = as_vector(x, sys.n, "state")
     grad = sys.hamiltonian.grad(point)
@@ -434,7 +446,8 @@ def kernel_form(sys: DIHSystem, x) -> KernelForm:
     kmat = complement_columns(g, k).T
     lhs = np.vstack([kmat, np.zeros((k, n))])
     rhs_vec = np.concatenate([kmat @ (pi @ grad), g.T @ grad])
-    return KernelForm(kmat, lhs, rhs_vec)
+    return KernelForm(kmat, lhs, _finite(rhs_vec, "the reduced right-hand "
+                                         "side", point))
 
 
 def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
@@ -450,11 +463,13 @@ def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
     return float(grad.dot(sym.dot(grad))) + 0.0
 
 
-@_ignore_underflow
+@float_rule
 def energy_rate(sys: DIHSystem, x) -> float:
-    """The bracket value [H, H](x) = grad H^T sym(Pi) grad H."""
+    """The bracket value [H, H](x) = grad H^T sym(Pi) grad H; raises
+    InputError when it overflows, as a run does at its start."""
     point = as_vector(x, sys.n, "state")
-    return _bracket_hh(sys.hamiltonian.grad(point), sys.ld.pi(point))
+    rate = _bracket_hh(sys.hamiltonian.grad(point), sys.ld.pi(point))
+    return _finite(rate, "[H, H]", point)
 
 
 def _project(c: _Compiled, x: np.ndarray
@@ -539,13 +554,10 @@ def _all_finite(x: np.ndarray) -> bool:
     """``np.isfinite(x).all()`` for a float vector, at a fifth of its cost
     when it holds: the sum of the entries is finite only if every entry
     is.  Finite entries can overflow the sum too, so the exact test decides
-    when it is not finite.  The sum is taken in Python floats, which set
-    no numpy floating-point flag: under ``np.errstate(over="raise")`` a
-    large finite state must not fail the step."""
+    when it is not finite.  The sum is taken in Python floats."""
     return math.isfinite(sum(x.tolist())) or bool(np.isfinite(x).all())
 
 
-@_ignore_underflow
 def _run(sys: DIHSystem, x0, config: IntegratorConfig,
          stepper: Callable[..., np.ndarray],
          coefficients: Callable[[float], tuple],
@@ -585,7 +597,8 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
             # a stalled projection, a non-finite state, H or [H, H], and a
             # user callable that passed the up-front checks but returns a
             # malformed result mid-run raise ValueError: from the checks of
-            # the hot loop, or from numpy (LinAlgError too)
+            # the hot loop, or from numpy (LinAlgError too); a callable that
+            # sets a raising errstate of its own raises FloatingPointError
             raise StepFailureError(
                 f"step to t = {i * dt:.6g} failed: {exc}",
                 time=t_prev, state=rec.states[rec.m - 1].copy(),
@@ -612,6 +625,7 @@ def _rk4_step(f: Callable, x: np.ndarray, fx: np.ndarray,
     return x + sixth_h * (k1 + two * (k2 + k3) + k4)
 
 
+@float_rule
 def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
     """Integrate with fixed-step RK4 plus post-step constraint projection.
 
@@ -664,6 +678,7 @@ def _gbs_step(f: Callable, y: np.ndarray, f0: np.ndarray,
     return t2 + (t2 - t1) / three
 
 
+@float_rule
 def oracle_simulate(sys: DIHSystem, x0, dt: float,
                     t_end: float) -> Trajectory:
     """Independent verification run on the same grid as :func:`simulate`.
@@ -677,13 +692,15 @@ def oracle_simulate(sys: DIHSystem, x0, dt: float,
                 _gbs_coefficients, substeps=2)
 
 
+@float_rule
 def audit_series(times, energies, rates) -> EnergyAudit:
     """Audit an energy series against its stored bracket rates.
 
     Finite-difference dH/dt uses central differences in the interior and
     one-sided differences at the ends of the sample grid.  Raises
     InputError unless the times increase strictly and every value is
-    finite.
+    finite.  A difference of finite samples that overflows makes the
+    drift, the rate deviation or the energy increase ±inf.
     """
     t = np.asarray(times, dtype=float)
     h = np.asarray(energies, dtype=float)
@@ -732,6 +749,7 @@ def audit_series(times, energies, rates) -> EnergyAudit:
     )
 
 
+@float_rule
 def energy_audit(trajectory: Trajectory) -> EnergyAudit:
     """Audit a trajectory's energy series; see :func:`audit_series`."""
     return audit_series(trajectory.times, trajectory.energies,

@@ -13,6 +13,7 @@ whose skew and symmetric parts come from the matrix split of Pi(x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -22,7 +23,8 @@ from .errors import AdmissibilityError, InputError, RegularityError
 from .linear import LinearLD, PairRep, from_pair
 from .numdiff import central_gradient
 from .subspaces import (DEFAULT_TOLERANCE, Subspace, as_matrix, as_vector,
-                        complement_columns, numerical_rank, sym_skew)
+                        complement_columns, float_rule, numerical_rank,
+                        sym_skew)
 
 __all__ = [
     "ScalarField",
@@ -83,10 +85,12 @@ class ScalarField:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
+    @float_rule
     def __call__(self, x) -> float:
         point = as_vector(x, self.dim, "point")
         return float(_checked(self.value(point), (), "scalar field", point))
 
+    @float_rule
     def grad(self, x) -> np.ndarray:
         point = as_vector(x, self.dim, "point")
         if self.gradient is not None:
@@ -95,6 +99,7 @@ class ScalarField:
             g = central_gradient(self, point)
         return _checked(g, (self.dim,), "gradient", point)
 
+    @float_rule
     def check_gradient(self, points: Sequence) -> None:
         """Validate the analytic gradient against central differences.
 
@@ -122,6 +127,7 @@ class TensorField:
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
 
+    @float_rule
     def __call__(self, x) -> np.ndarray:
         point = as_vector(x, self.dim, "point")
         return _checked(self.evaluate(point), (self.dim, self.dim),
@@ -156,6 +162,7 @@ class ConstraintField:
         if self.k > 0 and self.evaluate is None:
             raise InputError("constraint field with k > 0 needs a callable")
 
+    @float_rule
     def matrix(self, x) -> np.ndarray:
         point = as_vector(x, self.dim, "point")
         if self.k == 0:
@@ -163,6 +170,7 @@ class ConstraintField:
         return _checked(self.evaluate(point), (self.dim, self.k),
                         "constraint field", point)
 
+    @float_rule
     def __call__(self, x) -> np.ndarray:
         m = self.matrix(x)
         if self.k and _rank(m) < self.k:
@@ -225,19 +233,22 @@ class RegularityReport:
         return not self.jumps
 
 
+@float_rule
 def carrier_at(field: LDField, x) -> Subspace:
     """The admissible codistribution F(x) = ker(G(x)^T) = ann(Im G(x))."""
     g = field.forces(x)
-    return Subspace(field.n, complement_columns(g, field.k))
+    return Subspace._trusted(field.n, complement_columns(g, field.k))
 
 
+@float_rule
 def pointwise(field: LDField, x) -> LinearLD:
     """The linear LD structure induced at a point.
 
     Built as the backward pair on carrier F(x) = ker(G(x)^T) with map the
     compression of Pi(x) to the carrier; the discarded components of Pi(x)
     land in Im G(x), which the construction's annihilator summand absorbs.
-    Raises RegularityError when G(x) drops rank.
+    Raises RegularityError when G(x) drops rank, and InputError when the
+    compression of a finite Pi(x) overflows.
     """
     carrier = carrier_at(field, x)
     qf = carrier.basis
@@ -266,6 +277,7 @@ def _admissibility_check(field: LDField, g_matrix: np.ndarray,
             residual=float(violations[worst]))
 
 
+@float_rule
 def bracket(field: LDField, f: ScalarField, g: ScalarField, x) -> BracketValue:
     """Evaluate {{f, g}}(x) = <df | Pi(x) dg> with its skew/sym split.
 
@@ -282,6 +294,7 @@ def bracket(field: LDField, f: ScalarField, g: ScalarField, x) -> BracketValue:
     field ``LDField(field.pi, ConstraintField.none(field.n))``.  The
     split is Pi/2 ± Pi^T/2, finite for a finite Pi, with the sym(Pi) of
     ``energy_rate``; the triple satisfies full = skew + sym exactly.
+    Raises InputError when a part or their sum overflows.
     """
     point = as_vector(x, field.n, "point")
     df = f.grad(point)
@@ -290,9 +303,14 @@ def bracket(field: LDField, f: ScalarField, g: ScalarField, x) -> BracketValue:
     sym_m, skew_m = sym_skew(field.pi(point))
     skew = float(df @ (skew_m @ dg))
     sym = float(df @ (sym_m @ dg))
-    return BracketValue(full=skew + sym, skew=skew, sym=sym)
+    full = skew + sym
+    if not math.isfinite(full):
+        raise InputError(f"the bracket at {point} overflows the float range: "
+                         f"skew part {skew}, sym part {sym}")
+    return BracketValue(full=full, skew=skew, sym=sym)
 
 
+@float_rule
 def regularity_scan(field: LDField, samples) -> RegularityReport:
     """Ranks of G and of the codistribution across sample points.
 

@@ -35,7 +35,7 @@ from .catalog import SystemSpec
 from .dynamics import Trajectory
 from .errors import InputError, SpecFormatError
 from .linear import ABRep, LinearLD, PairRep, from_ab, from_pair
-from .subspaces import DEFAULT_TOLERANCE, Subspace, Tolerance
+from .subspaces import DEFAULT_TOLERANCE, Subspace, Tolerance, float_rule
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -169,6 +169,7 @@ def _matrix_from(doc: dict, key: str, path: str, cols: int = 0) -> np.ndarray:
     return arr
 
 
+@float_rule
 def load_structure_spec(path: str,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     """Load and build a linear structure from a spec file.
@@ -215,6 +216,7 @@ def load_structure_spec(path: str,
     raise SpecFormatError(f"{path}: field 'kind' must be 'ab' or 'pair'")
 
 
+@float_rule
 def load_system_spec(path: str) -> SystemSpec:
     """Load a run request: {"name", "parameters", "initial_state"}."""
     doc = _load_json(path, ("parameters", "initial_state"))
@@ -265,6 +267,7 @@ def _write_replacing(path: str, chunks) -> None:
         raise
 
 
+@float_rule
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     """Write the fixed-layout trajectory CSV, a block of rows at a time."""
     fields = [getattr(trajectory, name) for name in _FIELDS]
@@ -282,6 +285,7 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     _write_replacing(path, chunks())
 
 
+@float_rule
 def write_trajectory_json(trajectory: Trajectory, path: str) -> None:
     """Write the JSON mirror of the trajectory fields, a block of rows at a
     time: the bytes of ``json.dumps(doc) + "\\n"``."""
@@ -475,6 +479,7 @@ def _read_trajectory_json(path: str) -> Trajectory:
     return _trajectory_from_arrays(doc, path)
 
 
+@float_rule
 def read_trajectory(path: str) -> Trajectory:
     """Read a trajectory in either format, chosen by extension or else by
     the first character that is not whitespace."""

@@ -27,8 +27,9 @@ import numpy as np
 from .errors import (DegenerateRepresentationError, InputError,
                      NotLDStructureError, OrientationError, PreconditionError)
 from .subspaces import (DEFAULT_TOLERANCE, Subspace, Tolerance, as_matrix,
-                        complement_columns, is_symmetric, numerical_rank,
-                        orthonormal_columns, sym_part, sym_skew)
+                        complement_columns, float_rule, is_symmetric,
+                        numerical_rank, orthonormal_columns, sym_part,
+                        sym_skew)
 
 __all__ = [
     "LDFlags",
@@ -79,6 +80,8 @@ class LinearLD:
 
     The classification's SVD of each half of the basis is kept, read-only,
     so that the results derived from the structure factor nothing again.
+    A pickled or copied structure is classified again from its ``space``
+    and ``tol``, which gives the same residuals and factors.
 
     Raises NotLDStructureError when neither characteristic equation holds.
     """
@@ -90,6 +93,7 @@ class LinearLD:
     flags: LDFlags = field(init=False)
     _svd: Mapping[str, tuple] = field(init=False, repr=False, compare=False)
 
+    @float_rule
     def __post_init__(self):
         n, odd = divmod(self.space.ambient_dim, 2)
         if odd or n < 1:
@@ -114,6 +118,9 @@ class LinearLD:
         for name, value in (("n", n), ("residuals", res), ("flags", flags),
                             ("_svd", MappingProxyType(svd))):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return LinearLD, (self.space, self.tol)
 
 
 @dataclass(frozen=True)
@@ -238,6 +245,7 @@ def _classify(space: Subspace, tol: Tolerance) -> tuple[dict, dict]:
     }, factors
 
 
+@float_rule
 def classification_residuals(space: Subspace,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
     """Numerical residuals of the characteristic equations and pairings.
@@ -251,12 +259,14 @@ def classification_residuals(space: Subspace,
     return _classify(space, tol)[0]
 
 
+@float_rule
 def from_subspace(space: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     """``LinearLD(space, tol)``: ``space`` as an LD structure classified at
     ``tol``, or NotLDStructureError when neither equation holds there."""
     return LinearLD(space, tol)
 
 
+@float_rule
 def from_ab(rep: ABRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     """Build a structure from an (A, B) matrix pair.
 
@@ -272,15 +282,28 @@ def from_ab(rep: ABRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
             f"degenerate representation: ker A ∩ ker B has dimension "
             f"{rep.n - rank}; the pair spans only a {rank}-dimensional "
             f"subspace")
-    return from_subspace(Subspace(2 * rep.n, basis), tol)
+    return LinearLD(Subspace._trusted(2 * rep.n, basis), tol)
 
 
+def _spanned(stacked: np.ndarray, what: str) -> Subspace:
+    """The span of the 2n×n matrix ``stacked``, of full column rank by
+    construction: all n left singular vectors, at any size of its entries.
+    Raises InputError when an entry overflowed while ``stacked`` was
+    formed from finite input."""
+    if not np.isfinite(stacked).all():
+        raise InputError(f"{what} overflows the float range")
+    basis = np.linalg.svd(stacked, full_matrices=False)[0]
+    return Subspace._trusted(stacked.shape[0], basis)
+
+
+@float_rule
 def from_pair(rep: PairRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     """Build a structure from a carrier/map pair.
 
     Forward (E, Ω): L = {(v, Ω v + μ) : v ∈ E, μ ∈ ann(E)}; backward (F, Π):
     L = {(Π η + w, η) : η ∈ F, w ∈ ann(F)}.  The result always carries the
-    requested orientation flag.
+    requested orientation flag.  The pair spans n dimensions at any size
+    of the map; InputError when the map applied to the carrier overflows.
     """
     n = rep.carrier.ambient_dim
     k = rep.carrier.dim
@@ -288,8 +311,7 @@ def from_pair(rep: PairRep, tol: Tolerance = DEFAULT_TOLERANCE) -> LinearLD:
     range_half = np.hstack([qc, np.zeros((n, n - k))])
     other_half = np.hstack([qc @ rep.matrix, complement_columns(qc, k)])
     stacked = np.vstack(_oriented(rep.orientation, range_half, other_half))
-    space = Subspace(2 * n, orthonormal_columns(stacked, tol.rank_eps))
-    ld = from_subspace(space, tol)
+    ld = LinearLD(_spanned(stacked, "the map applied to the carrier"), tol)
     if not getattr(ld.flags, rep.orientation):
         # cannot happen for exact arithmetic; guards against pathological input
         raise NotLDStructureError(
@@ -315,6 +337,7 @@ def _carrier_map(l: LinearLD, orientation: Orientation) -> tuple:
     return np.ascontiguousarray(u[:, :rank]), matrix
 
 
+@float_rule
 def to_pair(l: LinearLD, orientation: Orientation) -> PairRep:
     """Extract the carrier/map representation in the requested orientation,
     its rank decided at ``l.tol``.
@@ -322,9 +345,10 @@ def to_pair(l: LinearLD, orientation: Orientation) -> PairRep:
     Raises OrientationError when ``l`` does not carry that orientation flag.
     """
     carrier, matrix = _carrier_map(l, orientation)
-    return PairRep(orientation, Subspace(l.n, carrier), matrix)
+    return PairRep(orientation, Subspace._trusted(l.n, carrier), matrix)
 
 
+@float_rule
 def split_pairing(l: LinearLD, orientation: Orientation) -> SplitPairing:
     """Gram matrix of the split pairing adapted to ``l`` on R^{2n}.
 
@@ -347,6 +371,7 @@ def split_pairing(l: LinearLD, orientation: Orientation) -> SplitPairing:
     return SplitPairing(gram, (pos, neg))
 
 
+@float_rule
 def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     """Deform a Dirac structure by a symmetric bilinear form.
 
@@ -354,7 +379,8 @@ def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     a forward structure; "backward" shears vectors, (v, η) -> (v + φ η, η),
     and yields a backward structure.  The zero form returns ``l`` unchanged
     as a subspace.  The shear is invertible, so the sheared basis keeps all
-    n columns at any size of the form; the result is classified at ``l.tol``.
+    n columns at any size of the form; InputError when the sheared basis
+    overflows.  The result is classified at ``l.tol``.
     """
     if direction not in ("forward", "backward"):
         raise InputError(f"unknown direction {direction!r}")
@@ -368,25 +394,26 @@ def deform(l: LinearLD, form, direction: Orientation) -> LinearLD:
     range_half, other_half = _halves(l.space, direction)
     stacked = np.vstack(_oriented(direction, range_half,
                                   other_half + psi @ range_half))
-    basis = np.linalg.svd(stacked, full_matrices=False)[0]
-    return from_subspace(Subspace(2 * l.n, basis), l.tol)
+    return LinearLD(_spanned(stacked, "the sheared basis"), l.tol)
 
 
 def _stored_meet(l: LinearLD, orientation: Orientation) -> Subspace:
     """L ∩ V* (forward) or L ∩ V (backward) as a subspace of R^n, from the
     kept SVD of the range half, its rank decided at ``l.tol``."""
     eps = l.tol.rank_eps
-    return Subspace(l.n, orthonormal_columns(
+    return Subspace._trusted(l.n, orthonormal_columns(
         _meet(l._svd[orientation], _halves(l.space, orientation)[1], eps),
         eps))
 
 
+@float_rule
 def tangent_part(l: LinearLD) -> Subspace:
     """L ∩ V as a subspace of R^n (vectors paired with the zero covector),
     its rank decided at ``l.tol``."""
     return _stored_meet(l, "backward")
 
 
+@float_rule
 def cotangent_part(l: LinearLD) -> Subspace:
     """L ∩ V* as a subspace of R^n (covectors paired with the zero vector),
     its rank decided at ``l.tol``."""

@@ -65,16 +65,16 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     ``math.hypot`` as in :func:`gradient_step`, so a direction far above
     1e154 still gives a finite step, and any memory order gives the same
     bits.  An entry of s v_j that underflows is the 0 or subnormal that
-    IEEE rounding gives, under any ``np.errstate``.  A zero direction, or
-    one so short that s overflows, gives a column of exact zeros and costs
-    no evaluation.  For m = 1 each quotient is taken in Python floats,
-    the same IEEE subtraction and division as numpy's, so the same bits;
-    unlike numpy's, it ignores ``np.errstate``: a quotient that overflows
-    is inf, and one over s = 0 inf or nan, with no warning or error,
-    where for m > 1 a raising errstate raises.  Returns the
-    C-ordered (m, number of directions) matrix; raises ValueError when fn
-    does not return m values, which numpy would otherwise broadcast into
-    the column.
+    IEEE rounding gives.  A zero direction, or one so short that s
+    overflows, gives a column of exact zeros and costs no evaluation.  For
+    m = 1 each quotient is taken in Python floats, the same IEEE
+    subtraction and division as numpy's, so the same bits, at less call
+    overhead: a quotient that overflows is inf, and one over s = 0 inf or
+    nan.  Like the rest of this module, it runs under the floating-point
+    rule of the public function that calls it and sets none of its own.
+    Returns the C-ordered (m, number of directions) matrix; raises
+    ValueError when fn does not return m values, which numpy would
+    otherwise broadcast into the column.
     """
     h = gradient_step(x)
     cols: list = []
@@ -84,11 +84,7 @@ def central_directional(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         if s == math.inf:  # no finite probe along v_j: J v_j is taken as 0
             cols.append(0.0 if m == 1 else np.zeros(m))
             continue
-        try:
-            d = s * vj
-        except FloatingPointError:  # np.errstate raising on an underflow
-            with np.errstate(under="ignore"):
-                d = s * vj
+        d = s * vj
         hi = np.asarray(fn(x + d), dtype=_FLOAT)
         lo = np.asarray(fn(x - d), dtype=_FLOAT)
         if hi.shape != (m,) or lo.shape != (m,):

@@ -7,7 +7,8 @@ membership or equality check is a residual test against an explicit bound.
 The cutoffs here are ``DEFAULT_TOLERANCE``'s: only ``ldkit verify``'s path,
 from its spec loader into :mod:`ldkit.linear`, takes a :class:`Tolerance`.
 The one sym/skew split of a square matrix, and the one symmetry test, that
-the other layers use are here too.
+the other layers use are here too, and so is the package's floating-point
+rule, :data:`float_rule`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ class Tolerance:
 
 DEFAULT_TOLERANCE = Tolerance()
 
+# The package's floating-point rule: numpy's flags are ignored inside every
+# public entry point, so a result does not depend on the caller's errstate
+# and the library's own finite checks decide what a non-finite value means.
+# It is applied only as a decorator: one errstate object entered again by
+# ``with`` raises TypeError, while decorated calls nest.  The code behind
+# the entry points, the integrator's step loop and numdiff among it,
+# carries no rule of its own.
+float_rule = np.errstate(all="ignore")
+
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a float 2-d array, rejecting non-finite entries."""
@@ -77,25 +87,15 @@ def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _half(m: np.ndarray) -> np.ndarray:
-    """m/2.  A subnormal half that a raising ``np.errstate`` refuses is
-    taken again with underflow ignored, which gives the default result."""
-    try:
-        return 0.5 * m
-    except FloatingPointError:
-        with np.errstate(under="ignore"):
-            return 0.5 * m
-
-
 def sym_part(m: np.ndarray) -> np.ndarray:
     """sym(m) = m/2 + mᵀ/2, finite where (m + mᵀ)/2 overflows."""
-    half = _half(m)
+    half = 0.5 * m
     return half + half.T
 
 
 def sym_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The split m = sym + skew, (m/2 + mᵀ/2, m/2 - mᵀ/2), finite."""
-    half = _half(m)
+    half = 0.5 * m
     return half + half.T, half - half.T
 
 
@@ -114,9 +114,7 @@ def numerical_rank(s: np.ndarray, rank_eps: float,
 
     ``s`` is in descending order, as numpy's SVD returns it; the cutoff is
     ``rank_eps`` relative to ``scale``, by default the largest singular
-    value.  An empty or all-zero spectrum has rank 0.  The cutoff is a
-    Python float, so a subnormal one is no underflow under any
-    ``np.errstate``.
+    value.  An empty or all-zero spectrum has rank 0.
     """
     if s.size == 0 or s[0] <= 0.0:
         return 0
@@ -162,7 +160,7 @@ def complement_columns(m: np.ndarray, rank: int) -> np.ndarray:
     return u[:, rank:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^m held as an orthonormal column basis.
 
@@ -171,11 +169,15 @@ class Subspace:
         basis: (m, k) matrix with orthonormal columns; k = dim of subspace.
             Every entry of basisᵀ basis - I must be at most 1e-8 in
             absolute value; there is no relative allowance.
+
+    ``==`` compares the bases entry by entry; :meth:`equals` compares the
+    spans.
     """
 
     ambient_dim: int
     basis: np.ndarray
 
+    @float_rule
     def __post_init__(self):
         if self.ambient_dim < 0:
             raise InputError("ambient dimension must be nonnegative")
@@ -195,23 +197,46 @@ class Subspace:
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.ambient_dim == other.ambient_dim
+                and np.array_equal(self.basis, other.basis))
+
+    def __reduce__(self):
+        # a pickled or copied subspace is checked, and frozen, again
+        return Subspace, (self.ambient_dim, self.basis)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """The subspace of a basis that the library's own SVD has just
+        made, orthonormal by construction: a read-only copy, as the checked
+        constructor keeps, with none of its checks of outside input."""
+        space = object.__new__(cls)
+        b = basis.copy()
+        b.setflags(write=False)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "basis", b)
+        return space
+
+    @classmethod
+    @float_rule
     def from_spanning(cls, vectors) -> "Subspace":
         """Subspace spanned by the columns of the matrix ``vectors``: any
         matrix-like input, so ``[[1, 0, 0], [0, 1, 0]]`` spans R^2."""
         m = as_matrix(vectors, "spanning set")
-        return cls(m.shape[0],
-                   orthonormal_columns(m, DEFAULT_TOLERANCE.rank_eps))
+        return cls._trusted(m.shape[0],
+                            orthonormal_columns(m, DEFAULT_TOLERANCE.rank_eps))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)))
+        return cls._trusted(ambient_dim, np.zeros((ambient_dim, 0)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
+        return cls._trusted(ambient_dim, np.eye(ambient_dim))
 
     # -- queries -----------------------------------------------------------
 
@@ -220,22 +245,28 @@ class Subspace:
         return self.basis.shape[1]
 
     @property
+    @float_rule
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.T
 
+    @float_rule
     def membership_residual(self, v) -> float:
-        """Relative distance of ``v`` from the subspace (0 for v = 0)."""
+        """Relative distance of ``v`` from the subspace (0 for v = 0),
+        taken of v / max |v_i|, so that it does not depend on the scale of
+        ``v``: finite for every finite ``v``."""
         vec = as_vector(v, self.ambient_dim)
-        scale = float(np.linalg.norm(vec))
-        if scale == 0.0:
+        peak = float(np.abs(vec).max(initial=0.0))
+        if peak == 0.0:
             return 0.0
+        vec = vec / peak
         resid = vec - self.basis @ (self.basis.T @ vec)
-        return float(np.linalg.norm(resid)) / scale
+        return float(np.linalg.norm(resid)) / float(np.linalg.norm(vec))
 
     def contains(self, v) -> bool:
         return self.membership_residual(v) <= DEFAULT_TOLERANCE.residual_eps
 
+    @float_rule
     def contains_subspace(self, other: "Subspace") -> bool:
         """True when every basis vector of ``other`` lies in ``self``."""
         if other.ambient_dim != self.ambient_dim:
@@ -256,6 +287,7 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
+@float_rule
 def rank_kernel(m) -> tuple[int, Subspace]:
     """Numerical rank and kernel of a matrix.
 
@@ -272,17 +304,20 @@ def rank_kernel(m) -> tuple[int, Subspace]:
         raise InputError("rank_kernel needs a nonempty matrix")
     _, s, vt = np.linalg.svd(arr)
     rank = numerical_rank(s, DEFAULT_TOLERANCE.rank_eps)
-    return rank, Subspace(arr.shape[1], vt[rank:].T)
+    return rank, Subspace._trusted(arr.shape[1], vt[rank:].T)
 
 
+@float_rule
 def annihilator(w: Subspace) -> Subspace:
     """Annihilator of ``w`` under the dot-product identification of duals.
 
     Returns the orthogonal complement; its dimension is ambient_dim - dim(w).
     """
-    return Subspace(w.ambient_dim, complement_columns(w.basis, w.dim))
+    return Subspace._trusted(w.ambient_dim,
+                             complement_columns(w.basis, w.dim))
 
 
+@float_rule
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
@@ -299,10 +334,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if kernel.dim == 0:
         return Subspace.zero(a.ambient_dim)
     combo = a.basis @ kernel.basis[: a.dim, :]
-    return Subspace(a.ambient_dim,
-                    orthonormal_columns(combo, DEFAULT_TOLERANCE.rank_eps))
+    return Subspace._trusted(
+        a.ambient_dim, orthonormal_columns(combo, DEFAULT_TOLERANCE.rank_eps))
 
 
+@float_rule
 def project_factor(l: Subspace,
                    which: Literal["first", "second"]) -> Subspace:
     """Image of a subspace of R^n ⊕ R^n under a factor projection.
@@ -327,5 +363,5 @@ def project_factor(l: Subspace,
         raise InputError(f"unknown factor {which!r}; use 'first' or 'second'")
     # the basis columns are unit vectors, so singular values of a half block
     # below rank_eps are projection noise, not genuine image directions
-    return Subspace(n, orthonormal_columns(rows, DEFAULT_TOLERANCE.rank_eps,
-                                           scale=1.0))
+    return Subspace._trusted(
+        n, orthonormal_columns(rows, DEFAULT_TOLERANCE.rank_eps, scale=1.0))

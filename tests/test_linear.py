@@ -1,7 +1,9 @@
 """Linear structures on R^n ⊕ R^n*: construction, classification, pairing,
 deformation."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from ldkit import (DEFAULT_TOLERANCE, ABRep, DegenerateRepresentationError,
                    InputError, LDFlags, LinearLD, NotLDStructureError,
                    OrientationError, PairRep, PreconditionError, Subspace,
                    Tolerance, classification_residuals, cotangent_part,
-                   deform, from_ab, from_pair, from_subspace, rank_kernel,
-                   split_pairing, tangent_part, to_pair)
+                   damped_particle, deform, from_ab, from_pair,
+                   from_subspace, pointwise, rank_kernel, split_pairing,
+                   tangent_part, to_pair)
 
 POISSON_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -745,14 +748,35 @@ def test_derived_results_equal_a_fresh_svd_of_the_half(seed, n, data):
     assert to_pair(loose, "forward").carrier.dim == n - 1
 
 
-def test_a_tiny_structure_builds_under_a_raising_errstate():
-    # the spanning set's largest singular value is about 1e-300, so the
-    # relative rank cutoff 1e-9 * 1e-300 is subnormal
-    rep = ABRep(1e-300 * np.eye(2), np.diag([1e-300, 0.0]))
-    ld = from_ab(rep)
-    with np.errstate(all="raise"):
-        raised = from_ab(rep)
-    assert raised.flags == ld.flags
-    assert same_bits(raised.space.basis, ld.space.basis)
-    for name, value in ld.residuals.items():
-        assert same_bits(raised.residuals[name], value)
+# The stacked basis of a pair has full column rank n by construction, so a
+# map far above 1/rank_eps must not cost it the unit-size complement columns.
+# At the parent both builds raised InputError("... must have dimension n").
+def test_a_pair_with_a_large_map_keeps_every_column():
+    ld = from_pair(PairRep("backward", span([1, 0, 0], [0, 1, 0]),
+                           1e10 * POISSON_2))
+    assert ld.space.dim == 3 and ld.flags.backward
+    # L = span{(Pi e1, e1), (Pi e2, e2), (e3, 0)}, orthogonal columns
+    exact = np.array([[0, -1e10, 0, 1, 0, 0], [1e10, 0, 0, 0, 1, 0],
+                      [0, 0, 1, 0, 0, 0]]).T
+    assert ld.space.equals(Subspace(6, exact / np.linalg.norm(exact, axis=0)))
+    # the particle with a large friction: the compression of Pi(0) to the
+    # 5-dimensional carrier ker G(0)^T holds -1e10
+    ld = pointwise(damped_particle((1e10, 1.0, 1.0)).ld, np.zeros(6))
+    assert ld.space.dim == 6 and ld.flags.backward
+
+
+@pytest.mark.parametrize("copy", [lambda ld: pickle.loads(pickle.dumps(ld)),
+                                  copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_a_structure_survives_pickling_and_copying(copy):
+    ld = from_ab(ABRep(np.eye(3), random_map(np.random.default_rng(5), 3,
+                                             "generic")), LOOSE)
+    twin = copy(ld)
+    assert twin == ld
+    assert twin.space == ld.space and twin.tol == ld.tol
+    assert twin.flags == ld.flags
+    assert dict(twin.residuals) == dict(ld.residuals)
+    assert not twin.space.basis.flags.writeable
+    for orientation, (u, s, vt) in ld._svd.items():
+        for kept, copied in zip((u, s, vt), twin._svd[orientation]):
+            assert same_bits(copied, kept) and not copied.flags.writeable

@@ -2,8 +2,10 @@
 a deletion in ``src/`` must fail here rather than in a benchmark run or a
 demo.  The trajectory comparison in ``tools/`` is checked here too."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -178,3 +180,71 @@ def test_bench_record_summarizes_fabricated_run_records(tmp_path):
                                          r"seed \[2\]"):
         bench.summarize(records + [fake_run_record("user_fd", 2, 0, 250.0)],
                         "rerun")
+
+
+# -- the floating-point rule ---------------------------------------------------
+
+SRC = ROOT / "src" / "ldkit"
+RULED_MODULES = ("subspaces", "linear", "fields", "dynamics", "catalog", "io")
+
+
+def carries_the_rule(function) -> bool:
+    rule = importlib.import_module("ldkit.subspaces").float_rule
+    return any(cell.cell_contents is rule
+               for cell in getattr(function, "__closure__", None) or ())
+
+
+def test_the_package_has_one_errstate_and_one_floating_point_catch():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert sum(text.count("np.errstate") for text in sources.values()) == 1
+    # user callables may still raise FloatingPointError under an errstate
+    # of their own; only the run loop turns it into a StepFailureError
+    catches = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                catches += [
+                    (name, function.name) for handler in ast.walk(function)
+                    if isinstance(handler, ast.ExceptHandler)
+                    and "FloatingPointError" in ast.unparse(handler.type)]
+    assert catches == [("dynamics.py", "_run")]
+
+
+@pytest.mark.parametrize("module", RULED_MODULES)
+def test_every_exported_function_carries_the_rule(module):
+    mod = importlib.import_module(f"ldkit.{module}")
+    functions = [name for name in mod.__all__
+                 if inspect.isfunction(getattr(mod, name))]
+    assert functions
+    assert [name for name in functions
+            if not carries_the_rule(getattr(mod, name))] == []
+
+
+def test_the_constructors_and_methods_that_do_float_work_carry_the_rule():
+    ldkit = importlib.import_module("ldkit")
+    methods = [
+        ldkit.Subspace.__post_init__, ldkit.LinearLD.__post_init__,
+        ldkit.Subspace.from_spanning.__func__,
+        ldkit.Subspace.membership_residual, ldkit.Subspace.contains_subspace,
+        ldkit.Subspace.projector.fget, ldkit.ScalarField.__call__,
+        ldkit.ScalarField.grad, ldkit.ScalarField.check_gradient,
+        ldkit.TensorField.__call__, ldkit.ConstraintField.matrix,
+        ldkit.ConstraintField.__call__,
+        importlib.import_module("ldkit.cli").main]
+    assert [m.__qualname__ for m in methods if not carries_the_rule(m)] == []
+
+
+def test_numdiff_and_the_step_loop_carry_no_rule():
+    # a ruled call costs about 0.6 us, and the no-Jacobian path makes
+    # thousands of numdiff calls per run
+    numdiff = importlib.import_module("ldkit.numdiff")
+    dynamics = importlib.import_module("ldkit.dynamics")
+    assert "float_rule" not in (SRC / "numdiff.py").read_text()
+    loop = [getattr(numdiff, name) for name in numdiff.__all__] + [
+        getattr(dynamics, name) for name in (
+            "_run", "_rhs_raw", "_terms", "_lambda_at", "_project",
+            "_solve_constraint", "_checked_pi", "_bracket_hh", "_rk4_step",
+            "_gbs_step", "_midpoint_chain", "_all_finite")] + [
+        dynamics._Recorder.record]
+    assert [f.__name__ for f in loop if carries_the_rule(f)] == []
