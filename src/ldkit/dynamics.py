@@ -343,14 +343,6 @@ def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
     return lam, resid
 
 
-def _finite(value, what: str, x: np.ndarray):
-    """``value``, an array or a float, once it is finite; InputError when
-    it overflowed at the finite state ``x``."""
-    if not np.isfinite(value).all():
-        raise InputError(f"{what} at {x} overflows the float range")
-    return value
-
-
 @float_rule
 def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
     """Test membership of ``x`` in chi_c = {x : G(x)^T grad H(x) = 0}: the
@@ -381,7 +373,7 @@ def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
         return np.zeros(0), 0.0
     point, grad, g, pi, jac = c.start[:5]
     lam, resid = _lambda_at(c, point, g, pi @ grad, jac)
-    return _finite(lam, "the multiplier", point), resid
+    return _checked(lam, (c.k,), "the multiplier", point), resid
 
 
 def _checked_pi(c: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -426,8 +418,8 @@ def rhs(sys: DIHSystem, x) -> np.ndarray:
     """Right-hand side Pi grad H + G lambda at a consistent state; raises
     InputError when it overflows."""
     c = _Compiled(sys, x)
-    return _finite(_terms(c, *c.start[:5])[1], "the right-hand side",
-                   c.start[0])
+    return _checked(_terms(c, *c.start[:5])[1], (c.n,),
+                    "the right-hand side", c.start[0])
 
 
 @float_rule
@@ -446,8 +438,8 @@ def kernel_form(sys: DIHSystem, x) -> KernelForm:
     kmat = complement_columns(g, k).T
     lhs = np.vstack([kmat, np.zeros((k, n))])
     rhs_vec = np.concatenate([kmat @ (pi @ grad), g.T @ grad])
-    return KernelForm(kmat, lhs, _finite(rhs_vec, "the reduced right-hand "
-                                         "side", point))
+    return KernelForm(kmat, lhs, _checked(rhs_vec, (n,), "the reduced "
+                                          "right-hand side", point))
 
 
 def _bracket_hh(grad: np.ndarray, pi: np.ndarray,
@@ -469,7 +461,7 @@ def energy_rate(sys: DIHSystem, x) -> float:
     InputError when it overflows, as a run does at its start."""
     point = as_vector(x, sys.n, "state")
     rate = _bracket_hh(sys.hamiltonian.grad(point), sys.ld.pi(point))
-    return _finite(rate, "[H, H]", point)
+    return float(_checked(rate, (), "[H, H]", point))
 
 
 def _project(c: _Compiled, x: np.ndarray

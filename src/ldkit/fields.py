@@ -13,7 +13,6 @@ whose skew and symmetric parts come from the matrix split of Pi(x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -303,10 +302,7 @@ def bracket(field: LDField, f: ScalarField, g: ScalarField, x) -> BracketValue:
     sym_m, skew_m = sym_skew(field.pi(point))
     skew = float(df @ (skew_m @ dg))
     sym = float(df @ (sym_m @ dg))
-    full = skew + sym
-    if not math.isfinite(full):
-        raise InputError(f"the bracket at {point} overflows the float range: "
-                         f"skew part {skew}, sym part {sym}")
+    full = float(_checked(skew + sym, (), "the bracket", point))
     return BracketValue(full=full, skew=skew, sym=sym)
 
 

@@ -290,9 +290,7 @@ def _spanned(stacked: np.ndarray, what: str) -> Subspace:
     construction: all n left singular vectors, at any size of its entries.
     Raises InputError when an entry overflowed while ``stacked`` was
     formed from finite input."""
-    if not np.isfinite(stacked).all():
-        raise InputError(f"{what} overflows the float range")
-    basis = np.linalg.svd(stacked, full_matrices=False)[0]
+    basis = np.linalg.svd(as_matrix(stacked, what), full_matrices=False)[0]
     return Subspace._trusted(stacked.shape[0], basis)
 
 

@@ -59,7 +59,10 @@ DEFAULT_TOLERANCE = Tolerance()
 # public entry point, so a result does not depend on the caller's errstate
 # and the library's own finite checks decide what a non-finite value means.
 # It is applied only as a decorator: one errstate object entered again by
-# ``with`` raises TypeError, while decorated calls nest.  The code behind
+# ``with`` raises TypeError, while decorated calls nest, because numpy >= 2
+# keeps each call's saved errstate in a context variable, not on the shared
+# object (numpy 1 did, and a nested call left the caller's errstate at
+# "ignore"; hence the numpy >= 2.0 requirement).  The code behind
 # the entry points, the integrator's step loop and numdiff among it,
 # carries no rule of its own.
 float_rule = np.errstate(all="ignore")

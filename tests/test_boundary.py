@@ -344,10 +344,14 @@ def outcome(call, scale: float, seed: int, errstate: dict):
     """(the result's leaves, None) or (None, the LDKitError class)."""
     rng = np.random.default_rng(seed)
     with np.errstate(**errstate):
+        caller = np.geterr()
         try:
             return leaves(call(scale, rng)), None
         except LDKitError as exc:
             return None, type(exc)
+        finally:
+            # the rule is the call's own: the caller's errstate is restored
+            assert np.geterr() == caller
 
 
 def test_the_table_calls_every_exported_function_and_constructor():
@@ -386,9 +390,25 @@ def test_the_two_overflows_of_the_table_have_their_stated_outcome():
         report = check_consistency(particle(), [0, 1e200, 0, 1e200, 0, 0])
         assert report == ConsistencyReport(False, np.inf)
         system = oscillator()
-        with pytest.raises(InputError, match="overflows"):
+        with pytest.raises(InputError, match="the bracket has non-finite"):
             bracket(system.ld, system.hamiltonian, system.hamiltonian,
                     [1e200, 1e200])
+
+
+def test_nested_ruled_calls_leave_the_callers_errstate_as_it_was():
+    # from_ab enters the rule again in LinearLD, and pointwise three times
+    # deep (carrier_at, from_pair, LinearLD); each exit restores the errstate
+    # its own entry found, raising or numpy's default
+    for errstate in ({"all": "raise"}, DEFAULT_ERRSTATE):
+        with np.errstate(**errstate):
+            caller = np.geterr()
+            from_ab(ABRep(np.eye(2), POISSON_2))
+            assert np.geterr() == caller
+            pointwise(damped_particle((1.0, 1.0, 1.0)).ld, np.zeros(6))
+            assert np.geterr() == caller
+            with pytest.raises(DegenerateRepresentationError):
+                from_ab(ABRep(np.zeros((2, 2)), np.zeros((2, 2))))
+            assert np.geterr() == caller
 
 
 # -- the private path behind the boundary --------------------------------------

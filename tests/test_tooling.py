@@ -211,6 +211,15 @@ def test_the_package_has_one_errstate_and_one_floating_point_catch():
     assert catches == [("dynamics.py", "_run")]
 
 
+def test_the_declared_numpy_floor_is_the_one_the_rule_needs():
+    # numpy 1 saved the caller's errstate on the shared errstate object, so
+    # a nested ruled call left the caller at "ignore"; numpy 2 saves it per
+    # call, in a context variable
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r'"numpy[^"]*"', text) == ['"numpy>=2.0"']
+    assert int(np.__version__.split(".")[0]) >= 2
+
+
 @pytest.mark.parametrize("module", RULED_MODULES)
 def test_every_exported_function_carries_the_rule(module):
     mod = importlib.import_module(f"ldkit.{module}")
