@@ -204,8 +204,13 @@ class EnergyAudit:
 
 
 class _Compiled:
-    """Raw closures for the hot loop; :attr:`start` holds the one checked
-    evaluation at x0: x0, grad H, G, Pi, J or None, |G^T grad H|, H.
+    """Raw closures for the hot loop, and the one set-up of a start x0: it
+    checks H, grad H, Pi, G and J at x0, refuses x0 outside chi_c by
+    :func:`_constraint_residual` and solves lambda and f(x0) once by
+    :func:`_terms`.  A ValueError or FloatingPointError of a callable at
+    x0 or a difference probe, and a non-finite [H, H], raise InputError.
+    :attr:`start` holds x0, grad H, G, Pi, lambda, its least-squares
+    residual, f(x0), |G^T grad H|, H and [H, H].
 
     A constant Pi (``TensorField.constant``, also from the catalog's
     constructors) and the empty G of k = 0 are checked once, at set-up,
@@ -252,35 +257,16 @@ class _Compiled:
         self.residual_shape = (sys.k,)
         x0 = as_vector(x0, sys.n, "state")
         ham = sys.hamiltonian
-        h0 = ham(x0)
-        grad0, pi0, g0 = ham.grad(x0), sys.ld.pi(x0), sys.ld.forces(x0)
-        resid0 = float(np.abs(g0.T @ grad0).max(initial=0.0))
-        if resid0 > _PROJECTION_TOL:
-            raise ConsistencyError(
-                f"state is not in the consistency set chi_c: constraint "
-                f"residual |G^T grad H| = {resid0:.3e} > "
-                f"{_PROJECTION_TOL:.1e}",
-                residual=resid0)
         self.jac = sys.constraint_jacobian if self.k else None
-        jac0 = None if self.jac is None else _checked(
-            self.jac(x0), (self.k, self.n), "constraint Jacobian", x0)
-        self.start = (x0, grad0, g0, pi0, jac0, resid0, h0)
         self.pi = sys.ld.pi.evaluate
         self.g = sys.ld.forces.evaluate
-        if isinstance(self.pi, _Constant):
-            self.pi_fixed = pi0
-            self.sym_fixed = sym_part(pi0)
-        else:
-            self.pi_fixed = self.sym_fixed = None
-        self.g_fixed = g0 if self.k == 0 else None
         value = ham.value
 
         def hval(x: np.ndarray) -> float:
             try:
                 return float(value(x))
             except TypeError as exc:
-                raise ValueError(
-                    f"H returned a non-scalar mid-run: {exc}") from exc
+                raise ValueError(f"H returned a non-scalar: {exc}") from exc
 
         self.hval = hval
         if ham.gradient is not None:
@@ -289,9 +275,37 @@ class _Compiled:
             self.grad = lambda x: central_gradient(hval, x)
         # without an analytic J, products J·V are directional differences
         # of the constraint residual c(y) = G(y)^T grad H(y)
-        g_eval = self.g
-        grad_eval = self.grad
+        g_eval, grad_eval = self.g, self.grad
         self.residual = lambda y: np.asarray(g_eval(y)).T.dot(grad_eval(y))
+        try:
+            h0 = ham(x0)
+            grad0, pi0, g0 = ham.grad(x0), sys.ld.pi(x0), sys.ld.forces(x0)
+            resid0 = _constraint_residual(g0, grad0)
+            if resid0 > _PROJECTION_TOL:
+                raise ConsistencyError(
+                    f"state is not in the consistency set chi_c: constraint "
+                    f"residual |G^T grad H| = {resid0:.3e} > "
+                    f"{_PROJECTION_TOL:.1e}", residual=resid0)
+            jac0 = None if self.jac is None else _checked(
+                self.jac(x0), (self.k, self.n), "constraint Jacobian", x0)
+            lam0, ls0, f0 = _terms(self, x0, grad0, g0, pi0, jac0)
+        except (ValueError, FloatingPointError) as exc:
+            raise InputError(
+                f"the initial state cannot be evaluated: {exc}") from exc
+        self.pi_fixed = pi0 if isinstance(self.pi, _Constant) else None
+        self.sym_fixed = None if self.pi_fixed is None else sym_part(pi0)
+        self.g_fixed = g0 if self.k == 0 else None
+        rate0 = _bracket_hh(grad0, pi0, self.sym_fixed)
+        if not math.isfinite(rate0):
+            raise InputError(f"H = {h0} and [H, H] = {rate0} at the initial "
+                             f"state are not both finite")
+        self.start = (x0, grad0, g0, pi0, lam0, ls0, f0, resid0, h0, rate0)
+
+
+def _constraint_residual(g: np.ndarray, grad: np.ndarray) -> float:
+    """chi_c's residual: max |G^T grad H|, with nan (inf - inf) read as inf."""
+    residual = float(np.abs(g.T @ grad).max(initial=0.0))
+    return math.inf if math.isnan(residual) else residual
 
 
 def _solve_constraint(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -309,7 +323,7 @@ def _solve_constraint(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
             return np.array([-c.item() / a.item()]), 0.0
         return np.zeros(1), abs(c.item())
     if a.shape != c.shape * 2:
-        raise ValueError(f"G or J returned a malformed result mid-run: "
+        raise ValueError(f"G or J returned a malformed result: "
                          f"multiplier matrix of shape {a.shape} for "
                          f"{c.shape[0] if c.ndim else 0} constraints")
     b = -c
@@ -319,8 +333,7 @@ def _solve_constraint(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _malformed(name: str, value: np.ndarray, shape: tuple) -> ValueError:
-    return ValueError(f"{name} returned shape {value.shape} mid-run, "
-                      f"expected {shape}")
+    return ValueError(f"{name} returned shape {value.shape}, expected {shape}")
 
 
 def _lambda_at(c: _Compiled, x: np.ndarray, g: np.ndarray,
@@ -351,11 +364,8 @@ def check_consistency(sys: DIHSystem, x) -> ConsistencyReport:
     point = as_vector(x, sys.n, "state")
     if sys.k == 0:
         return ConsistencyReport(True, 0.0)
-    g = sys.ld.forces(point)
-    grad = sys.hamiltonian.grad(point)
-    residual = float(np.abs(g.T @ grad).max(initial=0.0))
-    if math.isnan(residual):  # +inf and -inf met in a sum
-        residual = math.inf
+    residual = _constraint_residual(sys.ld.forces(point),
+                                    sys.hamiltonian.grad(point))
     return ConsistencyReport(residual <= _PROJECTION_TOL, residual)
 
 
@@ -365,15 +375,12 @@ def multipliers(sys: DIHSystem, x) -> tuple[np.ndarray, float]:
 
     Solves (J G) lambda = -J Pi grad H with J the constraint-residual
     Jacobian; a singular system falls back to the min-norm least-squares
-    solution and the second return value is its residual.  Raises
-    InputError when the multiplier overflows.
+    solution and the second return value is its residual, both as a run's
+    set-up solves them.  Raises InputError when a callable fails at x or
+    its difference probes, or when the multiplier overflows.
     """
-    c = _Compiled(sys, x)
-    if c.k == 0:
-        return np.zeros(0), 0.0
-    point, grad, g, pi, jac = c.start[:5]
-    lam, resid = _lambda_at(c, point, g, pi @ grad, jac)
-    return _checked(lam, (c.k,), "the multiplier", point), resid
+    point, _, _, _, lam, resid = _Compiled(sys, x).start[:6]
+    return _checked(lam, (sys.k,), "the multiplier", point), resid
 
 
 def _checked_pi(c: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -388,9 +395,10 @@ def _checked_pi(c: _Compiled, x: np.ndarray) -> np.ndarray:
 
 
 def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
-           pi: np.ndarray, jac) -> tuple[np.ndarray, np.ndarray]:
-    """The multiplier and the right-hand side at x, given grad H, G, the
-    checked Pi and J there; J None takes J·V as directional differences.
+           pi: np.ndarray, jac) -> tuple[np.ndarray, float, np.ndarray]:
+    """The multiplier, the least-squares residual of its solve and the
+    right-hand side at x, given grad H, G, the checked Pi and J there; J
+    None takes J·V as directional differences.
 
     The hot path uses ndarray.dot: on these tiny operands it costs about
     half the call overhead of ``@``.
@@ -399,9 +407,9 @@ def _terms(c: _Compiled, x: np.ndarray, grad: np.ndarray, g: np.ndarray,
         raise _malformed("grad H", grad, c.vector_shape)
     pi_grad = pi.dot(grad)
     if c.k == 0:
-        return _NO_LAM, pi_grad
-    lam, _ = _lambda_at(c, x, g, pi_grad, jac)
-    return lam, pi_grad + g.dot(lam)
+        return _NO_LAM, 0.0, pi_grad
+    lam, resid = _lambda_at(c, x, g, pi_grad, jac)
+    return lam, resid, pi_grad + g.dot(lam)
 
 
 def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -410,16 +418,16 @@ def _rhs_raw(c: _Compiled, x: np.ndarray) -> np.ndarray:
     if g is None:
         g = np.asarray(c.g(x), dtype=_FLOAT)
     return _terms(c, x, grad, g, _checked_pi(c, x),
-                  None if c.jac is None else c.jac(x))[1]
+                  None if c.jac is None else c.jac(x))[2]
 
 
 @float_rule
 def rhs(sys: DIHSystem, x) -> np.ndarray:
-    """Right-hand side Pi grad H + G lambda at a consistent state; raises
-    InputError when it overflows."""
-    c = _Compiled(sys, x)
-    return _checked(_terms(c, *c.start[:5])[1], (c.n,),
-                    "the right-hand side", c.start[0])
+    """Right-hand side Pi grad H + G lambda at a consistent state, as a
+    run's set-up solves it; raises InputError when a callable fails at x
+    or its difference probes, or when the right-hand side overflows."""
+    point, *_, f0 = _Compiled(sys, x).start[:7]
+    return _checked(f0, (sys.n,), "the right-hand side", point)
 
 
 @float_rule
@@ -478,9 +486,9 @@ def _project(c: _Compiled, x: np.ndarray
         grad = np.asarray(c.grad(x), dtype=_FLOAT)
         cval = g.T.dot(grad)
         if cval.shape != c.residual_shape:
-            raise ValueError(f"G or grad H returned a malformed result "
-                             f"mid-run: residual G^T grad H of shape "
-                             f"{cval.shape}, expected {c.residual_shape}")
+            raise ValueError(f"G or grad H returned a malformed result: "
+                             f"residual G^T grad H of shape {cval.shape}, "
+                             f"expected {c.residual_shape}")
         worst = abs(cval.item()) if c.k == 1 else float(np.abs(cval).max())
         if worst <= _PROJECTION_TOL:
             return x, grad, g, worst
@@ -513,16 +521,12 @@ class _Recorder:
         (self.times, self.states, self.lams, self.residuals, self.energies,
          self.rates) = self.arrays
 
-    def record(self, t: float, x: np.ndarray, grad: np.ndarray,
-               pi: np.ndarray, lam: np.ndarray, resid: float,
-               energy: float) -> None:
-        # evaluate before writing: a failure leaves no half-written row
-        rate = _bracket_hh(grad, pi, self.c.sym_fixed)
+    def record(self, t: float, x: np.ndarray, lam: np.ndarray,
+               resid: float, energy: float, rate: float) -> None:
+        # check before writing: a failure leaves no half-written row
         if not (math.isfinite(energy) and math.isfinite(rate)):
-            # mid-run this fails the step; at the start, the input
-            raise (ValueError if self.m else InputError)(
-                f"H = {energy} and [H, H] = {rate} at t = {t:.6g} are not "
-                f"both finite")
+            raise ValueError(f"H = {energy} and [H, H] = {rate} at "
+                             f"t = {t:.6g} are not both finite")
         i = self.m
         self.times[i] = t
         self.states[i] = x
@@ -559,18 +563,17 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
     ``substeps`` macro applications of ``stepper`` with size
     h = dt/substeps advance one grid interval; recording happens on the
     grid only.  ``coefficients(h)`` gives the stepper's constants, made
-    once per run.  Each accepted state is evaluated once: the projection's
-    grad H and G, and the right-hand side there, serve both the record and
-    the next step.
+    once per run.  Each accepted state is evaluated once: the set-up's
+    values at x0, and after each step the projection's grad H and G and
+    the right-hand side there, serve both the record and the next step.
     """
     dt = config.dt
     c = _Compiled(sys, x0)
     rec = _Recorder(c, config.steps + 1)
     f = partial(_rhs_raw, c)
 
-    x, grad, g, pi, jac, resid, h0 = c.start
-    lam, fx = _terms(c, x, grad, g, pi, jac)
-    rec.record(0.0, x, grad, pi, lam, resid, h0)
+    x, _, _, _, lam, _, fx, resid, h0, rate0 = c.start
+    rec.record(0.0, x, lam, resid, h0, rate0)
     coeffs = coefficients(dt / substeps)
     for i in range(1, config.steps + 1):
         t_prev = (i - 1) * dt
@@ -583,8 +586,9 @@ def _run(sys: DIHSystem, x0, config: IntegratorConfig,
                 x, grad, g, resid = _project(c, x_new)
                 jac = None if c.jac is None else c.jac(x)
                 pi = _checked_pi(c, x)
-                lam, fx = _terms(c, x, grad, g, pi, jac)
-            rec.record(i * dt, x, grad, pi, lam, resid, c.hval(x))
+                lam, _, fx = _terms(c, x, grad, g, pi, jac)
+            rec.record(i * dt, x, lam, resid, c.hval(x),
+                       _bracket_hh(grad, pi, c.sym_fixed))
         except (LDKitError, FloatingPointError, ValueError) as exc:
             # a stalled projection, a non-finite state, H or [H, H], and a
             # user callable that passed the up-front checks but returns a
@@ -621,11 +625,11 @@ def _rk4_step(f: Callable, x: np.ndarray, fx: np.ndarray,
 def simulate(sys: DIHSystem, x0, config: IntegratorConfig) -> Trajectory:
     """Integrate with fixed-step RK4 plus post-step constraint projection.
 
-    The initial state must lie in chi_c (ConsistencyError otherwise); a
-    stalled projection, singular multiplier system, non-finite state, H or
-    [H, H], or a user callable that raises ValueError mid-run or returns a
-    result of the wrong shape raises StepFailureError carrying the partial
-    trajectory.
+    x0 must lie in chi_c (ConsistencyError otherwise); a callable that
+    fails at x0 or its difference probes, or a non-finite [H, H] there,
+    raises InputError.  A stalled projection, singular multiplier system,
+    non-finite state, H or [H, H], or a failing callable later raises
+    StepFailureError carrying the partial trajectory.
     """
     return _run(sys, x0, config, _rk4_step, _rk4_coefficients,
                 substeps=1)
@@ -676,9 +680,10 @@ def oracle_simulate(sys: DIHSystem, x0, dt: float,
     """Independent verification run on the same grid as :func:`simulate`.
 
     Steps with the extrapolated Gragg modified-midpoint map at half the user
-    step (two substeps per grid interval), projects as :func:`simulate` does
-    (residual at most 1e-10 in at most 25 Newton steps), and records only on
-    the dt grid, so trajectories compare row by row.
+    step (two substeps per grid interval), sets up its start and projects
+    as :func:`simulate` does (residual at most 1e-10 in at most 25 Newton
+    steps), and records only on the dt grid, so trajectories compare row
+    by row.
     """
     return _run(sys, x0, IntegratorConfig(dt=dt, t_end=t_end), _gbs_step,
                 _gbs_coefficients, substeps=2)

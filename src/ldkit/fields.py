@@ -257,14 +257,18 @@ def pointwise(field: LDField, x) -> LinearLD:
 
 def _admissibility_check(field: LDField, g_matrix: np.ndarray,
                          df: np.ndarray) -> None:
+    # df and G's columns over their largest entries: no norm over/underflows
     if field.k == 0:
         return
-    scale = float(np.linalg.norm(df))
-    if scale == 0.0:
+    peak = float(np.abs(df).max(initial=0.0))
+    if peak == 0.0:
         return
-    norms = np.linalg.norm(g_matrix, axis=0)
+    unit = df / peak
+    peaks = np.abs(g_matrix).max(axis=0)
+    cols = g_matrix / np.where(peaks == 0.0, 1.0, peaks)
+    norms = np.linalg.norm(cols, axis=0)
     norms[norms == 0.0] = 1.0
-    violations = np.abs(g_matrix.T @ df) / (norms * scale)
+    violations = np.abs(cols.T @ unit) / (norms * np.linalg.norm(unit))
     worst = int(np.argmax(violations))
     if violations[worst] > DEFAULT_TOLERANCE.residual_eps:
         raise AdmissibilityError(

@@ -118,7 +118,8 @@ def _holds(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _checked(doc, text: str, path: str, numeric: tuple[str, ...]) -> dict:
+def _schema_checked(doc, text: str, path: str,
+                    numeric: tuple[str, ...]) -> dict:
     """``doc``, decoded from ``text``, once it is an object of this
     schema_version.  Its schema_version and each field named in ``numeric``
     must hold numbers only: Python would read a true or false there as 1
@@ -144,9 +145,9 @@ def _checked(doc, text: str, path: str, numeric: tuple[str, ...]) -> dict:
 
 
 def _load_json(path: str, numeric: tuple[str, ...]) -> dict:
-    """The JSON object in ``path``, checked as :func:`_checked` says."""
+    """The JSON object in ``path``, checked as :func:`_schema_checked` says."""
     text = _read_text(path)
-    return _checked(_decode(text, path), text, path, numeric)
+    return _schema_checked(_decode(text, path), text, path, numeric)
 
 
 def _matrix_from(doc: dict, key: str, path: str, cols: int = 0) -> np.ndarray:
@@ -472,7 +473,7 @@ def _read_trajectory_json(path: str) -> Trajectory:
     doc = _trajectory_members(text)
     if doc is None:  # json.loads names the fault
         doc = _decode(text, path)
-    doc = _checked(doc, text, path, _FIELDS)
+    doc = _schema_checked(doc, text, path, _FIELDS)
     missing = [key for key in _FIELDS if key not in doc]
     if missing:
         raise SpecFormatError(f"{path}: missing trajectory fields {missing}")

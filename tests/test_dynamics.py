@@ -390,7 +390,9 @@ def test_multipliers_and_rhs_without_j_match_the_matrix_assembled_reference(
             np.concatenate((g, pi_grad[:, None]), axis=1), k)
         return dynamics._solve_constraint(jv[:, :-1], jv[:, -1])
 
-    # multipliers forms Pi grad H with @, the right-hand side with .dot
+    # multipliers and rhs both read the set-up, which forms Pi grad H with
+    # .dot; at these n >= 2 the reference's @ gives the same bits (only at
+    # n = 1 may the two differ, in the sign of a zero)
     lam_ref, resid_ref = reference(pi @ grad)
     pi_grad = pi.dot(grad)
     rhs_ref = pi_grad + g.dot(reference(pi_grad)[0])
@@ -823,6 +825,82 @@ def test_simulate_rejects_a_non_finite_bracket_at_the_start():
                                                   match="not both finite"):
         simulate(sys, np.array([1.0, 0.0]),
                  IntegratorConfig(dt=1e-3, t_end=0.01))
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys, x: simulate(sys, x, IntegratorConfig(dt=1e-3, t_end=1e-3)),
+    lambda sys, x: oracle_simulate(sys, x, 1e-3, 1e-3),
+    multipliers, rhs], ids=["simulate", "oracle_simulate", "multipliers",
+                            "rhs"])
+@pytest.mark.parametrize("part", ["G", "grad H"])
+def test_a_callable_that_fails_only_at_a_difference_probe_is_an_input_error(
+        call, part):
+    # without J the set-up probes G and grad H at x0 +- s v; there G
+    # returns two columns for one constraint, or grad H raises as it would
+    # under a raising errstate of its own
+    particle = damped_particle()
+    x0 = np.array([0.0, 0.3, 0.0, 1.0, 0.5, 0.3])
+    forces = particle.ld.forces.evaluate
+    gradient = particle.hamiltonian.gradient
+
+    def g_eval(x):
+        g = forces(x)
+        probe = not np.array_equal(x, x0)
+        return np.hstack([g, g]) if part == "G" and probe else g
+
+    def grad_eval(x):
+        if part == "grad H" and not np.array_equal(x, x0):
+            raise FloatingPointError("overflow encountered in multiply")
+        return gradient(x)
+
+    sys = dataclasses.replace(
+        particle, constraint_jacobian=None,
+        ld=LDField(particle.ld.pi, ConstraintField(6, 1, g_eval)),
+        hamiltonian=dataclasses.replace(particle.hamiltonian,
+                                        gradient=grad_eval))
+    with pytest.raises(InputError,
+                       match="initial state cannot be evaluated") as err:
+        call(sys, x0)
+    assert isinstance(err.value.__cause__,
+                      ValueError if part == "G" else FloatingPointError)
+
+
+@pytest.mark.parametrize("run", [
+    lambda sys, x: simulate(sys, x, IntegratorConfig(dt=1e-3, t_end=1e-3)),
+    lambda sys, x: oracle_simulate(sys, x, 1e-3, 1e-3)],
+    ids=["simulate", "oracle_simulate"])
+def test_a_start_whose_constraint_residual_is_nan_is_refused_at_inf(run):
+    # G^T grad H = 1e400 - 1e400 is inf - inf; check_consistency reads the
+    # nan as inf, and a run refuses the start with that residual
+    n = 16
+    g = np.zeros((n, 1))
+    g[:2, 0] = 1e200
+    grad = np.zeros(n)
+    grad[:2] = (1e200, -1e200)
+    sys = DIHSystem(n, LDField(TensorField.constant(np.zeros((n, n))),
+                               ConstraintField.constant(g)),
+                    ScalarField(n, value=lambda x: 0.0,
+                                gradient=lambda x: grad.copy()))
+    report = check_consistency(sys, np.zeros(n))
+    assert not report.in_chi_c and report.residual == math.inf
+    with pytest.raises(ConsistencyError) as err:
+        run(sys, np.zeros(n))
+    assert err.value.residual == report.residual
+
+
+@pytest.mark.parametrize("p, g, q", [
+    (p, g, q) for p in (-1.5, 2.0) for g in (-0.5, 3.0) for q in (-2.0, 1.0)])
+def test_one_dimensional_multipliers_equal_row_0_of_a_run_bit_for_bit(p, g, q):
+    # n = k = 1 at x = 0: grad H = 0, so Pi grad H is a signed zero, and
+    # lambda = -(J Pi grad H) / (J G) keeps its sign
+    h = ScalarField(1, value=lambda x: 0.5 * q * float(x[0]) ** 2,
+                    gradient=lambda x: q * x.copy())
+    sys = DIHSystem(1, LDField(TensorField.constant([[p]]),
+                               ConstraintField.constant([[g]])), h,
+                    constraint_jacobian=lambda x: np.array([[g * q]]))
+    x = np.zeros(1)
+    traj = simulate(sys, x, IntegratorConfig(dt=1e-3, t_end=0.0))
+    assert same_bits(multipliers(sys, x)[0], traj.multipliers[0])
 
 
 @pytest.mark.parametrize("params, rate", [({"mu1": 1e308}, -1e308),

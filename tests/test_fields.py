@@ -238,6 +238,26 @@ def test_bracket_rejects_inadmissible_function():
     assert err.value.residual > 0.1
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_the_admissibility_gate_does_not_depend_on_the_scale_of_df(scale):
+    # df = scale * e4 against the particle's column (0, 0, 0, 1, 0, -1): the
+    # norm of df overflows at 1e160 and underflows to 0 at 1e-170, yet the
+    # normalized violation is 1/sqrt(2) at every scale, as at scale 1
+    sys = damped_particle()
+    x = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    e4 = np.eye(6)[3]
+    f = ScalarField(6, value=lambda y: scale * float(y[3]),
+                    gradient=lambda y: scale * e4)
+    h = sys.hamiltonian
+    with pytest.raises(AdmissibilityError) as unit:
+        bracket(sys.ld, coordinate(6, 3), h, x)
+    with pytest.raises(AdmissibilityError) as err:
+        bracket(sys.ld, f, h, x)
+    assert err.value.component == unit.value.component == 0
+    assert err.value.residual == unit.value.residual == pytest.approx(
+        2.0 ** -0.5, rel=1e-15)
+
+
 def test_bracket_admissible_directions_pass_the_gate():
     sys = damped_particle()
     x = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])

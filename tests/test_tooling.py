@@ -107,7 +107,7 @@ def test_compare_trajectories_finds_a_tree_equal_to_itself():
         timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == (
-        "108 trajectory arrays, 7 failing-run arrays, 60 one-point arrays, "
+        "108 trajectory arrays, 7 failing-run arrays, 72 one-point arrays, "
         "40 edge-state arrays, 8 files, 48 read-back arrays, 8 audit "
         "outputs, 108 linear-layer arrays and 10 verify outputs compared: "
         "0 differ")
@@ -198,7 +198,10 @@ def test_the_package_has_one_errstate_and_one_floating_point_catch():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert sum(text.count("np.errstate") for text in sources.values()) == 1
     # user callables may still raise FloatingPointError under an errstate
-    # of their own; only the run loop turns it into a StepFailureError
+    # of their own.  Two handlers decide what it becomes: the set-up of a
+    # start (_Compiled.__init__) turns it into an InputError, since the
+    # input failed before any step, and the run loop (_run) into a
+    # StepFailureError that carries the partial trajectory
     catches = []
     for name, text in sources.items():
         tree = ast.parse(text)
@@ -208,7 +211,8 @@ def test_the_package_has_one_errstate_and_one_floating_point_catch():
                     (name, function.name) for handler in ast.walk(function)
                     if isinstance(handler, ast.ExceptHandler)
                     and "FloatingPointError" in ast.unparse(handler.type)]
-    assert catches == [("dynamics.py", "_run")]
+    assert sorted(catches) == [("dynamics.py", "__init__"),
+                               ("dynamics.py", "_run")]
 
 
 def test_the_declared_numpy_floor_is_the_one_the_rule_needs():

@@ -48,6 +48,12 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (the ones that hold the
   sym), the basis of ``carrier_at``, and the basis and five flags of
   ``fields.pointwise``.  These reach the catalog callables, and the
   field layer's fixed cutoffs, by paths that no trajectory covers;
+- the values a run's set-up solves, ``multipliers`` (lambda and its
+  residual), ``rhs`` and the ``check_consistency`` residual, of the
+  particle without its analytic constraint Jacobian at PARTICLE_X0 and of
+  ``dense_system`` with and without J at its start: the multiplier solves
+  by directional differences and the k = 2 solve, which the catalog
+  points above do not reach;
 - H, grad H, and G and J where the system has them, of the 4 catalog
   systems at each state of EDGE_STATES (its first n entries): signed
   zeros, subnormals and entries of 1e±150, which no run reaches, so that
@@ -386,6 +392,18 @@ def record_runs(src: str, t_end: float, out: Path) -> None:
             "pointwise basis": structure.space.basis,
             "pointwise flags": dataclasses.astuple(structure.flags),
         }
+        for name, value in values.items():
+            runs[f"point {label}: {name}"] = np.asarray(value)
+    starts = {"damped_particle without J at PARTICLE_X0": (no_jac, x0),
+              "dense k=2 at its start": (dense, dense_x0),
+              "dense k=2 without J at its start": (dataclasses.replace(
+                  dense, constraint_jacobian=None), dense_x0)}
+    for label, (system, x) in starts.items():
+        lam, residual = ldkit.multipliers(system, x)
+        values = {"multipliers": lam, "multipliers residual": residual,
+                  "rhs": ldkit.rhs(system, x),
+                  "consistency residual": ldkit.check_consistency(
+                      system, x).residual}
         for name, value in values.items():
             runs[f"point {label}: {name}"] = np.asarray(value)
     for name, value in edge_runs(ldkit).items():
